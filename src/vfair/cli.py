@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, NumericError
 from .harness import (
     RunRecord,
     aggregate,
@@ -158,12 +158,12 @@ def main(argv=None) -> int:
     }[args.command]
     try:
         return handler(args)
-    except (ConfigError, DataError) as exc:
+    except (ConfigError, DataError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except NumericError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3
 
 
 if __name__ == "__main__":

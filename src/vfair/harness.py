@@ -28,7 +28,7 @@ from .data import (
     synthesize,
     take_batch,
 )
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, NumericError
 from .metrics import (
     GroupPartition,
     MetricsReport,
@@ -338,9 +338,12 @@ class RunRecord:
         )
 
     def save(self, path) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_json_dict(), indent=2, sort_keys=True), encoding="utf-8"
-        )
+        """Strict JSON; a non-finite value raises before anything is written."""
+        try:
+            text = json.dumps(self.to_json_dict(), indent=2, sort_keys=True, allow_nan=False)
+        except ValueError as exc:
+            raise NumericError(f"{self.method} seed={self.seed}: record not saved: {exc}") from None
+        Path(path).write_text(text, encoding="utf-8")
 
     @classmethod
     def load(cls, path) -> "RunRecord":
@@ -375,28 +378,31 @@ def _train_one(cfg: ExperimentConfig, spec: ModelSpec, train: Dataset, method: s
     objective = _VFAIR_OBJECTIVE.get(method)
     rng = np.random.default_rng(seed)
 
-    full = take_batch(train, np.arange(train.n))
+    full = take_batch(train, np.arange(train.n))  # validates every row once
     snapshots = []
     per_epoch_loss = []
     trace = []
     step = 0
-    for _epoch in range(cfg.epochs):
-        order = rng.permutation(train.n)
-        for start in range(0, train.n, cfg.batch_size):
-            batch = take_batch(train, order[start : start + cfg.batch_size])
-            if method == "erm":
-                grad = grad_mu(spec, params, batch)
-            elif method == "dro":
-                grad, eta = dro_direction(spec, params, batch, dro_cfg)
-                trace.append({"step": step, "eta": eta})
-            else:
-                grad, state, report = vfair_direction(state, spec, params, batch, objective)
-                trace.append(report.to_row())
-            params = optimizer.step(params, grad)
-            step += 1
-        snapshots.append(params.copy())
-        losses = per_example_losses(spec, forward(spec, params, full), full.targets)
-        per_epoch_loss.append(float(losses.mean()))
+    try:
+        for epoch in range(cfg.epochs):
+            order = rng.permutation(train.n)
+            for start in range(0, train.n, cfg.batch_size):
+                batch = full.subset(order[start : start + cfg.batch_size])
+                if method == "erm":
+                    grad = grad_mu(spec, params, batch)
+                elif method == "dro":
+                    grad, eta = dro_direction(spec, params, batch, dro_cfg)
+                    trace.append({"step": step, "eta": eta})
+                else:
+                    grad, state, report = vfair_direction(state, spec, params, batch, objective)
+                    trace.append(report.to_row())
+                params = optimizer.step(params, grad)
+                step += 1
+            snapshots.append(params.copy())
+            losses = per_example_losses(spec, forward(spec, params, full), full.targets)
+            per_epoch_loss.append(float(losses.mean()))
+    except NumericError as exc:
+        raise NumericError(f"{method} seed={seed} epoch={epoch} step={step}: {exc}") from exc
     return snapshots, per_epoch_loss, trace
 
 

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import expit
@@ -101,14 +103,23 @@ class Batch:
     def __len__(self) -> int:
         return self.features.shape[0]
 
+    def subset(self, positions: np.ndarray) -> "Batch":
+        """Rows at distinct `positions` (a slice of a permutation, say), not
+        re-validated: rows of a validated batch are valid."""
+        sub = object.__new__(Batch)
+        for name in ("features", "targets", "example_ids"):
+            object.__setattr__(sub, name, getattr(self, name)[positions])
+        return sub
+
 
 # ---------------------------------------------------------------------------
 # Parameter layout
 # ---------------------------------------------------------------------------
 
 
-def layer_slices(spec: ModelSpec) -> list[tuple[slice, tuple[int, int], slice, int]]:
-    """Deterministic flat layout: per layer (W slice, W shape, b slice, b size)."""
+@lru_cache(maxsize=64)
+def layer_slices(spec: ModelSpec) -> tuple[tuple[slice, tuple[int, int], slice, int], ...]:
+    """Deterministic flat layout, cached per spec: per layer (W slice, W shape, b slice, b size)."""
     dims = spec.layer_dims()
     out = []
     offset = 0
@@ -116,12 +127,11 @@ def layer_slices(spec: ModelSpec) -> list[tuple[slice, tuple[int, int], slice, i
         w_n = d_in * d_out
         out.append((slice(offset, offset + w_n), (d_in, d_out), slice(offset + w_n, offset + w_n + d_out), d_out))
         offset += w_n + d_out
-    return out
+    return tuple(out)
 
 
 def parameter_count(spec: ModelSpec) -> int:
-    dims = spec.layer_dims()
-    return sum(i * o + o for i, o in zip(dims[:-1], dims[1:]))
+    return layer_slices(spec)[-1][2].stop
 
 
 def unpack(spec: ModelSpec, params: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -170,28 +180,34 @@ def _activate_grad(name: str, z: np.ndarray) -> np.ndarray:
     return np.ones_like(z)
 
 
-def _forward_cached(spec, params, features):
+class ForwardCache(NamedTuple):
+    """One forward pass kept for backprop."""
+    inputs: list          # a_{l-1}: input to layer l
+    preacts: list         # z_l
+    outputs: np.ndarray   # [b, output_dim]
+
+
+def forward_cache(spec: ModelSpec, params: np.ndarray, batch: Batch) -> ForwardCache:
     """Forward pass keeping layer inputs and pre-activations for backprop."""
+    if batch.features.shape[1] != spec.input_dim:
+        raise DataError(
+            f"batch has {batch.features.shape[1]} features, spec expects {spec.input_dim}"
+        )
     layers = unpack(spec, params)
-    inputs = []   # a_{l-1}: input to layer l
-    preacts = []  # z_l
-    h = features
+    inputs = []
+    preacts = []
+    h = batch.features
     for idx, (w, b) in enumerate(layers):
         inputs.append(h)
         z = h @ w + b
         preacts.append(z)
         h = z if idx == len(layers) - 1 else _activate(spec.activation, z)
-    return inputs, preacts, h
+    return ForwardCache(inputs, preacts, h)
 
 
 def forward(spec: ModelSpec, params: np.ndarray, batch: Batch) -> np.ndarray:
     """Network outputs [b, output_dim]; classification tasks return logits."""
-    if batch.features.shape[1] != spec.input_dim:
-        raise DataError(
-            f"batch has {batch.features.shape[1]} features, spec expects {spec.input_dim}"
-        )
-    _, _, out = _forward_cached(spec, params, batch.features)
-    return out
+    return forward_cache(spec, params, batch).outputs
 
 
 def _check_targets(spec: ModelSpec, targets: np.ndarray) -> np.ndarray:
@@ -264,33 +280,43 @@ def _loss_output_grad(spec: ModelSpec, outputs: np.ndarray, targets: np.ndarray)
     return grad
 
 
-def weighted_gradient(spec: ModelSpec, params: np.ndarray, batch: Batch, weights: np.ndarray) -> np.ndarray:
+def weighted_gradient(spec: ModelSpec, params: np.ndarray, batch: Batch, weights: np.ndarray,
+                      cache: ForwardCache | None = None) -> np.ndarray:
     """Gradient of (1/b) * sum_i weights_i * loss_i, weights held constant.
 
-    One manual reverse pass; returns a flat vector with the same layout
-    as ``params``.
+    ``weights`` is one vector [b] (returns a flat gradient [P] in the
+    layout of ``params``) or a stack [k, b] (returns [k, P], one gradient
+    per row).  A stack costs one reverse pass: the k output deltas of
+    each example travel side by side, so every layer is one matrix
+    product.  ``cache``, from ``forward_cache`` on the same params and
+    batch, saves the forward pass.
     """
     weights = np.asarray(weights, dtype=np.float64)
     b = len(batch)
-    if weights.shape != (b,):
-        raise DataError("weights must be 1-d and aligned with the batch")
+    if weights.ndim not in (1, 2) or weights.shape[-1] != b:
+        raise DataError("weights must be [b] or [k, b], aligned with the batch")
     if not np.all(np.isfinite(weights)):
         raise DataError("non-finite weights")
+    if cache is None:
+        cache = forward_cache(spec, params, batch)
 
-    inputs, preacts, out = _forward_cached(spec, params, batch.features)
+    rows = np.atleast_2d(weights)
+    k = rows.shape[0]
+    slices = layer_slices(spec)
     layers = unpack(spec, params)
-    grad = np.zeros_like(np.asarray(params, dtype=np.float64))
-    g_layers = unpack(spec, grad)
-
-    delta = _loss_output_grad(spec, out, batch.targets) * (weights / b)[:, None]
+    grad = np.empty((k, parameter_count(spec)))
+    # delta[i, j]: output-side delta of example i under weight row j
+    delta = _loss_output_grad(spec, cache.outputs, batch.targets)[:, None, :] * (rows.T / b)[:, :, None]
     for l in range(len(layers) - 1, -1, -1):
-        g_w, g_b = g_layers[l]
-        g_w += inputs[l].T @ delta
-        g_b += delta.sum(axis=0)
+        ws, (d_in, d_out), bs, _ = slices[l]
+        g_w = cache.inputs[l].T @ delta.reshape(b, k * d_out)
+        grad[:, ws] = g_w.reshape(d_in, k, d_out).transpose(1, 0, 2).reshape(k, -1)
+        grad[:, bs] = delta.sum(axis=0)
         if l > 0:
             w, _ = layers[l]
-            delta = (delta @ w.T) * _activate_grad(spec.activation, preacts[l - 1])
-    return grad
+            back = (delta.reshape(b * k, d_out) @ w.T).reshape(b, k, d_in)
+            delta = back * _activate_grad(spec.activation, cache.preacts[l - 1])[:, None, :]
+    return grad if weights.ndim == 2 else grad[0]
 
 
 # ---------------------------------------------------------------------------

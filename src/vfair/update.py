@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .nnet import Batch, ModelSpec, forward, per_example_losses, weighted_gradient
+from .nnet import Batch, ModelSpec, forward, forward_cache, per_example_losses, weighted_gradient
 
 OBJECTIVES = ("std_dev", "variance", "pairwise")
 
@@ -202,15 +202,12 @@ def grad_sigma(spec: ModelSpec, params: np.ndarray, batch: Batch, mu: float, sig
 # ---------------------------------------------------------------------------
 
 
-def _secondary(objective, losses, mu, sigma, floored):
+def _secondary(objective, losses, mu, sigma, floored, cap):
     """Per-example weight vector of the secondary objective and its lam2."""
     if objective == "std_dev":
-        if floored:
-            # spread already (numerically) zero: nothing to suppress
-            sw = np.zeros_like(losses)
-        else:
-            sw = (losses - mu) / sigma
-        lam2 = None  # needs the cap, filled by caller
+        # a floored sigma means the spread is (numerically) zero: nothing to suppress
+        sw = np.zeros_like(losses) if floored else (losses - mu) / sigma
+        lam2 = lambda2(mu, sigma, cap)
     elif objective == "variance":
         sw = 2.0 * (losses - mu)
         lam2 = 2.0 * (mu - float(losses.min()))
@@ -233,23 +230,19 @@ def vfair_direction(
 
     Order of operations per batch: losses -> refresh running mean ->
     sigma around it -> both gradients -> lam1, lam2 -> combined
-    direction.  Returns (direction, advanced state, report).
+    direction.  One forward pass feeds the losses and a single stacked
+    backward pass with weight rows [1, sw], which yields g_mu and g_sec
+    together.  Returns (direction, advanced state, report).
     """
-    losses = per_example_losses(spec, forward(spec, params, batch), batch.targets)
+    cache = forward_cache(spec, params, batch)
+    losses = per_example_losses(spec, cache.outputs, batch.targets)
     mu = ema_update(state.ema_mean, losses, state.decay)
-    sigma_raw = float(np.sqrt(np.mean((losses - mu) ** 2)))
-    sigma = max(state.sigma_floor, sigma_raw)
-    floored = sigma_raw <= state.sigma_floor
+    sigma = batch_sigma(losses, mu, state.sigma_floor)
+    floored = sigma <= state.sigma_floor
 
-    sw, lam2 = _secondary(objective, losses, mu, sigma, floored)
-    if lam2 is None:
-        lam2 = lambda2(mu, sigma, state.lambda2_cap)
+    sw, lam2 = _secondary(objective, losses, mu, sigma, floored, state.lambda2_cap)
 
-    g_mu = grad_mu(spec, params, batch)
-    if np.any(sw):
-        g_sec = weighted_gradient(spec, params, batch, sw)
-    else:
-        g_sec = np.zeros_like(g_mu)
+    g_mu, g_sec = weighted_gradient(spec, params, batch, np.stack([np.ones_like(sw), sw]), cache)
 
     lam1 = lambda1(g_mu, g_sec, state.epsilon_projection)
     lam = max(lam1, lam2)

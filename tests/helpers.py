@@ -50,3 +50,16 @@ def group_means(values, assignment):
     for g in np.unique(assignment):
         out.append(values[assignment == g].mean())
     return np.asarray(out)
+
+
+def count_calls(monkeypatch, counts, key, fn, *owners):
+    """Rebind `fn` (by its name) in every module of `owners` to a wrapper
+    that counts calls under counts[key]."""
+    counts.setdefault(key, 0)
+
+    def counted(*args, **kwargs):
+        counts[key] += 1
+        return fn(*args, **kwargs)
+
+    for owner in owners:
+        monkeypatch.setattr(owner, fn.__name__, counted)

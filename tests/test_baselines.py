@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
+from helpers import count_calls
+from vfair import baselines, nnet
 from vfair.baselines import DroConfig, dro_direction, dro_eta, dro_objective, dro_step, erm_step
 from vfair.errors import ConfigError, DataError
 from vfair.nnet import (
@@ -70,8 +72,6 @@ def test_dro_config_validation():
         DroConfig(alpha_min=0.0)
     with pytest.raises(ConfigError):
         DroConfig(alpha_min=1.0)
-    with pytest.raises(ConfigError):
-        DroConfig(eta_search_tol=0.0)
 
 
 def test_dro_eta_two_point_batch():
@@ -81,18 +81,62 @@ def test_dro_eta_two_point_batch():
     assert eta == pytest.approx(1.0, abs=1e-3)
 
 
+def eta_lower_bound(losses, cfg):
+    """A closed-form lower bound on eta*.
+
+    For eta <= min l every hinge is active, so with the batch mean m and
+    variance v, F(eta) = C * sqrt(v + (m - eta)^2) + eta.  Its derivative
+    1 - C * t / sqrt(v + t^2), t = m - eta, is negative exactly when
+    t > sqrt(v / (C^2 - 1)) (C > 1 always).  So F falls all the way up
+    to min(min l, m - sqrt(v / (C^2 - 1))), and eta* cannot lie below it.
+    """
+    return min(losses.min(), losses.mean() - math.sqrt(losses.var() / (cfg.scale**2 - 1.0)))
+
+
 def test_dro_eta_matches_grid_oracle():
     rng = np.random.default_rng(20)
     for _ in range(40):
         losses = rng.uniform(0.0, 3.0, size=int(rng.integers(2, 60)))
         cfg = DroConfig(alpha_min=float(rng.uniform(0.15, 0.8)))
         eta = dro_eta(losses, cfg)
-        grid = np.linspace(losses.min() - cfg.eta_bracket_pad, losses.max() + cfg.eta_bracket_pad, 40001)
-        vals = [dro_objective(losses, g, cfg) for g in grid]
+        # pad 1.0 on both sides of a range that surely holds eta*, spaced
+        # no coarser than 40001 points over [min l - 1, max l + 1]
+        lo, hi = eta_lower_bound(losses, cfg) - 1.0, losses.max() + 1.0
+        step = (losses.max() - losses.min() + 2.0) / 40000
+        grid = np.linspace(lo, hi, int(math.ceil((hi - lo) / step)) + 1)
+        vals = dro_objective(losses, grid, cfg)
         best = grid[int(np.argmin(vals))]
         # compare objective values, not locations (flat-bottomed cases)
-        assert dro_objective(losses, eta, cfg) <= min(vals) + 1e-6
+        assert dro_objective(losses, eta, cfg) <= vals.min() + 1e-6
         assert abs(dro_objective(losses, eta, cfg) - dro_objective(losses, best, cfg)) <= 1e-6
+
+
+def test_dro_eta_is_max_loss_when_scale_reaches_sqrt_batch():
+    # C = 5.745 > sqrt(26): F only rises from max l, so eta* is max l
+    # exactly and the step is exactly zero
+    spec = ModelSpec(input_dim=2, hidden_dims=(3,), output_dim=1, task="regression_mse")
+    rng = np.random.default_rng(24)
+    batch = Batch(features=rng.normal(size=(26, 2)), targets=rng.normal(size=26) * 3.0,
+                  example_ids=np.arange(26))
+    params = init_params(spec, seed=4)
+    cfg = DroConfig(alpha_min=0.2)
+    assert cfg.scale >= math.sqrt(26)
+    losses = per_example_losses(spec, forward(spec, params, batch), batch.targets)
+    grad, eta = dro_direction(spec, params, batch, cfg)
+    assert eta == losses.max()
+    assert np.array_equal(grad, np.zeros_like(params))
+
+
+def test_dro_eta_below_min_loss_minus_one():
+    # a weak adversary (C^2 = 1.14) on widely spread losses puts eta* far
+    # below every loss, where it is m - sqrt(v / (C^2 - 1))
+    losses = np.array([0.0, 0.1, 3.9, 4.0, 0.2, 3.8])
+    cfg = DroConfig(alpha_min=0.79)
+    eta = dro_eta(losses, cfg)
+    assert eta < losses.min() - 1.0
+    assert eta == pytest.approx(eta_lower_bound(losses, cfg), rel=1e-12)
+    grid = np.linspace(eta - 1.0, losses.max() + 1.0, 20001)
+    assert dro_objective(losses, eta, cfg) <= dro_objective(losses, grid, cfg).min() + 1e-12
 
 
 def test_dro_eta_validation():
@@ -129,10 +173,23 @@ def test_dro_direction_weights_only_tail_examples():
     losses = per_example_losses(spec, forward(spec, params, batch), batch.targets)
     cfg = DroConfig(alpha_min=0.4)
     eta = dro_eta(losses, cfg)
-    assert losses.min() < eta < losses.max() + cfg.eta_bracket_pad
+    assert losses.min() < eta < losses.max() + 1.0
     pos = np.maximum(losses - eta, 0.0)
     assert np.any(pos > 0.0)
     assert np.any(pos == 0.0)
+
+
+def test_dro_direction_one_forward_no_objective_calls(monkeypatch):
+    counts = {}
+    count_calls(monkeypatch, counts, "forward", nnet.forward_cache, nnet, baselines)
+    count_calls(monkeypatch, counts, "backward", nnet.weighted_gradient, baselines)
+    count_calls(monkeypatch, counts, "objective", baselines.dro_objective, baselines)
+    spec = ModelSpec(input_dim=2, hidden_dims=(3,), output_dim=1, task="regression_mse")
+    rng = np.random.default_rng(25)
+    batch = Batch(features=rng.normal(size=(40, 2)), targets=rng.normal(size=40),
+                  example_ids=np.arange(40))
+    dro_direction(spec, init_params(spec, seed=6), batch, DroConfig(alpha_min=0.4))
+    assert counts == {"forward": 1, "backward": 1, "objective": 0}
 
 
 def test_dro_gradient_matches_fd_of_minimized_dual():
@@ -154,7 +211,7 @@ def test_dro_gradient_matches_fd_of_minimized_dual():
         y = rng.normal(size=b) if task == "regression_mse" else rng.integers(0, 2, size=b).astype(float)
         batch = Batch(features=x, targets=y, example_ids=np.arange(b))
         params = init_params(spec, seed=int(rng.integers(1 << 30)))
-        cfg = DroConfig(alpha_min=0.4, eta_search_tol=1e-10)
+        cfg = DroConfig(alpha_min=0.4)
 
         losses = per_example_losses(spec, forward(spec, params, batch), batch.targets)
         eta = dro_eta(losses, cfg)

@@ -6,7 +6,7 @@ import pytest
 from scipy import stats
 
 from vfair.cli import main as cli_main
-from vfair.errors import ConfigError, DataError
+from vfair.errors import ConfigError, DataError, NumericError
 from vfair.harness import (
     Adagrad,
     AggregateTable,
@@ -264,6 +264,15 @@ def test_run_record_round_trip(tmp_path):
         RunRecord.load(bad)
 
 
+def test_run_record_save_rejects_non_finite(tmp_path):
+    rec = fake_record("vfair_var", 3, "mse", dict.fromkeys(["utility", "wu", "mud", "tud"], 1.0)
+                      | {"var": float("inf")})
+    path = tmp_path / "run.json"
+    with pytest.raises(NumericError, match="vfair_var seed=3"):
+        rec.save(path)
+    assert not path.exists()
+
+
 # -- aggregation ------------------------------------------------------------
 
 
@@ -468,3 +477,15 @@ def test_cli_rank_rejects_mismatched_runs(tmp_path, capsys):
     ])
     assert code == 2
     assert "test split" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+def test_cli_train_divergence_exits_3(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, tiny_config(step_size=50.0))
+    out = tmp_path / "o"
+    code = cli_main(["train", "--config", str(cfg_path), "--out", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: erm seed=0 epoch=") and " step=" in err
+    for record in (out / "runs").glob("*.json"):
+        assert "Infinity" not in record.read_text() and "NaN" not in record.read_text()

@@ -11,6 +11,7 @@ from vfair.nnet import (
     ModelSpec,
     directional_derivative_fd,
     forward,
+    forward_cache,
     init_params,
     parameter_count,
     per_example_losses,
@@ -265,6 +266,37 @@ def test_weighted_gradient_fd_oracle_random_models():
         else:
             tol = 1e-6
         assert abs(fd - float(grad @ d)) <= tol * max(1.0, abs(fd)), (spec, fd, float(grad @ d))
+
+
+def test_weighted_gradient_stacked_rows_match_single_calls_and_fd():
+    # a [k, b] call shares one forward cache and one reverse pass; each of
+    # its rows must be the 1-d call with that row, and match finite differences
+    rng = np.random.default_rng(5)
+    for _ in range(40):
+        spec = random_spec(rng)
+        batch = random_batch(rng, spec)
+        params = init_params(spec, seed=int(rng.integers(1 << 30)))
+        rows = rng.uniform(-1.0, 2.0, size=(3, len(batch)))
+        stacked = weighted_gradient(spec, params, batch, rows, forward_cache(spec, params, batch))
+        assert stacked.shape == (3, len(params))
+        d = rng.normal(size=params.shape)
+        d /= np.linalg.norm(d)
+        tol = 1e-4 if spec.activation == "relu" else 1e-6
+        for row, grad in zip(rows, stacked):
+            single = weighted_gradient(spec, params, batch, row)
+            assert np.linalg.norm(grad - single) <= 1e-12 * np.linalg.norm(single)
+            fd = directional_derivative_fd(spec, params, batch, "weighted", d, weights=row)
+            assert abs(fd - float(grad @ d)) <= tol * max(1.0, abs(fd))
+
+
+def test_weighted_gradient_weight_shapes():
+    spec = linear_spec()
+    batch = make_batch([[1.0], [2.0]], [0.0, 1.0])
+    params = np.array([0.3, -0.2])
+    for bad in (np.ones(3), np.ones((2, 3)), np.ones((1, 2, 2)), np.array([1.0, np.nan])):
+        with pytest.raises(DataError):
+            weighted_gradient(spec, params, batch, bad)
+    assert weighted_gradient(spec, params, batch, np.ones((1, 2))).shape == (1, 2)
 
 
 def test_fd_objective_validation():

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from helpers import count_calls
+from vfair import nnet, update
 from vfair.errors import ConfigError
 from vfair.nnet import (
     Batch,
@@ -16,6 +18,7 @@ from vfair.nnet import (
     weighted_gradient,
 )
 from vfair.update import (
+    OBJECTIVES,
     StepReport,
     UpdateState,
     batch_sigma,
@@ -231,6 +234,37 @@ def test_reweighted_form_equals_two_gradient_form():
         single = weighted_gradient(spec, params, batch, combined_weights(losses, mu, sigma, lam))
         double = lam * grad_mu(spec, params, batch) + grad_sigma(spec, params, batch, mu, sigma)
         np.testing.assert_allclose(single, double, rtol=1e-10, atol=1e-14)
+
+
+def test_vfair_direction_is_one_reweighted_backward():
+    # the direction that trains equals one weighted backward pass with
+    # weights lam + sw, sw rebuilt from the report's mu and sigma
+    rng = np.random.default_rng(17)
+    for objective in OBJECTIVES:
+        for _ in range(30):
+            spec, params, batch = random_setup(rng)
+            state = UpdateState(ema_mean=float(rng.uniform(0.0, 2.0)))
+            direction, _, report = vfair_direction(state, spec, params, batch, objective)
+            losses = per_example_losses(spec, forward(spec, params, batch), batch.targets)
+            if objective == "std_dev":
+                sw = (losses - report.mu) / report.sigma
+            elif objective == "variance":
+                sw = 2.0 * (losses - report.mu)
+            else:
+                sw = pairwise_coefficients(losses)
+            single = weighted_gradient(spec, params, batch, report.lam + sw)
+            assert np.linalg.norm(direction - single) <= 1e-10 * np.linalg.norm(single)
+
+
+def test_vfair_direction_one_forward_one_backward(monkeypatch):
+    counts = {}
+    count_calls(monkeypatch, counts, "forward", nnet.forward_cache, nnet, update)
+    count_calls(monkeypatch, counts, "backward", nnet.weighted_gradient, update)
+    rng = np.random.default_rng(18)
+    for objective in OBJECTIVES:
+        spec, params, batch = random_setup(rng)
+        vfair_direction(UpdateState(), spec, params, batch, objective)
+    assert counts == {"forward": 3, "backward": 3}
 
 
 # ---------------------------------------------------------------------------
