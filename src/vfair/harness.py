@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import json
+import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -51,6 +52,8 @@ METHODS = ("erm", "vfair_std", "vfair_var", "vfair_pairwise", "dro")
 OPTIMIZERS = ("sgd", "adagrad")
 EPOCH_SELECTION = ("final", "harmless")
 UTILITY_CHOICES = ("auto", "accuracy", "f1", "mse", "prediction_error")
+
+logger = logging.getLogger(__name__)
 
 _VFAIR_OBJECTIVE = {"vfair_std": "std_dev", "vfair_var": "variance", "vfair_pairwise": "pairwise"}
 
@@ -383,24 +386,27 @@ def _train_one(cfg: ExperimentConfig, spec: ModelSpec, train: Dataset, method: s
     per_epoch_loss = []
     trace = []
     step = 0
+    # a diverging run reports itself once, as the NumericError that
+    # per_example_losses raises, not as a burst of overflow warnings first
     try:
-        for epoch in range(cfg.epochs):
-            order = rng.permutation(train.n)
-            for start in range(0, train.n, cfg.batch_size):
-                batch = full.subset(order[start : start + cfg.batch_size])
-                if method == "erm":
-                    grad = grad_mu(spec, params, batch)
-                elif method == "dro":
-                    grad, eta = dro_direction(spec, params, batch, dro_cfg)
-                    trace.append({"step": step, "eta": eta})
-                else:
-                    grad, state, report = vfair_direction(state, spec, params, batch, objective)
-                    trace.append(report.to_row())
-                params = optimizer.step(params, grad)
-                step += 1
-            snapshots.append(params.copy())
-            losses = per_example_losses(spec, forward(spec, params, full), full.targets)
-            per_epoch_loss.append(float(losses.mean()))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for epoch in range(cfg.epochs):
+                order = rng.permutation(train.n)
+                for start in range(0, train.n, cfg.batch_size):
+                    batch = full.subset(order[start : start + cfg.batch_size])
+                    if method == "erm":
+                        grad = grad_mu(spec, params, batch)
+                    elif method == "dro":
+                        grad, eta = dro_direction(spec, params, batch, dro_cfg)
+                        trace.append({"step": step, "eta": eta})
+                    else:
+                        grad, state, report = vfair_direction(state, spec, params, batch, objective)
+                        trace.append(report.to_row())
+                    params = optimizer.step(params, grad)
+                    step += 1
+                snapshots.append(params.copy())
+                losses = per_example_losses(spec, forward(spec, params, full), full.targets)
+                per_epoch_loss.append(float(losses.mean()))
     except NumericError as exc:
         raise NumericError(f"{method} seed={seed} epoch={epoch} step={step}: {exc}") from exc
     return snapshots, per_epoch_loss, trace
@@ -462,6 +468,14 @@ def run_experiment(cfg: ExperimentConfig) -> list:
     """
     train, test = build_datasets(cfg)
     spec = build_model_spec(cfg, train)
+    c2 = DroConfig(alpha_min=cfg.dro_alpha_min).scale ** 2
+    if "dro" in cfg.methods and cfg.batch_size <= c2:
+        # dro_eta's C >= sqrt(b) case: eta* is the largest loss, the step zero
+        logger.warning(
+            "dro: batch_size %d <= C^2 = %.6g (dro_alpha_min %g): every full-batch "
+            "step is exactly zero, so dro stays at its initialisation",
+            cfg.batch_size, c2, cfg.dro_alpha_min,
+        )
     ordered = sorted(cfg.methods, key=lambda m: m != "erm")  # erm first if present
 
     records = []

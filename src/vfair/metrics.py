@@ -12,7 +12,9 @@ only do well by being uniformly good.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy import stats
@@ -55,7 +57,7 @@ class GroupPartition:
             raise DataError("k must be >= 1")
         if g.min() < 0 or g.max() >= self.k:
             raise DataError("group ids must lie in [0, k)")
-        if len(np.unique(g)) != self.k:
+        if np.bincount(g, minlength=self.k).min() == 0:
             raise DataError("every group must be non-empty")
         object.__setattr__(self, "group_of", g)
 
@@ -103,46 +105,89 @@ def overall_utility(predictions: np.ndarray, targets: np.ndarray, kind: str) -> 
     return float(np.mean((predictions.astype(float) - targets.astype(float)) ** 2))
 
 
+def _example_terms(rows: np.ndarray, targets: np.ndarray, kind: str) -> tuple:
+    """Per-example `[m, n]` terms whose per-group sums make the utility:
+    squared error (mse), correctness (accuracy), or TP, FP, FN (f1)."""
+    if kind == "f1":
+        pred_pos, true_pos = rows == 1, targets == 1
+        tp = pred_pos & true_pos
+        fp = pred_pos & (targets == 0)
+        fn = (rows == 0) & true_pos
+        return tuple(t.astype(np.float64) for t in (tp, fp, fn))
+    if kind == "accuracy":
+        return ((rows == targets).astype(np.float64),)
+    return (np.square(np.asarray(rows, dtype=np.float64) - np.asarray(targets, dtype=np.float64)),)
+
+
+def _score_groups(terms: tuple, partition: GroupPartition, kind: str) -> np.ndarray:
+    """`[m, k]` utilities from `_example_terms`; every (model, group) sum
+    comes from one `np.bincount` over the cell ids `model * k + group`."""
+    m, k = len(terms[0]), partition.k
+    cells = (np.arange(m)[:, None] * k + partition.group_of).ravel()
+    sums = [np.bincount(cells, weights=t.ravel(), minlength=m * k).reshape(m, k) for t in terms]
+    if kind == "f1":
+        tp, fp, fn = sums
+        denom = 2.0 * tp + fp + fn
+        return np.divide(2.0 * tp, denom, out=np.zeros_like(denom), where=denom != 0.0)
+    return sums[0] / np.bincount(partition.group_of, minlength=k)
+
+
 def group_utilities(predictions, targets, partition: GroupPartition, kind: str) -> np.ndarray:
-    """Per-group utility, index k of the result belonging to group k."""
+    """Per-group utility, index g of the result belonging to group g.
+
+    `predictions` is one model's `[n]` (result `[k]`) or a stack of m
+    models' `[m, n]` (result `[m, k]`).
+    """
+    kind = _canonical_kind(kind)
     predictions = np.asarray(predictions)
     targets = np.asarray(targets)
-    if len(predictions) != len(partition) or len(targets) != len(partition):
+    n = len(partition)
+    if predictions.ndim not in (1, 2) or predictions.shape[-1] != n or targets.shape != (n,):
         raise DataError("predictions/targets must align with the partition")
-    out = np.empty(partition.k, dtype=np.float64)
-    for g in range(partition.k):
-        mask = partition.group_of == g
-        out[g] = overall_utility(predictions[mask], targets[mask], kind)
-    return out
+    out = _score_groups(_example_terms(predictions.reshape(-1, n), targets, kind), partition, kind)
+    return out if predictions.ndim == 2 else out[0]
 
 
-def worst_utility(utilities: np.ndarray, kind: str) -> float:
-    """The unluckiest group: min for higher-is-better kinds, max for mse."""
+def _utility_rows(utilities) -> np.ndarray:
     utilities = np.asarray(utilities, dtype=np.float64)
-    return float(utilities.min() if higher_is_better(kind) else utilities.max())
+    if utilities.ndim not in (1, 2) or utilities.shape[-1] == 0:
+        raise DataError("utilities must be a non-empty [k] or [m, k] array")
+    return utilities
 
 
-def mud(utilities) -> float:
-    """Max utility difference across groups."""
-    utilities = np.asarray(utilities, dtype=np.float64)
-    if utilities.ndim != 1 or len(utilities) == 0:
-        raise DataError("utilities must be a non-empty 1-d array")
-    return float(utilities.max() - utilities.min())
+def _per_row(values: np.ndarray):
+    """A float for one model's utilities, an array for a stack's."""
+    return float(values) if values.ndim == 0 else values
 
 
-def tud(utilities, center: float | None = None) -> float:
+def worst_utility(utilities, kind: str):
+    """The unluckiest group: min for higher-is-better kinds, max for mse.
+    Row-wise on `[m, k]`."""
+    utilities = _utility_rows(utilities)
+    worst = utilities.min(axis=-1) if higher_is_better(kind) else utilities.max(axis=-1)
+    return _per_row(worst)
+
+
+def mud(utilities):
+    """Max utility difference across groups.  Row-wise on `[m, k]`."""
+    utilities = _utility_rows(utilities)
+    return _per_row(utilities.max(axis=-1) - utilities.min(axis=-1))
+
+
+def tud(utilities, center=None):
     """Total absolute deviation of group utilities from a center.
 
     The center defaults to the unweighted mean of the group utilities
     (which makes tud == mud for two groups); pass an explicitly
-    computed global utility to deviate from that instead.
+    computed global utility (one per row for `[m, k]`) to deviate from
+    that instead.  Row-wise on `[m, k]`.
     """
-    utilities = np.asarray(utilities, dtype=np.float64)
-    if utilities.ndim != 1 or len(utilities) == 0:
-        raise DataError("utilities must be a non-empty 1-d array")
+    utilities = _utility_rows(utilities)
     if center is None:
-        center = float(utilities.mean())
-    return float(np.abs(utilities - center).sum())
+        center = utilities.mean(axis=-1, keepdims=True)
+    else:
+        center = np.asarray(center, dtype=np.float64)[..., None]
+    return _per_row(np.abs(utilities - center).sum(axis=-1))
 
 
 def var_pred_error(per_example_errors) -> float:
@@ -238,13 +283,39 @@ class RankTable:
                 writer.writerow([name, *(f"{v:.6g}" for v in self.avg_rank[i])])
 
 
+# rejection sampling in `random_partition` refuses (n, k) whose expected
+# number of draws exceeds this
+MAX_EXPECTED_DRAWS = 1000
+
+
+@lru_cache(maxsize=64)
+def _too_many_draws(n: int, k: int) -> bool:
+    """Whether k^n / (number of surjections of n onto k) > MAX_EXPECTED_DRAWS."""
+    # union bound: P(some group empty) <= k (1 - 1/k)^n; at most 1/2 means
+    # at most 2 expected draws, without the big-integer sum below
+    if math.log(k) + n * math.log1p(-1.0 / k) <= math.log(0.5):
+        return False
+    # inclusion-exclusion on Python ints: exact where floats would cancel
+    surjections = sum((-1) ** j * math.comb(k, j) * (k - j) ** n for j in range(k + 1))
+    return k**n > MAX_EXPECTED_DRAWS * surjections
+
+
 def random_partition(rng: np.random.Generator, n: int, k: int) -> GroupPartition:
-    """Uniform group assignment, resampled until every group is hit."""
-    if k > n:
+    """Uniform group assignment, resampled until every group is hit.
+
+    Raises ConfigError, before any draw, when hitting every group is so
+    unlikely that more than MAX_EXPECTED_DRAWS draws are expected.
+    """
+    if not 1 <= k <= n:
         raise ConfigError(f"cannot split {n} examples into {k} non-empty groups")
+    if _too_many_draws(n, k):
+        raise ConfigError(
+            f"a uniform split of {n} examples into {k} groups leaves a group empty too "
+            f"often: more than {MAX_EXPECTED_DRAWS} draws expected; use fewer groups"
+        )
     while True:
         g = rng.integers(0, k, size=n)
-        if len(np.unique(g)) == k:
+        if np.bincount(g, minlength=k).min() > 0:
             return GroupPartition(group_of=g, k=k)
 
 
@@ -258,9 +329,10 @@ def random_partition_rank(
 ) -> RankTable:
     """Rank methods on utility/wu/mud/tud over random k-group partitions.
 
-    Every trial draws one partition, applies it to every method's stored
-    predictions, and ranks the methods per metric (ties share the mean
-    rank).  Ranks are averaged over trials.
+    Every trial draws one partition and scores every method's stored
+    predictions on it in one `bincount` pass (see `group_utilities`); the
+    methods are then ranked per metric (ties share the mean rank).  Ranks are
+    averaged over trials.
     """
     kind = _canonical_kind(kind)
     methods = list(per_method_predictions)
@@ -274,34 +346,25 @@ def random_partition_rank(
     for m, p in preds.items():
         if p.shape != targets.shape:
             raise DataError(f"predictions for {m!r} do not align with targets")
-
-    # overall utility is partition-free; rank it once
+    # overall utility and the per-example terms are partition-free: once
     util = np.array([overall_utility(preds[m], targets, kind) for m in methods])
+    terms = _example_terms(np.stack([preds[m] for m in methods]), targets, kind)
+    # per trial and method: wu, mud, tud, oriented so that lower is better
+    spread = np.empty((trials, len(methods), 3))
+    sign = -1.0 if higher_is_better(kind) else 1.0
     rng = np.random.default_rng(seed)
-    rank_sum = np.zeros((len(methods), len(RANK_METRICS)))
+    for t in range(trials):
+        gu = _score_groups(terms, random_partition(rng, n, k), kind)
+        spread[t] = np.column_stack([sign * worst_utility(gu, kind), mud(gu), tud(gu)])
 
-    util_oriented = util if not higher_is_better(kind) else -util
-    util_ranks = stats.rankdata(util_oriented, method="average")
-
-    for _ in range(trials):
-        part = random_partition(rng, n, k)
-        per_metric = {"utility": util_ranks}
-        wu_v, mud_v, tud_v = [], [], []
-        for m in methods:
-            gu = group_utilities(preds[m], targets, part, kind)
-            wu_v.append(worst_utility(gu, kind))
-            mud_v.append(mud(gu))
-            tud_v.append(tud(gu))
-        wu_arr = np.asarray(wu_v)
-        per_metric["wu"] = stats.rankdata(wu_arr if not higher_is_better(kind) else -wu_arr, method="average")
-        per_metric["mud"] = stats.rankdata(mud_v, method="average")
-        per_metric["tud"] = stats.rankdata(tud_v, method="average")
-        for j, name in enumerate(RANK_METRICS):
-            rank_sum[:, j] += per_metric[name]
-
+    # ranks are half-integers, so their sum over trials is exact
+    avg_rank = np.column_stack([
+        stats.rankdata(sign * util, method="average"),
+        stats.rankdata(spread, method="average", axis=1).mean(axis=0),
+    ])
     return RankTable(
         methods=methods,
-        avg_rank=rank_sum / trials,
+        avg_rank=avg_rank,
         k=k,
         trials=trials,
         utility_kind=kind,

@@ -6,6 +6,9 @@ code paths.
 """
 
 import numpy as np
+from scipy import stats
+
+from vfair.metrics import RANK_METRICS, higher_is_better, overall_utility
 
 
 def all_set_partitions(n):
@@ -63,3 +66,31 @@ def count_calls(monkeypatch, counts, key, fn, *owners):
 
     for owner in owners:
         monkeypatch.setattr(owner, fn.__name__, counted)
+
+
+def loop_random_partition_rank(per_method_predictions, targets, k, trials, seed, kind):
+    """Reference `[methods, 4]` average ranks: one boolean-mask
+    `overall_utility` per group, per method, per trial, drawing each
+    partition with `rng.integers(0, k, size=n)` until every group is hit."""
+    methods = list(per_method_predictions)
+    targets = np.asarray(targets)
+    n = len(targets)
+    sign = -1.0 if higher_is_better(kind) else 1.0
+    util = np.array([overall_utility(per_method_predictions[m], targets, kind) for m in methods])
+    rng = np.random.default_rng(seed)
+    rank_sum = np.zeros((len(methods), len(RANK_METRICS)))
+    for _ in range(trials):
+        while True:
+            g = rng.integers(0, k, size=n)
+            if len(np.unique(g)) == k:
+                break
+        wu, mud, tud = [], [], []
+        for m in methods:
+            p = np.asarray(per_method_predictions[m])
+            gu = np.array([overall_utility(p[g == j], targets[g == j], kind) for j in range(k)])
+            wu.append(sign * (gu.min() if higher_is_better(kind) else gu.max()))
+            mud.append(gu.max() - gu.min())
+            tud.append(np.abs(gu - gu.mean()).sum())
+        for j, values in enumerate((sign * util, wu, mud, tud)):
+            rank_sum[:, j] += stats.rankdata(values, method="average")
+    return rank_sum / trials

@@ -479,13 +479,28 @@ def test_cli_rank_rejects_mismatched_runs(tmp_path, capsys):
     assert "test split" in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
-def test_cli_train_divergence_exits_3(tmp_path, capsys):
+def test_cli_train_divergence_exits_3(tmp_path, capsys, recwarn):
     cfg_path = write_config(tmp_path, tiny_config(step_size=50.0))
     out = tmp_path / "o"
     code = cli_main(["train", "--config", str(cfg_path), "--out", str(out)])
     assert code == 3
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
     err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
     assert err.startswith("error: erm seed=0 epoch=") and " step=" in err
     for record in (out / "runs").glob("*.json"):
         assert "Infinity" not in record.read_text() and "NaN" not in record.read_text()
+
+
+@pytest.mark.parametrize("batch_size, warned", [(32, True), (64, False)])
+def test_dro_degenerate_batch_is_logged(caplog, batch_size, warned):
+    # C^2 = 2 (1/0.2 - 1)^2 + 1 = 33 at the default dro_alpha_min
+    cfg = config_from_dict(tiny_config(methods=["dro"], batch_size=batch_size, epochs=1))
+    with caplog.at_level("WARNING", logger="vfair"):
+        run_experiment(cfg)
+    hits = [r for r in caplog.records if r.name.startswith("vfair") and r.levelname == "WARNING"]
+    if warned:
+        assert len(hits) == 1
+        assert "batch_size 32" in hits[0].getMessage() and "33" in hits[0].getMessage()
+    else:
+        assert not hits

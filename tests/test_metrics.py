@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from helpers import all_surjective_assignments, group_means
+from helpers import all_surjective_assignments, group_means, loop_random_partition_rank
 from vfair.errors import ConfigError, DataError
 from vfair.metrics import (
+    MAX_EXPECTED_DRAWS,
     GroupPartition,
     MetricsReport,
     build_report,
@@ -48,6 +49,15 @@ def test_partition_validation():
         GroupPartition(group_of=np.array([]), k=1)
 
 
+def test_partition_validation_names_the_fault():
+    with pytest.raises(DataError, match="lie in"):
+        GroupPartition(group_of=np.array([0, 1, 3]), k=3)
+    with pytest.raises(DataError, match="lie in"):
+        GroupPartition(group_of=np.array([0, -1, 1]), k=2)
+    with pytest.raises(DataError, match="non-empty"):
+        GroupPartition(group_of=np.array([0, 2, 2, 0]), k=3)
+
+
 # ---------------------------------------------------------------------------
 # Utility kinds
 # ---------------------------------------------------------------------------
@@ -74,6 +84,61 @@ def test_f1_hand_values():
     # no positives anywhere: denominator 0 scores 0 by convention
     assert f1_utility(np.zeros(3), np.zeros(3)) == 0.0
     assert f1_utility(np.ones(3), np.ones(3)) == 1.0
+
+
+@pytest.mark.parametrize("kind", ["mse", "prediction_error", "accuracy", "f1"])
+def test_stacked_group_utilities_match_masked_overall_utility(kind):
+    rng = np.random.default_rng(38)
+    m, n, k = 4, 90, 6
+    if kind in ("accuracy", "f1"):
+        targets = rng.integers(0, 2, size=n).astype(float)
+        stack = rng.integers(0, 2, size=(m, n)).astype(float)
+    else:
+        targets = rng.normal(size=n)
+        stack = targets + rng.normal(size=(m, n)) * rng.uniform(0.1, 2.0, size=(m, 1))
+    for _ in range(5):
+        part = random_partition(rng, n, k)
+        if kind == "f1":
+            # group 0 holds no positives at all: F1 there is 0/0, scored 0
+            zero = part.group_of == 0
+            targets[zero] = 0.0
+            stack[:, zero] = 0.0
+        got = group_utilities(stack, targets, part, kind)
+        assert got.shape == (m, k)
+        want = np.array([
+            [overall_utility(row[part.group_of == g], targets[part.group_of == g], kind)
+             for g in range(k)]
+            for row in stack
+        ])
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+        if kind == "f1":
+            assert np.all(got[:, 0] == 0.0)
+        for row, expected in zip(stack, got):
+            assert np.array_equal(group_utilities(row, targets, part, kind), expected)
+
+
+def test_group_utilities_alignment_errors():
+    part = GroupPartition(group_of=np.array([0, 1, 0]), k=2)
+    with pytest.raises(DataError):
+        group_utilities(np.zeros(4), np.zeros(3), part, "mse")
+    with pytest.raises(DataError):
+        group_utilities(np.zeros((2, 3)), np.zeros(4), part, "mse")
+    with pytest.raises(DataError):
+        group_utilities(np.zeros((2, 2, 3)), np.zeros(3), part, "mse")
+
+
+def test_spread_statistics_row_wise():
+    rng = np.random.default_rng(39)
+    u = rng.uniform(size=(5, 7))
+    for kind in ("mse", "accuracy"):
+        assert np.array_equal(worst_utility(u, kind), [worst_utility(r, kind) for r in u])
+    assert np.array_equal(mud(u), [mud(r) for r in u])
+    assert np.array_equal(tud(u), [tud(r) for r in u])
+    centers = rng.uniform(size=5)
+    assert np.array_equal(tud(u, center=centers), [tud(r, center=c) for r, c in zip(u, centers)])
+    assert isinstance(mud(u[0]), float) and isinstance(tud(u[0]), float)
+    with pytest.raises(DataError):
+        mud(np.zeros((3, 0)))
 
 
 def test_worst_utility_orientation():
@@ -171,6 +236,41 @@ def test_random_partition_covers_all_groups():
         assert len(np.unique(part.group_of)) == 5
     with pytest.raises(ConfigError):
         random_partition(rng, n=3, k=4)
+
+
+def test_random_partition_refuses_hopeless_split_without_drawing():
+    # every group hit by 20 uniform draws over 20 groups: p = 20!/20^20,
+    # about 4e7 expected draws
+    rng = np.random.default_rng(40)
+    before = rng.bit_generator.state
+    with pytest.raises(ConfigError, match="draws expected"):
+        random_partition(rng, 20, 20)
+    assert rng.bit_generator.state == before
+    with pytest.raises(ConfigError):
+        random_partition(rng, 5, 0)
+    # n = k: k^k / k! expected draws is 416 at k = 8 and 1067 at k = 9
+    assert MAX_EXPECTED_DRAWS == 1000
+    assert random_partition(rng, 8, 8).k == 8
+    with pytest.raises(ConfigError):
+        random_partition(rng, 9, 9)
+
+
+@pytest.mark.parametrize("kind", ["mse", "accuracy", "f1"])
+@pytest.mark.parametrize("k", [2, 10])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_rank_table_matches_loop_oracle(kind, k, seed):
+    rng = np.random.default_rng(41)
+    n = 120
+    if kind == "mse":
+        targets = rng.normal(size=n)
+        pm = {f"m{i}": targets + rng.normal(size=n) * (0.2 + 0.1 * i) for i in range(4)}
+    else:
+        targets = rng.integers(0, 2, size=n).astype(float)
+        pm = {f"m{i}": np.where(rng.uniform(size=n) < 0.1 * (i + 1), 1 - targets, targets)
+              for i in range(4)}
+    pm["m0_copy"] = pm["m0"].copy()  # exact ties share the mean rank
+    table = random_partition_rank(pm, targets, k=k, trials=25, seed=seed, kind=kind)
+    assert np.array_equal(table.avg_rank, loop_random_partition_rank(pm, targets, k, 25, seed, kind))
 
 
 def test_rank_table_prefers_uniform_method():
