@@ -1,5 +1,5 @@
-"""Reference training rules: plain mean-loss descent and a worst-case
-reweighting baseline.
+"""The worst-case reweighting baseline (plain mean-loss descent, the other
+baseline, steps along `update.grad_mu`).
 
 The robust baseline minimizes, per batch, the dual form
 
@@ -28,7 +28,6 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .nnet import Batch, ModelSpec, forward_cache, per_example_losses, weighted_gradient
-from .update import grad_mu
 
 
 @dataclass(frozen=True)
@@ -43,13 +42,6 @@ class DroConfig:
     def scale(self) -> float:
         """C = sqrt(2 * (1/alpha_min - 1)^2 + 1)."""
         return math.sqrt(2.0 * (1.0 / self.alpha_min - 1.0) ** 2 + 1.0)
-
-
-def erm_step(spec: ModelSpec, params: np.ndarray, batch: Batch, step_size: float) -> np.ndarray:
-    """One plain gradient step on the batch mean loss."""
-    if step_size <= 0.0:
-        raise ConfigError("step_size must be positive")
-    return params - step_size * grad_mu(spec, params, batch)
 
 
 def dro_objective(losses: np.ndarray, eta, cfg: DroConfig):
@@ -113,13 +105,3 @@ def dro_direction(
         return np.zeros_like(np.asarray(params, dtype=np.float64)), eta
     grad = (cfg.scale / denom) * weighted_gradient(spec, params, batch, pos, cache)
     return grad, eta
-
-
-def dro_step(
-    spec: ModelSpec, params: np.ndarray, batch: Batch, cfg: DroConfig, step_size: float
-) -> np.ndarray:
-    """One descent step on the eta-minimized dual objective."""
-    if step_size <= 0.0:
-        raise ConfigError("step_size must be positive")
-    grad, _ = dro_direction(spec, params, batch, cfg)
-    return params - step_size * grad

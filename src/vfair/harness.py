@@ -12,8 +12,10 @@ byte-identical records.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import logging
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -123,16 +125,29 @@ class ExperimentConfig:
             raise ConfigError("duplicate seeds in config")
 
 
+# config key -> converter, one table per section; each key sets the
+# ExperimentConfig field of its name (the dataset's "seed" sets data_seed).
+# An absent or null key keeps the field's default: defaults live only there.
+_TOP_LEVEL_KEYS = {
+    "methods": lambda v: tuple(str(m) for m in v), "optimizer": str, "step_size": float,
+    "batch_size": int, "epochs": int, "decay": float, "lambda2_cap": float,
+    "dro_alpha_min": float, "seeds": lambda v: tuple(int(x) for x in v),
+    "epoch_selection": str, "utility": str, "erm_reference_loss": float,
+}
+_DATASET_KEYS = {"seed": int, "test_fraction": float, "split_seed": int}
+_MODEL_KEYS = {"hidden_dims": lambda v: tuple(int(h) for h in v), "activation": str}
+
+
+def _typed(section: dict, table: dict) -> dict:
+    """The converted values of the keys in `section` that `table` names."""
+    return {k: convert(section[k]) for k, convert in table.items() if section.get(k) is not None}
+
+
 def config_from_dict(d: dict) -> ExperimentConfig:
     """Validate and type a parsed config mapping (see README for the schema)."""
     if not isinstance(d, dict):
         raise ConfigError("config root must be a JSON object")
-    known = {
-        "dataset", "model", "methods", "method", "optimizer", "step_size",
-        "batch_size", "epochs", "decay", "lambda2_cap", "dro_alpha_min",
-        "seeds", "epoch_selection", "utility", "erm_reference_loss",
-    }
-    unknown = set(d) - known
+    unknown = set(d) - set(_TOP_LEVEL_KEYS) - {"dataset", "model", "method"}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
 
@@ -151,7 +166,7 @@ def config_from_dict(d: dict) -> ExperimentConfig:
                 feature_dim=int(ds["feature_dim"]),
                 minority_shift=float(ds["minority_shift"]),
                 noise_std=float(ds["noise_std"]),
-                task=str(ds.get("task", "regression_mse")),
+                **_typed(ds, {"task": str}),
             )
         except KeyError as exc:
             raise ConfigError(f"synthetic dataset section is missing {exc}") from None
@@ -172,38 +187,20 @@ def config_from_dict(d: dict) -> ExperimentConfig:
     else:
         raise ConfigError(f"dataset kind must be 'synthetic' or 'csv', got {kind!r}")
 
-    model = d.get("model", {})
-    methods = d.get("methods")
-    if methods is None:
-        methods = [d["method"]] if "method" in d else ["erm"]
-
-    cfg = ExperimentConfig(
+    fields = _typed(d, _TOP_LEVEL_KEYS) | _typed(d.get("model", {}), _MODEL_KEYS)
+    fields.update(_typed(ds, _DATASET_KEYS))
+    if "seed" in fields:
+        fields["data_seed"] = fields.pop("seed")
+    if "methods" not in fields and d.get("method") is not None:
+        fields["methods"] = (str(d["method"]),)
+    return ExperimentConfig(
         raw=d,
         dataset_kind=kind,
         synthetic=synthetic,
         csv_path=csv_path,
         schema=schema,
-        data_seed=int(ds.get("seed", 0)),
-        test_fraction=float(ds.get("test_fraction", 0.3)),
-        split_seed=int(ds.get("split_seed", 0)),
-        hidden_dims=tuple(int(h) for h in model.get("hidden_dims", (64, 32))),
-        activation=str(model.get("activation", "relu")),
-        methods=tuple(str(m) for m in methods),
-        optimizer=str(d.get("optimizer", "sgd")),
-        step_size=float(d.get("step_size", 0.01)),
-        batch_size=int(d.get("batch_size", 128)),
-        epochs=int(d.get("epochs", 50)),
-        decay=float(d.get("decay", 0.99)),
-        lambda2_cap=float(d.get("lambda2_cap", 3.0)),
-        dro_alpha_min=float(d.get("dro_alpha_min", 0.2)),
-        seeds=tuple(int(s) for s in d.get("seeds", (0,))),
-        epoch_selection=str(d.get("epoch_selection", "final")),
-        utility=str(d.get("utility", "auto")),
-        erm_reference_loss=(
-            float(d["erm_reference_loss"]) if d.get("erm_reference_loss") is not None else None
-        ),
+        **fields,
     )
-    return cfg
 
 
 def load_config(path) -> ExperimentConfig:
@@ -346,7 +343,7 @@ class RunRecord:
             text = json.dumps(self.to_json_dict(), indent=2, sort_keys=True, allow_nan=False)
         except ValueError as exc:
             raise NumericError(f"{self.method} seed={self.seed}: record not saved: {exc}") from None
-        Path(path).write_text(text, encoding="utf-8")
+        _write_atomically(path, text)
 
     @classmethod
     def load(cls, path) -> "RunRecord":
@@ -356,13 +353,33 @@ class RunRecord:
             raise DataError(f"{path} is not a run record: {exc}") from None
 
 
+def _write_atomically(path, text: str) -> None:
+    """Write `text` to a temp file beside `path`, then move it onto `path`:
+    a reader sees the old file or the whole new one, never a torn write."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", newline="", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _write_csv(path, columns, rows) -> None:
+    """A header and dict rows, blanks for missing columns; a row with an
+    unknown key raises ValueError before `path` is touched."""
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=columns, restval="")
+    writer.writeheader()
+    writer.writerows(rows)
+    _write_atomically(path, buf.getvalue())
+
+
 def write_trace(rows, path) -> None:
     """Step-trace CSV; methods fill only the columns they produce."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=TRACE_COLUMNS, restval="")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+    _write_csv(path, TRACE_COLUMNS, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +455,7 @@ def evaluate(cfg, spec, test: Dataset, params, method: str, seed: int) -> RunRec
         preds = predicted_values(spec, outputs)
 
     reports = {}
-    overall = GroupPartition(group_of=np.zeros(test.n, dtype=np.int64), k=1, label="overall")
+    overall = GroupPartition.whole(test.n, label="overall")
     reports["overall"] = build_report(preds, full.targets, losses, overall, kind)
     for name, values in test.sensitive.items():
         part = GroupPartition.from_values(values, label=name)
@@ -485,10 +502,7 @@ def run_experiment(cfg: ExperimentConfig) -> list:
             snapshots, per_epoch_loss, trace = _train_one(cfg, spec, train, method, seed)
             if method == "erm" and cfg.erm_reference_loss is None:
                 erm_ref = per_epoch_loss[-1]
-            if cfg.epoch_selection == "harmless":
-                chosen = select_epoch(per_epoch_loss, "harmless", erm_ref)
-            else:
-                chosen = select_epoch(per_epoch_loss, "final", None)
+            chosen = select_epoch(per_epoch_loss, cfg.epoch_selection, erm_ref)
             record = evaluate(cfg, spec, test, snapshots[chosen], method, seed)
             record.per_epoch_loss = per_epoch_loss
             record.selected_epoch = chosen
@@ -520,11 +534,8 @@ class AggregateTable:
     ]
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=self.COLUMNS, restval="")
-            writer.writeheader()
-            for row in self.rows:
-                writer.writerow({k: v for k, v in row.items() if v is not None})
+        rows = ({k: v for k, v in row.items() if v is not None} for row in self.rows)
+        _write_csv(path, self.COLUMNS, rows)
 
 
 def aggregate(records) -> AggregateTable:
@@ -587,10 +598,7 @@ def emit_loss_curve(spec: ModelSpec, params, dataset: Dataset, path=None) -> np.
     full = take_batch(dataset, np.arange(dataset.n))
     losses = np.sort(per_example_losses(spec, forward(spec, params, full), full.targets))
     if path is not None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["rank", "loss"])
-            for i, v in enumerate(losses, start=1):
-                writer.writerow([i, repr(float(v))])
-            writer.writerow(["mean", repr(float(losses.mean()))])
+        rows = [{"rank": i, "loss": repr(float(v))} for i, v in enumerate(losses, start=1)]
+        rows.append({"rank": "mean", "loss": repr(float(losses.mean()))})
+        _write_csv(path, ("rank", "loss"), rows)
     return losses

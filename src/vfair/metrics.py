@@ -71,38 +71,15 @@ class GroupPartition:
         uniq, inverse = np.unique(values, return_inverse=True)
         return cls(group_of=inverse, k=len(uniq), label=label)
 
+    @classmethod
+    def whole(cls, n: int, label: str = "") -> "GroupPartition":
+        """All n examples in the one group 0."""
+        return cls(group_of=np.zeros(n, dtype=np.int64), k=1, label=label)
+
 
 # ---------------------------------------------------------------------------
 # Utilities
 # ---------------------------------------------------------------------------
-
-
-def f1_utility(predictions: np.ndarray, targets: np.ndarray) -> float:
-    """Binary F1 with positive class 1; 0/0 cases score 0."""
-    predictions = np.asarray(predictions)
-    targets = np.asarray(targets)
-    tp = float(np.sum((predictions == 1) & (targets == 1)))
-    fp = float(np.sum((predictions == 1) & (targets == 0)))
-    fn = float(np.sum((predictions == 0) & (targets == 1)))
-    denom = 2.0 * tp + fp + fn
-    if denom == 0.0:
-        return 0.0
-    return 2.0 * tp / denom
-
-
-def overall_utility(predictions: np.ndarray, targets: np.ndarray, kind: str) -> float:
-    """Utility over all examples: accuracy / F1 on hard labels, or mean
-    squared error on point predictions."""
-    kind = _canonical_kind(kind)
-    predictions = np.asarray(predictions)
-    targets = np.asarray(targets)
-    if predictions.shape != targets.shape:
-        raise DataError("predictions and targets must be aligned 1-d arrays")
-    if kind == "accuracy":
-        return float(np.mean(predictions == targets))
-    if kind == "f1":
-        return f1_utility(predictions, targets)
-    return float(np.mean((predictions.astype(float) - targets.astype(float)) ** 2))
 
 
 def _example_terms(rows: np.ndarray, targets: np.ndarray, kind: str) -> tuple:
@@ -146,6 +123,15 @@ def group_utilities(predictions, targets, partition: GroupPartition, kind: str) 
         raise DataError("predictions/targets must align with the partition")
     out = _score_groups(_example_terms(predictions.reshape(-1, n), targets, kind), partition, kind)
     return out if predictions.ndim == 2 else out[0]
+
+
+def overall_utility(predictions, targets, kind: str) -> float:
+    """Utility over all examples, the one-group case of `group_utilities`:
+    accuracy / F1 (0/0 scores 0) on hard labels, or mean squared error on
+    point predictions."""
+    if np.ndim(predictions) != 1 or np.shape(predictions) != np.shape(targets):
+        raise DataError("predictions and targets must be aligned 1-d arrays")
+    return float(group_utilities(predictions, targets, GroupPartition.whole(len(targets)), kind)[0])
 
 
 def _utility_rows(utilities) -> np.ndarray:
@@ -246,7 +232,7 @@ def build_report(
     per_group = group_utilities(predictions, targets, partition, kind)
     return MetricsReport(
         utility_kind=kind,
-        utility=overall_utility(np.asarray(predictions), np.asarray(targets), kind),
+        utility=overall_utility(predictions, targets, kind),
         per_group_utility=[float(u) for u in per_group],
         wu=worst_utility(per_group, kind),
         mud=mud(per_group),
@@ -346,9 +332,9 @@ def random_partition_rank(
     for m, p in preds.items():
         if p.shape != targets.shape:
             raise DataError(f"predictions for {m!r} do not align with targets")
-    # overall utility and the per-example terms are partition-free: once
-    util = np.array([overall_utility(preds[m], targets, kind) for m in methods])
+    # the per-example terms and the overall utility are partition-free: once
     terms = _example_terms(np.stack([preds[m] for m in methods]), targets, kind)
+    util = _score_groups(terms, GroupPartition.whole(n), kind)[:, 0]
     # per trial and method: wu, mud, tud, oriented so that lower is better
     spread = np.empty((trials, len(methods), 3))
     sign = -1.0 if higher_is_better(kind) else 1.0

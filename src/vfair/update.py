@@ -32,13 +32,17 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .nnet import Batch, ModelSpec, forward, forward_cache, per_example_losses, weighted_gradient
+from .nnet import Batch, ModelSpec, forward_cache, per_example_losses, weighted_gradient
 
 OBJECTIVES = ("std_dev", "variance", "pairwise")
 
 # below this squared norm the mean-loss gradient is treated as zero and
 # the projection term lam1 is skipped
 GRAD_NORM_FLOOR = 1e-18
+# lam1 keeps the step's inner product with g_mu at least this times ||g_mu||^2
+EPSILON_PROJECTION = 1.0
+# sigma never falls below this; at the floor the spread counts as zero
+SIGMA_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -48,9 +52,7 @@ class UpdateState:
     ema_mean: float = 0.0
     decay: float = 0.99
     step_size: float = 0.01
-    epsilon_projection: float = 1.0
     lambda2_cap: float = 3.0
-    sigma_floor: float = 1e-12
     step_count: int = 0
 
     def __post_init__(self):
@@ -58,8 +60,6 @@ class UpdateState:
             raise ConfigError("decay must be in [0, 1)")
         if self.step_size <= 0.0:
             raise ConfigError("step_size must be positive")
-        if self.sigma_floor <= 0.0:
-            raise ConfigError("sigma_floor must be positive")
         if self.ema_mean < 0.0:
             raise ConfigError("ema_mean cannot be negative for non-negative losses")
 
@@ -107,7 +107,7 @@ def ema_update(mu_prev: float, losses: np.ndarray, decay: float) -> float:
     return float(decay * mu_prev + (1.0 - decay) * losses.mean())
 
 
-def batch_sigma(losses: np.ndarray, mu: float, floor: float = 1e-12) -> float:
+def batch_sigma(losses: np.ndarray, mu: float, floor: float = SIGMA_FLOOR) -> float:
     """Root mean squared deviation of the batch losses around mu, floored.
 
     mu is the running mean, not necessarily the batch mean, so this is
@@ -119,7 +119,9 @@ def batch_sigma(losses: np.ndarray, mu: float, floor: float = 1e-12) -> float:
     return max(float(floor), float(np.sqrt(np.mean((losses - mu) ** 2))))
 
 
-def lambda1(grad_mu_vec: np.ndarray, grad_secondary_vec: np.ndarray, epsilon: float = 1.0) -> float:
+def lambda1(
+    grad_mu_vec: np.ndarray, grad_secondary_vec: np.ndarray, epsilon: float = EPSILON_PROJECTION
+) -> float:
     """Projection bound: smallest non-negative lam keeping
     (lam * g_mu + g_sec) . g_mu >= epsilon * ||g_mu||^2.
 
@@ -142,14 +144,6 @@ def lambda2(mu: float, sigma: float, cap: float = 3.0) -> float:
     if sigma <= 0.0:
         raise ConfigError("sigma must be positive (apply the floor first)")
     return min(float(cap), mu / sigma)
-
-
-def combined_weights(losses: np.ndarray, mu: float, sigma: float, lam: float) -> np.ndarray:
-    """Per-example weights lam + (l_i - mu)/sigma of the reweighted form."""
-    losses = np.asarray(losses, dtype=np.float64)
-    if sigma <= 0.0:
-        raise ConfigError("sigma must be positive (apply the floor first)")
-    return lam + (losses - mu) / sigma
 
 
 def pairwise_coefficients(losses: np.ndarray) -> np.ndarray:
@@ -182,19 +176,6 @@ def pairwise_coefficients(losses: np.ndarray) -> np.ndarray:
 def grad_mu(spec: ModelSpec, params: np.ndarray, batch: Batch) -> np.ndarray:
     """Gradient of the batch mean loss (uniform weights)."""
     return weighted_gradient(spec, params, batch, np.ones(len(batch)))
-
-
-def grad_sigma(spec: ModelSpec, params: np.ndarray, batch: Batch, mu: float, sigma: float) -> np.ndarray:
-    """Gradient of the loss std-dev: weights (l_i - mu)/sigma.
-
-    Exact when mu is the batch mean (the d mu/d theta term cancels);
-    with a running mean it is the update direction the method uses,
-    not the exact derivative.
-    """
-    losses = per_example_losses(spec, forward(spec, params, batch), batch.targets)
-    if sigma <= 0.0:
-        raise ConfigError("sigma must be positive (apply the floor first)")
-    return weighted_gradient(spec, params, batch, (losses - mu) / sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -237,14 +218,14 @@ def vfair_direction(
     cache = forward_cache(spec, params, batch)
     losses = per_example_losses(spec, cache.outputs, batch.targets)
     mu = ema_update(state.ema_mean, losses, state.decay)
-    sigma = batch_sigma(losses, mu, state.sigma_floor)
-    floored = sigma <= state.sigma_floor
+    sigma = batch_sigma(losses, mu)
+    floored = sigma <= SIGMA_FLOOR
 
     sw, lam2 = _secondary(objective, losses, mu, sigma, floored, state.lambda2_cap)
 
     g_mu, g_sec = weighted_gradient(spec, params, batch, np.stack([np.ones_like(sw), sw]), cache)
 
-    lam1 = lambda1(g_mu, g_sec, state.epsilon_projection)
+    lam1 = lambda1(g_mu, g_sec)
     lam = max(lam1, lam2)
     direction = lam * g_mu + g_sec
 
@@ -261,16 +242,3 @@ def vfair_direction(
     )
     new_state = replace(state, ema_mean=mu, step_count=state.step_count + 1)
     return direction, new_state, report
-
-
-def vfair_step(
-    state: UpdateState,
-    spec: ModelSpec,
-    params: np.ndarray,
-    batch: Batch,
-    objective: str = "std_dev",
-) -> tuple[np.ndarray, UpdateState, StepReport]:
-    """Plain gradient step along the combined direction:
-    params - step_size * (lam * g_mu + g_sec)."""
-    direction, new_state, report = vfair_direction(state, spec, params, batch, objective)
-    return params - state.step_size * direction, new_state, report

@@ -14,7 +14,7 @@ import pytest
 from helpers import all_set_partitions, group_means
 from vfair.data import DatasetSchema
 from vfair.harness import config_from_dict, run_experiment
-from vfair.metrics import f1_utility, mud, random_partition_rank, significance_test, tud
+from vfair.metrics import mud, overall_utility, random_partition_rank, significance_test, tud
 from vfair.nnet import (
     Batch,
     ModelSpec,
@@ -25,15 +25,11 @@ from vfair.nnet import (
     per_example_losses,
     weighted_gradient,
 )
-from vfair.update import (
-    batch_sigma,
-    combined_weights,
-    ema_update,
-    grad_mu,
-    grad_sigma,
-    lambda1,
-    lambda2,
-)
+from vfair.update import UpdateState, ema_update, grad_mu, vfair_direction
+
+# running mean = batch mean, lam2 uncapped: the trained std_dev direction is
+# then the paper's lam * g_mu + g_sigma with batch statistics
+BATCH_STATISTICS = UpdateState(decay=0.0, lambda2_cap=np.inf)
 
 
 def report(name, ok, detail):
@@ -73,17 +69,6 @@ def random_instance(rng):
     return spec, params, batch
 
 
-def batch_coefficients(spec, params, batch, cap=3.0):
-    """Batch-statistic mu/sigma and the dynamic coefficients at (params, batch)."""
-    losses = per_example_losses(spec, forward(spec, params, batch), batch.targets)
-    mu = float(losses.mean())
-    sigma = batch_sigma(losses, mu)
-    gmu = grad_mu(spec, params, batch)
-    gsig = grad_sigma(spec, params, batch, mu, sigma)
-    lam = max(lambda1(gmu, gsig), lambda2(mu, sigma, cap=cap))
-    return losses, mu, sigma, gmu, gsig, lam
-
-
 def test_gradient_oracle_suite():
     t0 = time.perf_counter()
     rng = np.random.default_rng(20240)
@@ -92,17 +77,17 @@ def test_gradient_oracle_suite():
     max_fd = 0.0
     for _ in range(n_instances):
         spec, params, batch = random_instance(rng)
-        losses, mu, sigma, gmu, gsig, lam = batch_coefficients(spec, params, batch)
-        two_pass = lam * gmu + gsig
-        weights = combined_weights(losses, mu, sigma, lam)
+        trained, _, step = vfair_direction(BATCH_STATISTICS, spec, params, batch)
+        losses = per_example_losses(spec, forward(spec, params, batch), batch.targets)
+        weights = step.lam + (losses - step.mu) / step.sigma
         one_pass = weighted_gradient(spec, params, batch, weights)
-        rel = np.linalg.norm(two_pass - one_pass) / max(np.linalg.norm(two_pass), 1e-12)
+        rel = np.linalg.norm(trained - one_pass) / max(np.linalg.norm(trained), 1e-12)
         max_rel = max(max_rel, rel)
 
         direction = rng.normal(size=len(params))
         direction /= np.linalg.norm(direction)
-        analytic = float(two_pass @ direction)
-        fd = lam * directional_derivative_fd(
+        analytic = float(trained @ direction)
+        fd = step.lam * directional_derivative_fd(
             spec, params, batch, "mean", direction
         ) + directional_derivative_fd(spec, params, batch, "sigma", direction)
         max_fd = max(max_fd, abs(analytic - fd) / max(1.0, abs(analytic)))
@@ -111,8 +96,8 @@ def test_gradient_oracle_suite():
     report(
         "gradient oracle",
         ok,
-        f"{n_instances} instances, reweighted-vs-two-gradient rel err {max_rel:.2e} "
-        f"(<=1e-10), fd err {max_fd:.2e} (<=1e-5), {elapsed:.2f}s (<10s)",
+        f"{n_instances} instances, trained direction vs one reweighted backward rel err "
+        f"{max_rel:.2e} (<=1e-10), fd err {max_fd:.2e} (<=1e-5), {elapsed:.2f}s (<10s)",
     )
 
 
@@ -124,20 +109,16 @@ def test_coefficient_logic_suite():
     worst_weight = np.inf
     for _ in range(n_batches):
         spec, params, batch = random_instance(rng)
-        losses, mu, sigma, gmu, gsig, lam = batch_coefficients(
-            spec, params, batch, cap=np.inf
-        )
-        combined = lam * gmu + gsig
-        worst_margin = min(worst_margin, float(combined @ gmu - gmu @ gmu))
-        worst_weight = min(
-            worst_weight, float(combined_weights(losses, mu, sigma, lam).min())
-        )
+        trained, _, step = vfair_direction(BATCH_STATISTICS, spec, params, batch)
+        gmu = grad_mu(spec, params, batch)
+        worst_margin = min(worst_margin, float(trained @ gmu - gmu @ gmu))
+        worst_weight = min(worst_weight, step.weights_min)
     elapsed = time.perf_counter() - t0
     ok = worst_margin >= -1e-12 and worst_weight >= -1e-12 and elapsed < 5.0
     report(
         "coefficient logic",
         ok,
-        f"{n_batches} batches, min (combined.gmu - |gmu|^2) {worst_margin:.2e} "
+        f"{n_batches} batches, min (direction.gmu - |gmu|^2) {worst_margin:.2e} "
         f"(>=-1e-12), min weight {worst_weight:.2e} (>=-1e-12), {elapsed:.2f}s (<5s)",
     )
 
@@ -324,7 +305,7 @@ def test_metric_unit_values():
         u = rng.uniform(0.0, 1.0, size=2)
         tud_ok = tud_ok and abs(tud(u) - mud(u)) <= 1e-12
 
-    f1 = f1_utility(np.array([1.0, 1.0]), np.array([1.0, 0.0]))
+    f1 = overall_utility(np.array([1.0, 1.0]), np.array([1.0, 0.0]), "f1")
     f1_ok = abs(f1 - 2.0 / 3.0) <= 1e-12
 
     ema_ok = True

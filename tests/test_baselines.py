@@ -8,8 +8,9 @@ from scipy.special import expit
 
 from helpers import count_calls
 from vfair import baselines, nnet
-from vfair.baselines import DroConfig, dro_direction, dro_eta, dro_objective, dro_step, erm_step
+from vfair.baselines import DroConfig, dro_direction, dro_eta, dro_objective
 from vfair.errors import ConfigError, DataError
+from vfair.harness import Sgd, config_from_dict
 from vfair.nnet import (
     Batch,
     ModelSpec,
@@ -17,7 +18,7 @@ from vfair.nnet import (
     init_params,
     per_example_losses,
 )
-from vfair.update import UpdateState, vfair_step
+from vfair.update import grad_mu
 
 
 def linear_regression_batch():
@@ -34,27 +35,16 @@ def linear_regression_batch():
 def test_erm_step_hand_value():
     # w=1, b=0 on (x=1, y=0): gradient (2, 2); step 0.1 lands at (0.8, -0.2)
     spec, batch = linear_regression_batch()
-    stepped = erm_step(spec, np.array([1.0, 0.0]), batch, step_size=0.1)
+    params = np.array([1.0, 0.0])
+    stepped = Sgd(0.1).step(params, grad_mu(spec, params, batch))
     np.testing.assert_allclose(stepped, [0.8, -0.2])
 
 
 def test_erm_step_requires_positive_step_size():
-    spec, batch = linear_regression_batch()
-    with pytest.raises(ConfigError):
-        erm_step(spec, np.zeros(2), batch, step_size=0.0)
-
-
-def test_erm_equals_degenerate_fair_step():
-    # all losses equal the running mean and the positivity cap is 1:
-    # the fair update collapses onto the plain mean-loss step
-    spec = ModelSpec(input_dim=1, hidden_dims=(), output_dim=1, task="regression_mse")
-    batch = Batch(
-        features=np.ones((3, 1)), targets=np.full(3, 2.0), example_ids=np.arange(3)
-    )
-    params = np.zeros(2)
-    state = UpdateState(ema_mean=4.0, lambda2_cap=1.0, step_size=0.1)
-    fair, _, _ = vfair_step(state, spec, params, batch)
-    np.testing.assert_allclose(fair, erm_step(spec, params, batch, step_size=0.1))
+    dataset = {"kind": "synthetic", "n": 20, "group_ratio": 0.3, "feature_dim": 2,
+               "minority_shift": 1.0, "noise_std": 0.1}
+    with pytest.raises(ConfigError, match="step_size"):
+        config_from_dict({"dataset": dataset, "methods": ["erm"], "step_size": 0.0})
 
 
 # ---------------------------------------------------------------------------
@@ -156,9 +146,8 @@ def test_dro_step_zero_when_all_losses_equal():
     # zero and the parameters must not move
     spec = ModelSpec(input_dim=1, hidden_dims=(), output_dim=1, task="regression_mse")
     batch = Batch(features=np.ones((4, 1)), targets=np.full(4, 1.0), example_ids=np.arange(4))
-    params = np.zeros(2)
-    stepped = dro_step(spec, params, batch, DroConfig(alpha_min=0.5), step_size=0.1)
-    np.testing.assert_allclose(stepped, params)
+    grad, _ = dro_direction(spec, np.zeros(2), batch, DroConfig(alpha_min=0.5))
+    assert np.array_equal(grad, np.zeros(2))
 
 
 def test_dro_direction_weights_only_tail_examples():
@@ -256,7 +245,7 @@ def test_dro_long_training_approaches_uniform_quarter_loss():
             if len(idx) < 2:
                 continue
             batch = Batch(features=x[idx], targets=y[idx], example_ids=idx)
-            params = dro_step(spec, params, batch, cfg, step_size=0.05)
+            params = params - 0.05 * dro_direction(spec, params, batch, cfg)[0]
 
     full = Batch(features=x, targets=y, example_ids=np.arange(n))
     losses = per_example_losses(spec, forward(spec, params, full), full.targets)

@@ -1,15 +1,18 @@
 import csv
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from vfair import harness
 from vfair.cli import main as cli_main
 from vfair.errors import ConfigError, DataError, NumericError
 from vfair.harness import (
     Adagrad,
     AggregateTable,
+    ExperimentConfig,
     RunRecord,
     Sgd,
     TRACE_COLUMNS,
@@ -67,6 +70,20 @@ def test_config_defaults_and_types():
     assert cfg.seeds == (0,)
     assert cfg.test_fraction == 0.25
     assert cfg.synthetic is not None and cfg.synthetic.n == 160
+
+    # a config naming only its dataset takes every other field from
+    # ExperimentConfig's own defaults
+    dataset = {k: v for k, v in tiny_config()["dataset"].items()
+               if k not in ("seed", "test_fraction", "split_seed")}
+    minimal = config_from_dict({"dataset": dataset})
+    from_dataset = {"raw", "dataset_kind", "synthetic", "csv_path", "schema"}
+    for f in dataclasses.fields(ExperimentConfig):
+        if f.name not in from_dataset:
+            assert getattr(minimal, f.name) == f.default, f.name
+    # a present key is re-typed, an explicit null keeps the default
+    typed = config_from_dict(tiny_config(epochs="4", seeds=["2"], erm_reference_loss=None))
+    assert typed.epochs == 4 and typed.seeds == (2,) and typed.erm_reference_loss is None
+    assert config_from_dict(tiny_config(methods=None, method="dro")).methods == ("dro",)
 
 
 def test_config_rejects_bad_sections():
@@ -381,6 +398,23 @@ def test_write_trace_union_schema(tmp_path):
     assert got[0]["mu"] == "0.5"
     assert got[1]["eta"] == "0.7"
     assert got[1]["sigma"] == ""
+
+
+def test_failed_write_keeps_the_old_file(tmp_path):
+    # a row with an unknown key raises ValueError; the trace written
+    # before it stays byte-identical and no temp file is left behind
+    path = tmp_path / "trace.csv"
+    write_trace([{"step": 0, "eta": 0.5}, {"step": 1, "eta": 0.25}], path)
+    before = path.read_bytes()
+    with pytest.raises(ValueError):
+        write_trace([{"step": 0, "eta": 0.5}, {"step": 1, "bogus": 1.0}], path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["trace.csv"]
+    # a write that fails once the temp file exists removes it again
+    with pytest.raises(TypeError):
+        harness._write_atomically(path, None)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["trace.csv"]
 
 
 def test_emit_loss_curve_sorted_with_mean_row(tmp_path):

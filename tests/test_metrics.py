@@ -11,7 +11,6 @@ from vfair.metrics import (
     GroupPartition,
     MetricsReport,
     build_report,
-    f1_utility,
     group_utilities,
     higher_is_better,
     model_similarity,
@@ -80,10 +79,10 @@ def test_accuracy_and_mse_group_utilities():
 
 def test_f1_hand_values():
     # TP=1, FP=1, FN=0 -> precision 1/2, recall 1 -> F1 = 2/3
-    assert f1_utility(np.array([1, 1]), np.array([1, 0])) == pytest.approx(2.0 / 3.0)
+    assert overall_utility(np.array([1, 1]), np.array([1, 0]), "f1") == pytest.approx(2.0 / 3.0)
     # no positives anywhere: denominator 0 scores 0 by convention
-    assert f1_utility(np.zeros(3), np.zeros(3)) == 0.0
-    assert f1_utility(np.ones(3), np.ones(3)) == 1.0
+    assert overall_utility(np.zeros(3), np.zeros(3), kind="f1") == 0.0
+    assert overall_utility(np.ones(3), np.ones(3), kind="f1") == 1.0
 
 
 @pytest.mark.parametrize("kind", ["mse", "prediction_error", "accuracy", "f1"])
@@ -154,6 +153,13 @@ def test_unknown_kind_rejected():
         overall_utility(np.zeros(2), np.zeros(2), "auc")
 
 
+def test_overall_utility_alignment_errors():
+    with pytest.raises(DataError):
+        overall_utility(np.zeros(3), np.zeros(4), "mse")
+    with pytest.raises(DataError):
+        overall_utility(np.zeros((2, 3)), np.zeros((2, 3)), "mse")
+
+
 # ---------------------------------------------------------------------------
 # MUD / TUD / VAR
 # ---------------------------------------------------------------------------
@@ -221,6 +227,26 @@ def test_build_report_and_round_trip():
     assert rep.partition_label == "sex"
     again = MetricsReport.from_dict(rep.to_dict())
     assert again == rep
+
+
+@pytest.mark.parametrize("kind", ["mse", "accuracy", "f1"])
+def test_overall_report_utility_is_its_one_group_utility(kind):
+    # one formula: the utility of the whole set and of the one-group
+    # partition agree to the last bit (n large enough for summation order
+    # to show)
+    rng = np.random.default_rng(40)
+    n = 30_000
+    if kind == "mse":
+        targets = rng.normal(size=n)
+        preds = targets + rng.normal(size=n)
+    else:
+        targets = rng.integers(0, 2, size=n).astype(float)
+        preds = rng.integers(0, 2, size=n).astype(float)
+    whole = GroupPartition.whole(n, label="overall")
+    rep = build_report(preds, targets, (preds - targets) ** 2, whole, kind)
+    assert rep.utility == rep.per_group_utility[0]
+    assert rep.utility == overall_utility(preds, targets, kind)
+    assert rep.partition_label == "overall"
 
 
 # ---------------------------------------------------------------------------
