@@ -6,141 +6,25 @@ spread of per-example losses, so no latent subgroup is left carrying
 outsized error.  The package bundles the update itself, mean-loss and
 distributionally robust baselines, group-disparity metrics, dataset
 loading/synthesis, and an experiment harness with a CLI.
+
+The package root re-exports what one fair step needs and the error
+types; everything else is imported from its module (`vfair.harness`,
+`vfair.metrics`, `vfair.data`, `vfair.baselines`, ...).
 """
 
-from .baselines import DroConfig, dro_direction, dro_eta, dro_objective
-from .data import (
-    Dataset,
-    DatasetSchema,
-    SyntheticSpec,
-    decode_categorical,
-    load_csv,
-    split,
-    synthesize,
-    take_batch,
-)
 from .errors import ConfigError, DataError, NumericError
-from .harness import (
-    AggregateTable,
-    ExperimentConfig,
-    RunRecord,
-    aggregate,
-    build_datasets,
-    build_model_spec,
-    config_from_dict,
-    emit_loss_curve,
-    load_config,
-    resolve_utility,
-    run_experiment,
-    select_epoch,
-    write_trace,
-)
-from .metrics import (
-    GroupPartition,
-    MetricsReport,
-    RankTable,
-    build_report,
-    group_utilities,
-    model_similarity,
-    mud,
-    overall_utility,
-    prediction_similarity,
-    random_partition,
-    random_partition_rank,
-    significance_test,
-    tud,
-    var_pred_error,
-    worst_utility,
-)
-from .nnet import (
-    Batch,
-    ModelSpec,
-    directional_derivative_fd,
-    forward,
-    init_params,
-    parameter_count,
-    per_example_losses,
-    predicted_labels,
-    predicted_values,
-    unpack,
-    weighted_gradient,
-)
-from .update import (
-    StepReport,
-    UpdateState,
-    batch_sigma,
-    ema_update,
-    grad_mu,
-    lambda1,
-    lambda2,
-    pairwise_coefficients,
-    vfair_direction,
-)
+from .nnet import Batch, ModelSpec, init_params
+from .update import UpdateState, vfair_direction
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AggregateTable",
     "Batch",
     "ConfigError",
     "DataError",
-    "Dataset",
-    "DatasetSchema",
-    "DroConfig",
-    "ExperimentConfig",
-    "GroupPartition",
-    "MetricsReport",
     "ModelSpec",
     "NumericError",
-    "RankTable",
-    "RunRecord",
-    "StepReport",
-    "SyntheticSpec",
     "UpdateState",
-    "aggregate",
-    "batch_sigma",
-    "build_datasets",
-    "build_model_spec",
-    "build_report",
-    "config_from_dict",
-    "decode_categorical",
-    "directional_derivative_fd",
-    "dro_direction",
-    "dro_eta",
-    "dro_objective",
-    "ema_update",
-    "emit_loss_curve",
-    "forward",
-    "grad_mu",
-    "group_utilities",
     "init_params",
-    "lambda1",
-    "lambda2",
-    "load_config",
-    "load_csv",
-    "model_similarity",
-    "mud",
-    "overall_utility",
-    "pairwise_coefficients",
-    "parameter_count",
-    "per_example_losses",
-    "prediction_similarity",
-    "predicted_labels",
-    "predicted_values",
-    "random_partition",
-    "random_partition_rank",
-    "resolve_utility",
-    "run_experiment",
-    "select_epoch",
-    "significance_test",
-    "split",
-    "synthesize",
-    "take_batch",
-    "tud",
-    "unpack",
-    "var_pred_error",
     "vfair_direction",
-    "weighted_gradient",
-    "worst_utility",
-    "write_trace",
 ]

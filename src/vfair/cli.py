@@ -19,6 +19,7 @@ import numpy as np
 from .errors import ConfigError, DataError, NumericError
 from .harness import (
     RunRecord,
+    _write_csv,
     aggregate,
     build_datasets,
     build_model_spec,
@@ -28,7 +29,7 @@ from .harness import (
     run_experiment,
     write_trace,
 )
-from .metrics import random_partition_rank
+from .metrics import RANK_METRICS, random_partition_rank
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -106,9 +107,13 @@ def _cmd_rank(args) -> int:
     table = random_partition_rank(
         per_method, targets, k=args.k, trials=args.trials, seed=args.seed, kind=kind
     )
+    header = ("method", *RANK_METRICS)
     if args.out:
-        table.to_csv(args.out)
-    header = ["method", "utility", "wu", "mud", "tud"]
+        rows = (
+            dict(zip(header, (m, *(f"{v:.6g}" for v in ranks))))
+            for m, ranks in zip(table.methods, table.avg_rank)
+        )
+        _write_csv(args.out, header, rows)
     print(",".join(header))
     for i, m in enumerate(table.methods):
         print(m + "," + ",".join(f"{v:.4f}" for v in table.avg_rank[i]))

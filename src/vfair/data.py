@@ -3,11 +3,8 @@
 CSV loading is schema-driven: the caller declares feature columns
 (numeric or categorical), one label column and any sensitive-attribute
 columns.  Categorical features are one-hot encoded over their observed
-levels; numeric features are standardized.  Standardization statistics
-always come from the training portion: ``split`` recomputes them on the
-train side and applies them to both sides (standardizing an already
-standardized column is an affine map, so composing with the
-whole-file statistics used at load time is exact).
+levels; numeric features are loaded raw and standardized by ``split``,
+with statistics of the training rows only, applied to both sides.
 
 The synthetic generator plants a controlled majority/minority conflict:
 a shared linear ground truth that the minority deviates from.  For
@@ -78,7 +75,6 @@ class Dataset:
     sensitive: dict       # name -> raw value array [n]
     columns: tuple        # EncodedColumn per schema feature column
     task: str
-    norm_stats: dict | None = None   # numeric column name -> (mean, std) used
     rejected_rows: int = 0
 
     def __post_init__(self):
@@ -98,13 +94,9 @@ class Dataset:
 
 
 def take_batch(dataset: Dataset, indices) -> Batch:
-    """Row subset as a training batch; example ids are the row indices."""
+    """Row subset as a training batch."""
     idx = np.asarray(indices, dtype=np.int64)
-    return Batch(
-        features=dataset.features[idx],
-        targets=dataset.targets[idx],
-        example_ids=idx,
-    )
+    return Batch(features=dataset.features[idx], targets=dataset.targets[idx])
 
 
 def decode_categorical(dataset: Dataset, name: str) -> np.ndarray:
@@ -148,8 +140,7 @@ def load_csv(path, schema: DatasetSchema) -> Dataset:
 
     Rows with a missing value, or a non-numeric entry in a numeric
     column, are dropped (and counted on the returned dataset).  Numeric
-    features are standardized with the file's own population statistics;
-    ``split`` later re-anchors them to the train side.
+    features are returned raw; ``split`` standardizes them.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
@@ -187,20 +178,13 @@ def load_csv(path, schema: DatasetSchema) -> Dataset:
     if not kept_raw:
         raise DataError(f"{path}: no usable rows")
 
-    # column layout: numeric -> one standardized column, categorical -> one-hot
+    # column layout: numeric -> one raw column, categorical -> one-hot
     columns = []
     blocks = []
-    stats = {}
     offset = 0
     for name, kind in schema.feature_columns:
         if kind == "numeric":
-            vals = np.array([float(r[name]) for r in kept_raw], dtype=np.float64)
-            mean = float(vals.mean())
-            std = float(np.sqrt(np.mean((vals - mean) ** 2)))
-            if std == 0.0:
-                std = 1.0  # constant column -> all zeros after centering
-            stats[name] = (mean, std)
-            blocks.append(((vals - mean) / std)[:, None])
+            blocks.append(np.array([float(r[name]) for r in kept_raw], dtype=np.float64)[:, None])
             columns.append(EncodedColumn(name, kind, offset, 1))
             offset += 1
         else:
@@ -223,7 +207,6 @@ def load_csv(path, schema: DatasetSchema) -> Dataset:
         sensitive=sensitive,
         columns=tuple(columns),
         task=schema.task,
-        norm_stats=stats,
         rejected_rows=rejected,
     )
 
@@ -238,8 +221,8 @@ def _numeric_slices(dataset: Dataset):
 
 
 def _standardize_pair(train: Dataset, test: Dataset):
-    """Re-anchor numeric columns to the train split's population stats."""
-    stats = {}
+    """Standardize the numeric columns of both sides by the train side's
+    population stats."""
     tr = train.features.copy()
     te = test.features.copy()
     for col in _numeric_slices(train):
@@ -247,14 +230,10 @@ def _standardize_pair(train: Dataset, test: Dataset):
         mean = float(vals.mean())
         std = float(np.sqrt(np.mean((vals - mean) ** 2)))
         if std == 0.0:
-            std = 1.0
-        stats[col.name] = (mean, std)
+            std = 1.0  # constant on the train side -> train values all zero
         tr[:, col.start] = (tr[:, col.start] - mean) / std
         te[:, col.start] = (te[:, col.start] - mean) / std
-    return (
-        replace(train, features=tr, norm_stats=stats),
-        replace(test, features=te, norm_stats=stats),
-    )
+    return replace(train, features=tr), replace(test, features=te)
 
 
 def split(dataset: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
@@ -338,5 +317,4 @@ def synthesize(spec: SyntheticSpec, seed: int) -> Dataset:
         sensitive={"group": group.copy()},
         columns=columns,
         task=spec.task,
-        norm_stats=None,
     )

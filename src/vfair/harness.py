@@ -40,7 +40,6 @@ from .metrics import (
     significance_test,
 )
 from .nnet import (
-    Batch,
     ModelSpec,
     forward,
     init_params,
@@ -136,11 +135,27 @@ _TOP_LEVEL_KEYS = {
 }
 _DATASET_KEYS = {"seed": int, "test_fraction": float, "split_seed": int}
 _MODEL_KEYS = {"hidden_dims": lambda v: tuple(int(h) for h in v), "activation": str}
+# the synthetic generator's keys, all required but "task"
+_SYNTHETIC_KEYS = {
+    "n": int, "group_ratio": float, "feature_dim": int, "minority_shift": float,
+    "noise_std": float, "task": str,
+}
 
 
-def _typed(section: dict, table: dict) -> dict:
-    """The converted values of the keys in `section` that `table` names."""
-    return {k: convert(section[k]) for k, convert in table.items() if section.get(k) is not None}
+def _typed(section: dict, table: dict, where: str = "") -> dict:
+    """The converted values of the keys in `section` that `table` names;
+    a value the converter refuses is a ConfigError naming `where` + key."""
+    if not isinstance(section, dict):
+        raise ConfigError(f"config section {where.rstrip('.')!r} must be a JSON object")
+    out = {}
+    for key, convert in table.items():
+        if section.get(key) is not None:
+            try:
+                out[key] = convert(section[key])
+            except (TypeError, ValueError):
+                bad = section[key]
+                raise ConfigError(f"config key {where + key!r} has a bad value {bad!r}") from None
+    return out
 
 
 def config_from_dict(d: dict) -> ExperimentConfig:
@@ -159,17 +174,10 @@ def config_from_dict(d: dict) -> ExperimentConfig:
     csv_path = None
     schema = None
     if kind == "synthetic":
-        try:
-            synthetic = SyntheticSpec(
-                n=int(ds["n"]),
-                group_ratio=float(ds["group_ratio"]),
-                feature_dim=int(ds["feature_dim"]),
-                minority_shift=float(ds["minority_shift"]),
-                noise_std=float(ds["noise_std"]),
-                **_typed(ds, {"task": str}),
-            )
-        except KeyError as exc:
-            raise ConfigError(f"synthetic dataset section is missing {exc}") from None
+        missing = [k for k in _SYNTHETIC_KEYS if k != "task" and ds.get(k) is None]
+        if missing:
+            raise ConfigError(f"synthetic dataset section is missing {missing[0]!r}")
+        synthetic = SyntheticSpec(**_typed(ds, _SYNTHETIC_KEYS, "dataset."))
     elif kind == "csv":
         if "path" not in ds or "schema" not in ds:
             raise ConfigError("csv dataset section needs 'path' and 'schema'")
@@ -184,11 +192,13 @@ def config_from_dict(d: dict) -> ExperimentConfig:
             )
         except KeyError as exc:
             raise ConfigError(f"csv schema section is missing {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"csv schema section is malformed: {exc}") from None
     else:
         raise ConfigError(f"dataset kind must be 'synthetic' or 'csv', got {kind!r}")
 
-    fields = _typed(d, _TOP_LEVEL_KEYS) | _typed(d.get("model", {}), _MODEL_KEYS)
-    fields.update(_typed(ds, _DATASET_KEYS))
+    fields = _typed(d, _TOP_LEVEL_KEYS) | _typed(d.get("model", {}), _MODEL_KEYS, "model.")
+    fields.update(_typed(ds, _DATASET_KEYS, "dataset."))
     if "seed" in fields:
         fields["data_seed"] = fields.pop("seed")
     if "methods" not in fields and d.get("method") is not None:
@@ -299,7 +309,6 @@ class RunRecord:
     params: np.ndarray
     metrics: dict            # partition label -> MetricsReport
     utility_kind: str
-    test_outputs: np.ndarray      # raw model outputs on the test split
     test_predictions: np.ndarray  # decoded per utility kind
     test_targets: np.ndarray
     trace: list = field(default_factory=list)
@@ -314,7 +323,6 @@ class RunRecord:
             "params": [float(x) for x in self.params],
             "metrics": {k: v.to_dict() for k, v in self.metrics.items()},
             "utility_kind": self.utility_kind,
-            "test_outputs": np.asarray(self.test_outputs).tolist(),
             "test_predictions": np.asarray(self.test_predictions).tolist(),
             "test_targets": np.asarray(self.test_targets).tolist(),
             "config": self.config,
@@ -330,7 +338,6 @@ class RunRecord:
             params=np.asarray(d["params"], dtype=np.float64),
             metrics={k: MetricsReport.from_dict(v) for k, v in d["metrics"].items()},
             utility_kind=d["utility_kind"],
-            test_outputs=np.asarray(d["test_outputs"], dtype=np.float64),
             test_predictions=np.asarray(d["test_predictions"], dtype=np.float64),
             test_targets=np.asarray(d["test_targets"], dtype=np.float64),
             trace=[],
@@ -418,7 +425,7 @@ def _train_one(cfg: ExperimentConfig, spec: ModelSpec, train: Dataset, method: s
                         trace.append({"step": step, "eta": eta})
                     else:
                         grad, state, report = vfair_direction(state, spec, params, batch, objective)
-                        trace.append(report.to_row())
+                        trace.append({"step": step, **report.to_row()})
                     params = optimizer.step(params, grad)
                     step += 1
                 snapshots.append(params.copy())
@@ -469,7 +476,6 @@ def evaluate(cfg, spec, test: Dataset, params, method: str, seed: int) -> RunRec
         params=np.asarray(params, dtype=np.float64),
         metrics=reports,
         utility_kind=kind,
-        test_outputs=outputs,
         test_predictions=preds,
         test_targets=full.targets,
         config=cfg.raw,

@@ -11,7 +11,6 @@ only do well by being uniformly good.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -109,6 +108,15 @@ def _score_groups(terms: tuple, partition: GroupPartition, kind: str) -> np.ndar
     return sums[0] / np.bincount(partition.group_of, minlength=k)
 
 
+def _aligned_terms(predictions, targets, n: int, kind: str) -> tuple:
+    """`_example_terms` of `[n]` or `[m, n]` predictions against `[n]` targets."""
+    predictions = np.asarray(predictions)
+    targets = np.asarray(targets)
+    if predictions.ndim not in (1, 2) or predictions.shape[-1] != n or targets.shape != (n,):
+        raise DataError("predictions/targets must align with the partition")
+    return _example_terms(predictions.reshape(-1, n), targets, kind)
+
+
 def group_utilities(predictions, targets, partition: GroupPartition, kind: str) -> np.ndarray:
     """Per-group utility, index g of the result belonging to group g.
 
@@ -116,13 +124,8 @@ def group_utilities(predictions, targets, partition: GroupPartition, kind: str) 
     models' `[m, n]` (result `[m, k]`).
     """
     kind = _canonical_kind(kind)
-    predictions = np.asarray(predictions)
-    targets = np.asarray(targets)
-    n = len(partition)
-    if predictions.ndim not in (1, 2) or predictions.shape[-1] != n or targets.shape != (n,):
-        raise DataError("predictions/targets must align with the partition")
-    out = _score_groups(_example_terms(predictions.reshape(-1, n), targets, kind), partition, kind)
-    return out if predictions.ndim == 2 else out[0]
+    out = _score_groups(_aligned_terms(predictions, targets, len(partition), kind), partition, kind)
+    return out if np.ndim(predictions) == 2 else out[0]
 
 
 def overall_utility(predictions, targets, kind: str) -> float:
@@ -227,18 +230,24 @@ class MetricsReport:
 def build_report(
     predictions, targets, per_example_errors, partition: GroupPartition, kind: str
 ) -> MetricsReport:
-    """Assemble the full metric set for one model on one partition."""
+    """Assemble the full metric set for one model on one partition.  The
+    per-example terms are built once and scored on the partition and on
+    the whole (the overall utility)."""
     kind = _canonical_kind(kind)
-    per_group = group_utilities(predictions, targets, partition, kind)
+    if np.ndim(predictions) != 1:
+        raise DataError("predictions must be one model's 1-d array")
+    n = len(partition)
+    terms = _aligned_terms(predictions, targets, n, kind)
+    per_group = _score_groups(terms, partition, kind)[0]
     return MetricsReport(
         utility_kind=kind,
-        utility=overall_utility(predictions, targets, kind),
+        utility=float(_score_groups(terms, GroupPartition.whole(n), kind)[0, 0]),
         per_group_utility=[float(u) for u in per_group],
         wu=worst_utility(per_group, kind),
         mud=mud(per_group),
         tud=tud(per_group),
         var=var_pred_error(per_example_errors),
-        n_examples=len(np.asarray(targets)),
+        n_examples=n,
         partition_label=partition.label,
     )
 
@@ -260,13 +269,6 @@ class RankTable:
 
     def rank_of(self, method: str, metric: str) -> float:
         return float(self.avg_rank[self.methods.index(method), RANK_METRICS.index(metric)])
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["method", *RANK_METRICS])
-            for i, name in enumerate(self.methods):
-                writer.writerow([name, *(f"{v:.6g}" for v in self.avg_rank[i])])
 
 
 # rejection sampling in `random_partition` refuses (n, k) whose expected

@@ -72,43 +72,36 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class Batch:
-    """A minibatch: features [b, d], targets [b], unique example ids [b]."""
+    """A minibatch: features [b, d] and targets [b]."""
 
     features: np.ndarray
     targets: np.ndarray
-    example_ids: np.ndarray
 
     def __post_init__(self):
         f = np.asarray(self.features, dtype=np.float64)
         t = np.asarray(self.targets, dtype=np.float64)
-        ids = np.asarray(self.example_ids)
         if f.ndim != 2:
             raise DataError("features must be a 2-d array [batch, input_dim]")
         if t.ndim != 1 or t.shape[0] != f.shape[0]:
             raise DataError("targets must be 1-d and aligned with features")
-        if ids.shape != (f.shape[0],):
-            raise DataError("example_ids must be 1-d and aligned with features")
         if f.shape[0] == 0:
             raise DataError("empty batch")
-        if len(np.unique(ids)) != len(ids):
-            raise DataError("example_ids must be unique within a batch")
         if not np.all(np.isfinite(f)):
             raise DataError("non-finite feature values")
         if not np.all(np.isfinite(t)):
             raise DataError("non-finite target values")
         object.__setattr__(self, "features", f)
         object.__setattr__(self, "targets", t)
-        object.__setattr__(self, "example_ids", ids)
 
     def __len__(self) -> int:
         return self.features.shape[0]
 
     def subset(self, positions: np.ndarray) -> "Batch":
-        """Rows at distinct `positions` (a slice of a permutation, say), not
+        """Rows at `positions` (a slice of a permutation, say), not
         re-validated: rows of a validated batch are valid."""
         sub = object.__new__(Batch)
-        for name in ("features", "targets", "example_ids"):
-            object.__setattr__(sub, name, getattr(self, name)[positions])
+        object.__setattr__(sub, "features", self.features[positions])
+        object.__setattr__(sub, "targets", self.targets[positions])
         return sub
 
 

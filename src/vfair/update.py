@@ -53,7 +53,6 @@ class UpdateState:
     decay: float = 0.99
     step_size: float = 0.01
     lambda2_cap: float = 3.0
-    step_count: int = 0
 
     def __post_init__(self):
         if not 0.0 <= self.decay < 1.0:
@@ -66,9 +65,9 @@ class UpdateState:
 
 @dataclass(frozen=True)
 class StepReport:
-    """Diagnostics of a single update, one row of the step trace."""
+    """Diagnostics of a single update: with its step number, one row of
+    the step trace."""
 
-    step: int
     mu: float
     sigma: float
     lambda1: float
@@ -80,7 +79,6 @@ class StepReport:
 
     def to_row(self) -> dict:
         return {
-            "step": self.step,
             "mu": self.mu,
             "sigma": self.sigma,
             "lambda1": self.lambda1,
@@ -230,7 +228,6 @@ def vfair_direction(
     direction = lam * g_mu + g_sec
 
     report = StepReport(
-        step=state.step_count,
         mu=mu,
         sigma=sigma,
         lambda1=lam1,
@@ -240,5 +237,4 @@ def vfair_direction(
         grad_dot=float(g_mu @ g_sec),
         weights_min=float((lam + sw).min()),
     )
-    new_state = replace(state, ema_mean=mu, step_count=state.step_count + 1)
-    return direction, new_state, report
+    return direction, replace(state, ema_mean=mu), report

@@ -62,7 +62,7 @@ def random_instance(rng):
         targets = rng.integers(0, output_dim, size=b).astype(np.float64)
     else:
         targets = rng.integers(0, 2, size=b).astype(np.float64)
-    batch = Batch(features=x, targets=targets, example_ids=np.arange(b))
+    batch = Batch(features=x, targets=targets)
     params = init_params(spec, int(rng.integers(10_000))) + 0.5 * rng.normal(
         size=parameter_count(spec)
     )

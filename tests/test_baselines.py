@@ -23,7 +23,7 @@ from vfair.update import grad_mu
 
 def linear_regression_batch():
     spec = ModelSpec(input_dim=1, hidden_dims=(), output_dim=1, task="regression_mse")
-    batch = Batch(features=np.array([[1.0]]), targets=np.array([0.0]), example_ids=np.array([0]))
+    batch = Batch(features=np.array([[1.0]]), targets=np.array([0.0]))
     return spec, batch
 
 
@@ -106,8 +106,7 @@ def test_dro_eta_is_max_loss_when_scale_reaches_sqrt_batch():
     # exactly and the step is exactly zero
     spec = ModelSpec(input_dim=2, hidden_dims=(3,), output_dim=1, task="regression_mse")
     rng = np.random.default_rng(24)
-    batch = Batch(features=rng.normal(size=(26, 2)), targets=rng.normal(size=26) * 3.0,
-                  example_ids=np.arange(26))
+    batch = Batch(features=rng.normal(size=(26, 2)), targets=rng.normal(size=26) * 3.0)
     params = init_params(spec, seed=4)
     cfg = DroConfig(alpha_min=0.2)
     assert cfg.scale >= math.sqrt(26)
@@ -145,7 +144,7 @@ def test_dro_step_zero_when_all_losses_equal():
     # equal losses put eta* at the shared value; every positive part is
     # zero and the parameters must not move
     spec = ModelSpec(input_dim=1, hidden_dims=(), output_dim=1, task="regression_mse")
-    batch = Batch(features=np.ones((4, 1)), targets=np.full(4, 1.0), example_ids=np.arange(4))
+    batch = Batch(features=np.ones((4, 1)), targets=np.full(4, 1.0))
     grad, _ = dro_direction(spec, np.zeros(2), batch, DroConfig(alpha_min=0.5))
     assert np.array_equal(grad, np.zeros(2))
 
@@ -156,7 +155,6 @@ def test_dro_direction_weights_only_tail_examples():
     batch = Batch(
         features=rng.normal(size=(12, 2)),
         targets=rng.normal(size=12) * 3.0,
-        example_ids=np.arange(12),
     )
     params = init_params(spec, seed=2)
     losses = per_example_losses(spec, forward(spec, params, batch), batch.targets)
@@ -175,8 +173,7 @@ def test_dro_direction_one_forward_no_objective_calls(monkeypatch):
     count_calls(monkeypatch, counts, "objective", baselines.dro_objective, baselines)
     spec = ModelSpec(input_dim=2, hidden_dims=(3,), output_dim=1, task="regression_mse")
     rng = np.random.default_rng(25)
-    batch = Batch(features=rng.normal(size=(40, 2)), targets=rng.normal(size=40),
-                  example_ids=np.arange(40))
+    batch = Batch(features=rng.normal(size=(40, 2)), targets=rng.normal(size=40))
     dro_direction(spec, init_params(spec, seed=6), batch, DroConfig(alpha_min=0.4))
     assert counts == {"forward": 1, "backward": 1, "objective": 0}
 
@@ -198,7 +195,7 @@ def test_dro_gradient_matches_fd_of_minimized_dual():
         b = int(rng.integers(10, 20))
         x = rng.normal(size=(b, spec.input_dim))
         y = rng.normal(size=b) if task == "regression_mse" else rng.integers(0, 2, size=b).astype(float)
-        batch = Batch(features=x, targets=y, example_ids=np.arange(b))
+        batch = Batch(features=x, targets=y)
         params = init_params(spec, seed=int(rng.integers(1 << 30)))
         cfg = DroConfig(alpha_min=0.4)
 
@@ -244,10 +241,10 @@ def test_dro_long_training_approaches_uniform_quarter_loss():
             idx = order[start : start + 64]
             if len(idx) < 2:
                 continue
-            batch = Batch(features=x[idx], targets=y[idx], example_ids=idx)
+            batch = Batch(features=x[idx], targets=y[idx])
             params = params - 0.05 * dro_direction(spec, params, batch, cfg)[0]
 
-    full = Batch(features=x, targets=y, example_ids=np.arange(n))
+    full = Batch(features=x, targets=y)
     losses = per_example_losses(spec, forward(spec, params, full), full.targets)
     assert 0.2 <= losses.mean() <= 0.3
     assert np.var(losses) <= 5e-3

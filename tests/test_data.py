@@ -69,13 +69,12 @@ def test_load_csv_encoding_and_standardization(tmp_path):
     )
     ds = load_csv(p, BASIC_SCHEMA)
     assert ds.n == 2
-    # numeric column [0, 2]: population mean 1, std 1 -> [-1, +1]
-    np.testing.assert_allclose(ds.features[:, 0], [-1.0, 1.0])
+    # numeric columns stay raw; split standardizes them
+    assert ds.features[:, 0].tolist() == [0.0, 2.0]
     # one-hot block over sorted levels ("driver, night" < "nurse")
     np.testing.assert_allclose(ds.features[:, 1:], [[0.0, 1.0], [1.0, 0.0]])
     assert ds.targets.tolist() == [1.0, 0.0]
     assert ds.sensitive["sex"].tolist() == ["F", "M"]
-    assert ds.norm_stats["age"] == (1.0, 1.0)
     assert ds.rejected_rows == 0
     assert ds.feature_dim == 3
 
@@ -138,9 +137,29 @@ def test_constant_numeric_column_zeroed(tmp_path):
         feature_columns=(("a", "numeric"),), label_column="y",
         sensitive_columns=(), task="regression_mse",
     )
-    p = write_csv(tmp_path, "a,y\n5,0.1\n5,0.2\n5,0.3\n")
-    ds = load_csv(p, schema)
-    np.testing.assert_allclose(ds.features[:, 0], np.zeros(3))
+    p = write_csv(tmp_path, "a,y\n5,0.1\n5,0.2\n5,0.3\n5,0.4\n")
+    tr, te = split(load_csv(p, schema), test_fraction=0.5, seed=0)
+    assert tr.features[:, 0].tolist() == [0.0, 0.0]
+    assert te.features[:, 0].tolist() == [0.0, 0.0]
+
+
+def test_column_constant_on_train_rows_scales_test_rows_by_one(tmp_path):
+    # the statistics come from the train rows alone: a column constant
+    # there is centred on that constant with unit scale, whatever the
+    # test rows hold (whole-file statistics would shrink [1, 9, 5, 7] by
+    # the std of all eight rows)
+    schema = DatasetSchema(
+        feature_columns=(("a", "numeric"),), label_column="y",
+        sensitive_columns=(), task="regression_mse",
+    )
+    perm = np.random.default_rng(0).permutation(8)
+    values = np.empty(8)
+    values[perm[4:]] = 5.0                      # train rows
+    values[perm[:4]] = [1.0, 9.0, 5.0, 7.0]     # test rows, in split order
+    rows = "".join(f"{float(v)!r},0.0\n" for v in values)
+    tr, te = split(load_csv(write_csv(tmp_path, "a,y\n" + rows), schema), 0.5, seed=0)
+    assert tr.features[:, 0].tolist() == [0.0] * 4
+    assert te.features[:, 0].tolist() == [-4.0, 4.0, 0.0, 2.0]
 
 
 # ---------------------------------------------------------------------------
@@ -191,13 +210,12 @@ def test_split_normalizes_with_train_stats_only():
         assert (abs(te_col.mean()) > 1e-12) or (
             abs(np.sqrt(np.mean(te_col**2)) - 1.0) > 1e-12
         )
-    assert tr.norm_stats == te.norm_stats
 
 
 def test_split_composition_matches_direct_standardization(tmp_path):
-    # load_csv standardizes by whole-file stats; split then re-anchors to
-    # the train rows; the result must equal standardizing the raw values
-    # by the train rows' own statistics directly
+    # load_csv keeps the raw values and split standardizes them once: the
+    # result equals standardizing the raw values by the train rows' own
+    # statistics directly, to the bit
     rows = ["a,y"]
     rng = np.random.default_rng(6)
     raw = rng.uniform(-5.0, 5.0, size=30)
@@ -216,8 +234,8 @@ def test_split_composition_matches_direct_standardization(tmp_path):
     te_idx, tr_idx = perm[:6], perm[6:]
     mean = raw[tr_idx].mean()
     std = np.sqrt(np.mean((raw[tr_idx] - mean) ** 2))
-    np.testing.assert_allclose(tr.features[:, 0], (raw[tr_idx] - mean) / std, atol=1e-12)
-    np.testing.assert_allclose(te.features[:, 0], (raw[te_idx] - mean) / std, atol=1e-12)
+    assert np.array_equal(tr.features[:, 0], (raw[tr_idx] - mean) / std)
+    assert np.array_equal(te.features[:, 0], (raw[te_idx] - mean) / std)
 
 
 def test_split_validation():
@@ -302,6 +320,6 @@ def test_synthesize_validation():
 def test_take_batch():
     ds = synthetic_for_split()
     batch = take_batch(ds, [3, 5, 7])
-    assert batch.example_ids.tolist() == [3, 5, 7]
+    assert len(batch) == 3
     np.testing.assert_array_equal(batch.features, ds.features[[3, 5, 7]])
     np.testing.assert_array_equal(batch.targets, ds.targets[[3, 5, 7]])

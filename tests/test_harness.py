@@ -27,7 +27,9 @@ from vfair.harness import (
     select_epoch,
     write_trace,
 )
+from vfair.data import take_batch
 from vfair.metrics import MetricsReport
+from vfair.nnet import forward, predicted_labels, predicted_values
 
 
 def tiny_config(**overrides):
@@ -109,6 +111,13 @@ def test_config_rejects_bad_sections():
     missing["dataset"] = {"kind": "csv", "path": "x.csv"}  # schema absent
     with pytest.raises(ConfigError):
         config_from_dict(missing)
+    malformed = tiny_config()
+    malformed["dataset"] = {"kind": "csv", "path": "x.csv",
+                            "schema": {"features": 5, "label": "y", "task": "binary_bce"}}
+    with pytest.raises(ConfigError, match="schema"):
+        config_from_dict(malformed)
+    with pytest.raises(ConfigError, match="'model'"):
+        config_from_dict(tiny_config(model=[8]))
 
 
 def test_load_config_errors(tmp_path):
@@ -233,6 +242,7 @@ def test_run_experiment_record_shape():
         assert rec.metrics["overall"].mud == 0.0  # single group
     assert records[0].trace == []
     assert len(records[1].trace) == cfg.epochs * 4  # 120 train rows / batch 32
+    assert [row["step"] for row in records[1].trace] == list(range(cfg.epochs * 4))
     assert {"mu", "sigma", "lambda"} <= set(records[1].trace[0])
     assert set(records[2].trace[0]) == {"step", "eta"}
 
@@ -281,6 +291,35 @@ def test_run_record_round_trip(tmp_path):
         RunRecord.load(bad)
 
 
+RECORD_KEYS = {
+    "method", "seed", "per_epoch_loss", "selected_epoch", "params", "metrics",
+    "utility_kind", "test_predictions", "test_targets", "config",
+}
+
+
+@pytest.mark.parametrize("task", ["regression_mse", "binary_bce"])
+def test_record_determines_its_test_predictions(tmp_path, task):
+    # a record stores the parameters and the config, not the raw outputs:
+    # rebuilding the test split from the config and running the saved
+    # parameters forward gives the stored predictions to the bit
+    d = tiny_config(methods=["erm"], epochs=2)
+    d["dataset"]["task"] = task
+    path = tmp_path / "run.json"
+    run_experiment(config_from_dict(d))[0].save(path)
+    assert set(json.loads(path.read_text())) == RECORD_KEYS
+    rec = RunRecord.load(path)
+    cfg = config_from_dict(rec.config)
+    train, test = build_datasets(cfg)
+    spec = build_model_spec(cfg, train)
+    outputs = forward(spec, rec.params, take_batch(test, np.arange(test.n)))
+    if rec.utility_kind == "accuracy":
+        preds = predicted_labels(spec, outputs).astype(np.float64)
+    else:
+        preds = predicted_values(spec, outputs)
+    assert rec.utility_kind == ("mse" if task == "regression_mse" else "accuracy")
+    assert np.array_equal(preds, rec.test_predictions)
+
+
 def test_run_record_save_rejects_non_finite(tmp_path):
     rec = fake_record("vfair_var", 3, "mse", dict.fromkeys(["utility", "wu", "mud", "tud"], 1.0)
                       | {"var": float("inf")})
@@ -313,7 +352,6 @@ def fake_record(method, seed, kind, scalars):
         params=np.zeros(1),
         metrics={"overall": report},
         utility_kind=kind,
-        test_outputs=np.zeros(10),
         test_predictions=np.zeros(10),
         test_targets=np.zeros(10),
     )
@@ -417,6 +455,27 @@ def test_failed_write_keeps_the_old_file(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["trace.csv"]
 
 
+def test_failed_rank_write_keeps_the_old_file(tmp_path, monkeypatch):
+    # rank.csv goes through the same temp-file-then-replace path
+    cfg_path = write_config(tmp_path, tiny_config(methods=["erm", "vfair_std"]))
+    out = tmp_path / "out"
+    assert cli_main(["train", "--config", str(cfg_path), "--out", str(out)]) == 0
+    runs = sorted(str(p) for p in (out / "runs").glob("*.json"))
+    rank_dir = tmp_path / "rank"
+    rank_dir.mkdir()
+    rank_csv = rank_dir / "rank.csv"
+    rank_csv.write_text("the old table\n")
+
+    def refuse(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(harness.os, "replace", refuse)
+    with pytest.raises(OSError, match="disk full"):
+        cli_main(["rank", "--runs", *runs, "--k", "2", "--trials", "3", "--out", str(rank_csv)])
+    assert rank_csv.read_text() == "the old table\n"
+    assert [p.name for p in rank_dir.iterdir()] == ["rank.csv"]
+
+
 def test_emit_loss_curve_sorted_with_mean_row(tmp_path):
     cfg = config_from_dict(tiny_config(methods=["erm"], epochs=2))
     rec = run_experiment(cfg)[0]
@@ -484,6 +543,23 @@ def test_cli_train_bad_config_exits_2(tmp_path, capsys):
     code = cli_main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, key, value", [
+    (None, "epochs", "many"),
+    (None, "seeds", 3),
+    ("model", "hidden_dims", ["x"]),
+    ("dataset", "n", "lots"),
+])
+def test_cli_train_badly_typed_value_exits_2(tmp_path, capsys, section, key, value):
+    d = tiny_config()
+    (d[section] if section else d)[key] = value
+    code = cli_main(["train", "--config", str(write_config(tmp_path, d)),
+                     "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and key in err
 
 
 def test_cli_missing_config_exits_2(tmp_path, capsys):

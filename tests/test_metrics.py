@@ -4,8 +4,16 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from helpers import all_surjective_assignments, group_means, loop_random_partition_rank
+from helpers import (
+    all_surjective_assignments,
+    count_calls,
+    group_means,
+    loop_random_partition_rank,
+)
+from vfair import metrics
+from vfair.cli import main as cli_main
 from vfair.errors import ConfigError, DataError
+from vfair.harness import RunRecord
 from vfair.metrics import (
     MAX_EXPECTED_DRAWS,
     GroupPartition,
@@ -229,6 +237,22 @@ def test_build_report_and_round_trip():
     assert again == rep
 
 
+def test_build_report_builds_the_terms_once(monkeypatch):
+    # the partition's groups and the overall utility are scored from one
+    # set of per-example terms
+    counts = {}
+    count_calls(monkeypatch, counts, "terms", metrics._example_terms, metrics)
+    part = GroupPartition(group_of=np.array([0, 1, 1, 0]), k=2, label="g")
+    preds = np.array([1.0, 0.0, 1.0, 1.0])
+    targets = np.array([1.0, 1.0, 0.0, 1.0])
+    rep = build_report(preds, targets, np.zeros(4), part, "f1")
+    assert counts == {"terms": 1}
+    assert rep.utility == overall_utility(preds, targets, "f1")
+    assert rep.per_group_utility == group_utilities(preds, targets, part, "f1").tolist()
+    with pytest.raises(DataError):
+        build_report(np.stack([preds, preds]), targets, np.zeros(4), part, "f1")
+
+
 @pytest.mark.parametrize("kind", ["mse", "accuracy", "f1"])
 def test_overall_report_utility_is_its_one_group_utility(kind):
     # one formula: the utility of the whole set and of the one-group
@@ -427,12 +451,28 @@ def test_prediction_similarity_binary_and_multiclass():
         prediction_similarity(a, b, "regression_mse")
 
 
-def test_rank_table_csv(tmp_path):
+def test_rank_table_csv(tmp_path, capsys):
+    # `vfair rank --out` writes a header and one row per run, each rank
+    # to 6 significant digits, with CSV's CRLF line ends
     targets = np.zeros(20)
-    pm = {"a": np.full(20, 0.1), "b": np.full(20, 0.2)}
-    table = random_partition_rank(pm, targets, k=2, trials=5, seed=3, kind="mse")
+    pm = {"a_seed0": np.full(20, 0.1), "b_seed0": np.full(20, 0.2)}
+    paths = []
+    for name, preds in pm.items():
+        rec = RunRecord(
+            method=name.split("_")[0], seed=0, per_epoch_loss=[1.0], selected_epoch=0,
+            params=np.zeros(1), metrics={}, utility_kind="mse",
+            test_predictions=preds, test_targets=targets,
+        )
+        paths.append(str(tmp_path / f"{name}.json"))
+        rec.save(paths[-1])
     out = tmp_path / "rank.csv"
-    table.to_csv(out)
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "method,utility,wu,mud,tud"
-    assert len(lines) == 3
+    argv = ["rank", "--runs", *paths, "--k", "2", "--trials", "5", "--seed", "3", "--out", str(out)]
+    assert cli_main(argv) == 0
+    table = random_partition_rank(pm, targets, k=2, trials=5, seed=3, kind="mse")
+    expected = "method,utility,wu,mud,tud\r\n" + "".join(
+        name + "," + ",".join(f"{v:.6g}" for v in table.avg_rank[i]) + "\r\n"
+        for i, name in enumerate(table.methods)
+    )
+    assert out.read_bytes() == expected.encode()
+    assert [p.name for p in tmp_path.iterdir() if p.name.startswith(".")] == []
+    capsys.readouterr()

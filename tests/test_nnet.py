@@ -31,7 +31,7 @@ def make_batch(x, y):
     if x.shape[0] == 1 and x.shape[1] > 1 and np.ndim(y) == 1 and len(y) == x.shape[1]:
         x = x.T
     y = np.asarray(y, dtype=float)
-    return Batch(features=x, targets=y, example_ids=np.arange(len(y)))
+    return Batch(features=x, targets=y)
 
 
 def random_spec(rng, task=None):
@@ -58,7 +58,7 @@ def random_batch(rng, spec, b=None):
         y = rng.integers(0, spec.output_dim, size=b)
     else:
         y = rng.integers(0, 2, size=b)
-    return Batch(features=x, targets=np.asarray(y, dtype=float), example_ids=np.arange(b))
+    return Batch(features=x, targets=np.asarray(y, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -107,11 +107,11 @@ def test_spec_validation():
 
 def test_batch_validation():
     with pytest.raises(DataError):
-        Batch(features=np.zeros((2, 1)), targets=np.zeros(2), example_ids=np.array([0, 0]))
+        Batch(features=np.zeros((2, 1)), targets=np.zeros(3))
     with pytest.raises(DataError):
-        Batch(features=np.zeros((0, 1)), targets=np.zeros(0), example_ids=np.zeros(0))
+        Batch(features=np.zeros((0, 1)), targets=np.zeros(0))
     with pytest.raises(DataError):
-        Batch(features=np.array([[np.inf]]), targets=np.zeros(1), example_ids=np.zeros(1))
+        Batch(features=np.array([[np.inf]]), targets=np.zeros(1))
 
 
 # ---------------------------------------------------------------------------
@@ -239,11 +239,7 @@ def test_weighted_gradient_permutation_consistent():
     params = init_params(spec, seed=11)
     weights = rng.uniform(0.5, 2.0, size=7)
     perm = rng.permutation(7)
-    shuffled = Batch(
-        features=batch.features[perm],
-        targets=batch.targets[perm],
-        example_ids=batch.example_ids[perm],
-    )
+    shuffled = Batch(features=batch.features[perm], targets=batch.targets[perm])
     g1 = weighted_gradient(spec, params, batch, weights)
     g2 = weighted_gradient(spec, params, shuffled, weights[perm])
     np.testing.assert_allclose(g1, g2, rtol=1e-12, atol=1e-15)
