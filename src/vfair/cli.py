@@ -163,7 +163,7 @@ def main(argv=None) -> int:
     }[args.command]
     try:
         return handler(args)
-    except (ConfigError, DataError, FileNotFoundError) as exc:
+    except (ConfigError, DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:

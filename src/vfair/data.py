@@ -58,22 +58,11 @@ class DatasetSchema:
 
 
 @dataclass(frozen=True)
-class EncodedColumn:
-    """Where one schema column landed in the encoded feature matrix."""
-
-    name: str
-    kind: str
-    start: int
-    width: int
-    levels: tuple = ()
-
-
-@dataclass(frozen=True)
 class Dataset:
     features: np.ndarray  # [n, d] float64, encoded
     targets: np.ndarray   # [n] float64
     sensitive: dict       # name -> raw value array [n]
-    columns: tuple        # EncodedColumn per schema feature column
+    numeric_columns: tuple  # encoded column indices that `split` standardizes
     task: str
     rejected_rows: int = 0
 
@@ -97,17 +86,6 @@ def take_batch(dataset: Dataset, indices) -> Batch:
     """Row subset as a training batch."""
     idx = np.asarray(indices, dtype=np.int64)
     return Batch(features=dataset.features[idx], targets=dataset.targets[idx])
-
-
-def decode_categorical(dataset: Dataset, name: str) -> np.ndarray:
-    """Recover the original level of a one-hot encoded column per example."""
-    for col in dataset.columns:
-        if col.name == name:
-            if col.kind != "categorical":
-                raise ConfigError(f"column {name!r} is not categorical")
-            block = dataset.features[:, col.start : col.start + col.width]
-            return np.asarray(col.levels, dtype=object)[block.argmax(axis=1)]
-    raise ConfigError(f"no encoded column named {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -179,14 +157,13 @@ def load_csv(path, schema: DatasetSchema) -> Dataset:
         raise DataError(f"{path}: no usable rows")
 
     # column layout: numeric -> one raw column, categorical -> one-hot
-    columns = []
+    numeric = []
     blocks = []
     offset = 0
     for name, kind in schema.feature_columns:
         if kind == "numeric":
             blocks.append(np.array([float(r[name]) for r in kept_raw], dtype=np.float64)[:, None])
-            columns.append(EncodedColumn(name, kind, offset, 1))
-            offset += 1
+            numeric.append(offset)
         else:
             raw = [r[name] for r in kept_raw]
             levels = sorted(set(raw))
@@ -194,8 +171,7 @@ def load_csv(path, schema: DatasetSchema) -> Dataset:
             hot = np.zeros((len(raw), len(levels)), dtype=np.float64)
             hot[np.arange(len(raw)), [lookup[v] for v in raw]] = 1.0
             blocks.append(hot)
-            columns.append(EncodedColumn(name, kind, offset, len(levels), tuple(levels)))
-            offset += len(levels)
+        offset += blocks[-1].shape[1]
 
     targets = _parse_label([r[schema.label_column] for r in kept_raw], schema.task)
     sensitive = {
@@ -205,7 +181,7 @@ def load_csv(path, schema: DatasetSchema) -> Dataset:
         features=np.hstack(blocks),
         targets=targets,
         sensitive=sensitive,
-        columns=tuple(columns),
+        numeric_columns=tuple(numeric),
         task=schema.task,
         rejected_rows=rejected,
     )
@@ -216,23 +192,19 @@ def load_csv(path, schema: DatasetSchema) -> Dataset:
 # ---------------------------------------------------------------------------
 
 
-def _numeric_slices(dataset: Dataset):
-    return [c for c in dataset.columns if c.kind == "numeric"]
-
-
 def _standardize_pair(train: Dataset, test: Dataset):
     """Standardize the numeric columns of both sides by the train side's
     population stats."""
     tr = train.features.copy()
     te = test.features.copy()
-    for col in _numeric_slices(train):
-        vals = tr[:, col.start]
+    for j in train.numeric_columns:
+        vals = tr[:, j]
         mean = float(vals.mean())
         std = float(np.sqrt(np.mean((vals - mean) ** 2)))
         if std == 0.0:
             std = 1.0  # constant on the train side -> train values all zero
-        tr[:, col.start] = (tr[:, col.start] - mean) / std
-        te[:, col.start] = (te[:, col.start] - mean) / std
+        tr[:, j] = (tr[:, j] - mean) / std
+        te[:, j] = (te[:, j] - mean) / std
     return replace(train, features=tr), replace(test, features=te)
 
 
@@ -308,13 +280,10 @@ def synthesize(spec: SyntheticSpec, seed: int) -> Dataset:
         logit = (1.0 - spec.minority_shift * group) * base + noise
         y = (logit > 0.0).astype(np.float64)
 
-    columns = tuple(
-        EncodedColumn(f"f{j}", "numeric", j, 1) for j in range(spec.feature_dim)
-    )
     return Dataset(
         features=x,
         targets=y,
         sensitive={"group": group.copy()},
-        columns=columns,
+        numeric_columns=tuple(range(spec.feature_dim)),
         task=spec.task,
     )

@@ -1,16 +1,18 @@
 """Experiment orchestration: configs, training loops, records, aggregation.
 
 A config describes one dataset, one model shape, and a set of (method,
-seed) runs.  Each run trains with per-epoch parameter snapshots, picks
-an epoch (final, or the one whose training loss is nearest a converged
-mean-loss reference), evaluates the full metric suite on the test split
-per sensitive attribute, and is saved as a self-describing JSON record.
+seed) runs.  Each run keeps, while it trains, the parameters of the epoch
+it selects (the final one, or the one whose training loss is nearest a
+converged mean-loss reference), evaluates the full metric suite on the
+test split per sensitive attribute, and is saved as a self-describing
+JSON record.
 Runs are deterministic in (config, seed): identical inputs produce
 byte-identical records.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
@@ -122,11 +124,20 @@ class ExperimentConfig:
             raise ConfigError("at least one seed is required")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError("duplicate seeds in config")
+        if self.erm_reference_loss is not None and not np.isfinite(self.erm_reference_loss):
+            raise ConfigError("erm_reference_loss must be finite")
+        if (self.epoch_selection == "harmless" and "erm" not in self.methods
+                and self.erm_reference_loss is None):
+            raise ConfigError(
+                "harmless epoch selection needs an erm run in the same invocation "
+                "or an explicit erm_reference_loss"
+            )
 
 
 # config key -> converter, one table per section; each key sets the
 # ExperimentConfig field of its name (the dataset's "seed" sets data_seed).
 # An absent or null key keeps the field's default: defaults live only there.
+# A key in _LIST_KEYS takes a JSON list only, never a string or number.
 _TOP_LEVEL_KEYS = {
     "methods": lambda v: tuple(str(m) for m in v), "optimizer": str, "step_size": float,
     "batch_size": int, "epochs": int, "decay": float, "lambda2_cap": float,
@@ -135,6 +146,7 @@ _TOP_LEVEL_KEYS = {
 }
 _DATASET_KEYS = {"seed": int, "test_fraction": float, "split_seed": int}
 _MODEL_KEYS = {"hidden_dims": lambda v: tuple(int(h) for h in v), "activation": str}
+_LIST_KEYS = {"methods", "seeds", "hidden_dims"}
 # the synthetic generator's keys, all required but "task"
 _SYNTHETIC_KEYS = {
     "n": int, "group_ratio": float, "feature_dim": int, "minority_shift": float,
@@ -149,12 +161,15 @@ def _typed(section: dict, table: dict, where: str = "") -> dict:
         raise ConfigError(f"config section {where.rstrip('.')!r} must be a JSON object")
     out = {}
     for key, convert in table.items():
-        if section.get(key) is not None:
-            try:
-                out[key] = convert(section[key])
-            except (TypeError, ValueError):
-                bad = section[key]
-                raise ConfigError(f"config key {where + key!r} has a bad value {bad!r}") from None
+        value = section.get(key)
+        if value is None:
+            continue
+        if key in _LIST_KEYS and not isinstance(value, (list, tuple)):
+            raise ConfigError(f"config key {where + key!r} must be a list, got {value!r}")
+        try:
+            out[key] = convert(value)
+        except (TypeError, ValueError):
+            raise ConfigError(f"config key {where + key!r} has a bad value {value!r}") from None
     return out
 
 
@@ -362,7 +377,8 @@ class RunRecord:
 
 def _write_atomically(path, text: str) -> None:
     """Write `text` to a temp file beside `path`, then move it onto `path`:
-    a reader sees the old file or the whole new one, never a torn write."""
+    a reader sees the old file or the whole new one, never a torn write.
+    A failed write removes the temp file if it exists and re-raises."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
@@ -370,7 +386,8 @@ def _write_atomically(path, text: str) -> None:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        with contextlib.suppress(OSError):  # the temp file may never have existed
+            tmp.unlink()
         raise
 
 
@@ -394,8 +411,12 @@ def write_trace(rows, path) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _train_one(cfg: ExperimentConfig, spec: ModelSpec, train: Dataset, method: str, seed: int):
-    """Train one (method, seed); returns (epoch snapshots, per-epoch loss, trace)."""
+def _train_one(cfg: ExperimentConfig, spec: ModelSpec, train: Dataset, method: str, seed: int,
+               reference: float | None = None):
+    """Train one (method, seed); returns (selected params, selected epoch,
+    per-epoch loss, trace).  The selected epoch is the last one, or with a
+    `reference` loss the one whose training loss is nearest it (earliest
+    wins ties)."""
     params = init_params(spec, seed)
     optimizer = make_optimizer(cfg.optimizer, cfg.step_size, len(params))
     state = UpdateState(
@@ -406,7 +427,8 @@ def _train_one(cfg: ExperimentConfig, spec: ModelSpec, train: Dataset, method: s
     rng = np.random.default_rng(seed)
 
     full = take_batch(train, np.arange(train.n))  # validates every row once
-    snapshots = []
+    # the optimizers return a new array per step, so holding `params` keeps it
+    best, best_epoch = params, 0
     per_epoch_loss = []
     trace = []
     step = 0
@@ -424,30 +446,20 @@ def _train_one(cfg: ExperimentConfig, spec: ModelSpec, train: Dataset, method: s
                         grad, eta = dro_direction(spec, params, batch, dro_cfg)
                         trace.append({"step": step, "eta": eta})
                     else:
-                        grad, state, report = vfair_direction(state, spec, params, batch, objective)
-                        trace.append({"step": step, **report.to_row()})
+                        grad, state, row = vfair_direction(state, spec, params, batch, objective)
+                        trace.append({"step": step, **row})
                     params = optimizer.step(params, grad)
                     step += 1
-                snapshots.append(params.copy())
                 losses = per_example_losses(spec, forward(spec, params, full), full.targets)
-                per_epoch_loss.append(float(losses.mean()))
+                loss = float(losses.mean())
+                per_epoch_loss.append(loss)
+                if reference is None or epoch == 0 or (
+                    abs(loss - reference) < abs(per_epoch_loss[best_epoch] - reference)
+                ):
+                    best, best_epoch = params, epoch
     except NumericError as exc:
         raise NumericError(f"{method} seed={seed} epoch={epoch} step={step}: {exc}") from exc
-    return snapshots, per_epoch_loss, trace
-
-
-def select_epoch(per_epoch_loss, selection: str, reference_loss: float | None) -> int:
-    """'final' takes the last epoch; 'harmless' the epoch whose training
-    loss lands nearest the reference (earliest wins ties)."""
-    if selection == "final":
-        return len(per_epoch_loss) - 1
-    if reference_loss is None:
-        raise ConfigError(
-            "harmless epoch selection needs an erm run in the same invocation "
-            "or an explicit erm_reference_loss"
-        )
-    dist = np.abs(np.asarray(per_epoch_loss) - reference_loss)
-    return int(np.argmin(dist))
+    return best, best_epoch, per_epoch_loss, trace
 
 
 def evaluate(cfg, spec, test: Dataset, params, method: str, seed: int) -> RunRecord:
@@ -487,7 +499,8 @@ def run_experiment(cfg: ExperimentConfig) -> list:
 
     The mean-loss baseline trains first within each seed so the harmless
     epoch selection of the other methods can reference its final
-    training loss for that same seed.
+    training loss for that same seed; without an explicit reference the
+    baseline itself takes its final epoch.
     """
     train, test = build_datasets(cfg)
     spec = build_model_spec(cfg, train)
@@ -501,15 +514,17 @@ def run_experiment(cfg: ExperimentConfig) -> list:
         )
     ordered = sorted(cfg.methods, key=lambda m: m != "erm")  # erm first if present
 
+    harmless = cfg.epoch_selection == "harmless"
     records = []
     for seed in cfg.seeds:
-        erm_ref = cfg.erm_reference_loss
+        reference = cfg.erm_reference_loss
         for method in ordered:
-            snapshots, per_epoch_loss, trace = _train_one(cfg, spec, train, method, seed)
-            if method == "erm" and cfg.erm_reference_loss is None:
-                erm_ref = per_epoch_loss[-1]
-            chosen = select_epoch(per_epoch_loss, cfg.epoch_selection, erm_ref)
-            record = evaluate(cfg, spec, test, snapshots[chosen], method, seed)
+            params, chosen, per_epoch_loss, trace = _train_one(
+                cfg, spec, train, method, seed, reference if harmless else None
+            )
+            if method == "erm" and reference is None:
+                reference = per_epoch_loss[-1]
+            record = evaluate(cfg, spec, test, params, method, seed)
             record.per_epoch_loss = per_epoch_loss
             record.selected_epoch = chosen
             record.trace = trace

@@ -128,15 +128,6 @@ def group_utilities(predictions, targets, partition: GroupPartition, kind: str) 
     return out if np.ndim(predictions) == 2 else out[0]
 
 
-def overall_utility(predictions, targets, kind: str) -> float:
-    """Utility over all examples, the one-group case of `group_utilities`:
-    accuracy / F1 (0/0 scores 0) on hard labels, or mean squared error on
-    point predictions."""
-    if np.ndim(predictions) != 1 or np.shape(predictions) != np.shape(targets):
-        raise DataError("predictions and targets must be aligned 1-d arrays")
-    return float(group_utilities(predictions, targets, GroupPartition.whole(len(targets)), kind)[0])
-
-
 def _utility_rows(utilities) -> np.ndarray:
     utilities = np.asarray(utilities, dtype=np.float64)
     if utilities.ndim not in (1, 2) or utilities.shape[-1] == 0:
@@ -163,19 +154,11 @@ def mud(utilities):
     return _per_row(utilities.max(axis=-1) - utilities.min(axis=-1))
 
 
-def tud(utilities, center=None):
-    """Total absolute deviation of group utilities from a center.
-
-    The center defaults to the unweighted mean of the group utilities
-    (which makes tud == mud for two groups); pass an explicitly
-    computed global utility (one per row for `[m, k]`) to deviate from
-    that instead.  Row-wise on `[m, k]`.
-    """
+def tud(utilities):
+    """Total absolute deviation of group utilities from their unweighted
+    mean (which makes tud == mud for two groups).  Row-wise on `[m, k]`."""
     utilities = _utility_rows(utilities)
-    if center is None:
-        center = utilities.mean(axis=-1, keepdims=True)
-    else:
-        center = np.asarray(center, dtype=np.float64)[..., None]
+    center = utilities.mean(axis=-1, keepdims=True)
     return _per_row(np.abs(utilities - center).sum(axis=-1))
 
 
@@ -263,9 +246,6 @@ class RankTable:
 
     methods: list[str]
     avg_rank: np.ndarray  # [n_methods, len(RANK_METRICS)]
-    k: int
-    trials: int
-    utility_kind: str
 
     def rank_of(self, method: str, metric: str) -> float:
         return float(self.avg_rank[self.methods.index(method), RANK_METRICS.index(metric)])
@@ -350,17 +330,11 @@ def random_partition_rank(
         stats.rankdata(sign * util, method="average"),
         stats.rankdata(spread, method="average", axis=1).mean(axis=0),
     ])
-    return RankTable(
-        methods=methods,
-        avg_rank=avg_rank,
-        k=k,
-        trials=trials,
-        utility_kind=kind,
-    )
+    return RankTable(methods=methods, avg_rank=avg_rank)
 
 
 # ---------------------------------------------------------------------------
-# Significance and similarity
+# Significance
 # ---------------------------------------------------------------------------
 
 
@@ -375,33 +349,3 @@ def significance_test(a, b) -> float:
         # usual test statistic is undefined
         return 1.0 if a[0] == b[0] else 0.0
     return float(stats.ttest_ind(a, b, equal_var=False).pvalue)
-
-
-def model_similarity(params_a, params_b) -> float:
-    """Cosine similarity of two flat parameter vectors."""
-    a = np.asarray(params_a, dtype=np.float64)
-    b = np.asarray(params_b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise DataError("parameter vectors must have the same shape")
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        raise DataError("cosine similarity undefined for a zero parameter vector")
-    return float(a @ b / (na * nb))
-
-
-def prediction_similarity(outputs_a, outputs_b, task: str) -> float:
-    """Fraction of test examples on which two models emit the same hard
-    label.  Classification tasks only (outputs are logits)."""
-    a = np.asarray(outputs_a, dtype=np.float64)
-    b = np.asarray(outputs_b, dtype=np.float64)
-    if a.ndim == 1:
-        a = a[:, None]
-    if b.ndim == 1:
-        b = b[:, None]
-    if a.shape != b.shape:
-        raise DataError("output arrays must have the same shape")
-    if task in ("binary_bce", "logistic_regression_mse"):
-        return float(np.mean((a[:, 0] > 0.0) == (b[:, 0] > 0.0)))
-    if task == "multiclass_ce":
-        return float(np.mean(a.argmax(axis=1) == b.argmax(axis=1)))
-    raise ConfigError("prediction agreement is defined for classification tasks only")

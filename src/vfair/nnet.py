@@ -313,50 +313,6 @@ def weighted_gradient(spec: ModelSpec, params: np.ndarray, batch: Batch, weights
 
 
 # ---------------------------------------------------------------------------
-# Finite-difference oracle
-# ---------------------------------------------------------------------------
-
-
-def directional_derivative_fd(
-    spec: ModelSpec,
-    params: np.ndarray,
-    batch: Batch,
-    objective: str,
-    direction: np.ndarray,
-    h: float = 1e-6,
-    weights: np.ndarray | None = None,
-) -> float:
-    """Central-difference directional derivative of a scalar batch objective.
-
-    objective: "mean"      mean of per-example losses
-               "sigma"     std-dev of per-example losses about the batch mean
-               "weighted"  (1/b) * sum_i weights_i * loss_i (weights required)
-
-    Used as an independent check of the analytic gradients; never called
-    by training code.
-    """
-    if objective not in ("mean", "sigma", "weighted"):
-        raise ConfigError(f"unknown fd objective {objective!r}")
-    if objective == "weighted":
-        if weights is None:
-            raise ConfigError("objective 'weighted' needs a weights vector")
-        weights = np.asarray(weights, dtype=np.float64)
-    direction = np.asarray(direction, dtype=np.float64)
-    if direction.shape != np.asarray(params).shape:
-        raise DataError("direction must match the parameter vector shape")
-
-    def value(p):
-        losses = per_example_losses(spec, forward(spec, p, batch), batch.targets)
-        if objective == "mean":
-            return float(losses.mean())
-        if objective == "sigma":
-            return float(np.sqrt(np.mean((losses - losses.mean()) ** 2)))
-        return float(np.mean(weights * losses))
-
-    return (value(params + h * direction) - value(params - h * direction)) / (2.0 * h)
-
-
-# ---------------------------------------------------------------------------
 # Prediction decoding (used by evaluation, not by training)
 # ---------------------------------------------------------------------------
 

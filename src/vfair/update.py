@@ -22,7 +22,8 @@ per-example weight vector and in the closed form of lam2:
 
 The running mean mu is an exponential moving average across batches
 (bias left uncorrected, mu_0 = 0); sigma is computed per batch around
-that running mean.
+that running mean.  Each step's mu, sigma, lambdas, gradient norms and
+smallest weight come back as a dict keyed by the step-trace columns.
 """
 
 from __future__ import annotations
@@ -63,33 +64,6 @@ class UpdateState:
             raise ConfigError("ema_mean cannot be negative for non-negative losses")
 
 
-@dataclass(frozen=True)
-class StepReport:
-    """Diagnostics of a single update: with its step number, one row of
-    the step trace."""
-
-    mu: float
-    sigma: float
-    lambda1: float
-    lambda2: float
-    lam: float
-    grad_mu_norm: float
-    grad_dot: float
-    weights_min: float
-
-    def to_row(self) -> dict:
-        return {
-            "mu": self.mu,
-            "sigma": self.sigma,
-            "lambda1": self.lambda1,
-            "lambda2": self.lambda2,
-            "lambda": self.lam,
-            "grad_mu_norm": self.grad_mu_norm,
-            "grad_dot": self.grad_dot,
-            "weights_min": self.weights_min,
-        }
-
-
 # ---------------------------------------------------------------------------
 # Scalar pieces
 # ---------------------------------------------------------------------------
@@ -105,7 +79,7 @@ def ema_update(mu_prev: float, losses: np.ndarray, decay: float) -> float:
     return float(decay * mu_prev + (1.0 - decay) * losses.mean())
 
 
-def batch_sigma(losses: np.ndarray, mu: float, floor: float = SIGMA_FLOOR) -> float:
+def batch_sigma(losses: np.ndarray, mu: float) -> float:
     """Root mean squared deviation of the batch losses around mu, floored.
 
     mu is the running mean, not necessarily the batch mean, so this is
@@ -114,21 +88,19 @@ def batch_sigma(losses: np.ndarray, mu: float, floor: float = SIGMA_FLOOR) -> fl
     losses = np.asarray(losses, dtype=np.float64)
     if losses.ndim != 1 or len(losses) == 0:
         raise DataError("losses must be a non-empty 1-d array")
-    return max(float(floor), float(np.sqrt(np.mean((losses - mu) ** 2))))
+    return max(SIGMA_FLOOR, float(np.sqrt(np.mean((losses - mu) ** 2))))
 
 
-def lambda1(
-    grad_mu_vec: np.ndarray, grad_secondary_vec: np.ndarray, epsilon: float = EPSILON_PROJECTION
-) -> float:
+def lambda1(grad_mu_vec: np.ndarray, grad_secondary_vec: np.ndarray) -> float:
     """Projection bound: smallest non-negative lam keeping
-    (lam * g_mu + g_sec) . g_mu >= epsilon * ||g_mu||^2.
+    (lam * g_mu + g_sec) . g_mu >= EPSILON_PROJECTION * ||g_mu||^2.
 
     Returns 0 when the mean-loss gradient is numerically zero.
     """
     norm_sq = float(grad_mu_vec @ grad_mu_vec)
     if norm_sq < GRAD_NORM_FLOOR:
         return 0.0
-    return max(0.0, epsilon - float(grad_mu_vec @ grad_secondary_vec) / norm_sq)
+    return max(0.0, EPSILON_PROJECTION - float(grad_mu_vec @ grad_secondary_vec) / norm_sq)
 
 
 def lambda2(mu: float, sigma: float, cap: float = 3.0) -> float:
@@ -204,14 +176,15 @@ def vfair_direction(
     params: np.ndarray,
     batch: Batch,
     objective: str = "std_dev",
-) -> tuple[np.ndarray, UpdateState, StepReport]:
+) -> tuple[np.ndarray, UpdateState, dict]:
     """One update direction lam * g_mu + g_sec (not yet applied).
 
     Order of operations per batch: losses -> refresh running mean ->
     sigma around it -> both gradients -> lam1, lam2 -> combined
     direction.  One forward pass feeds the losses and a single stacked
     backward pass with weight rows [1, sw], which yields g_mu and g_sec
-    together.  Returns (direction, advanced state, report).
+    together.  Returns (direction, advanced state, trace row); the row's
+    keys are step-trace column names.
     """
     cache = forward_cache(spec, params, batch)
     losses = per_example_losses(spec, cache.outputs, batch.targets)
@@ -227,14 +200,14 @@ def vfair_direction(
     lam = max(lam1, lam2)
     direction = lam * g_mu + g_sec
 
-    report = StepReport(
-        mu=mu,
-        sigma=sigma,
-        lambda1=lam1,
-        lambda2=lam2,
-        lam=lam,
-        grad_mu_norm=float(np.linalg.norm(g_mu)),
-        grad_dot=float(g_mu @ g_sec),
-        weights_min=float((lam + sw).min()),
-    )
-    return direction, replace(state, ema_mean=mu), report
+    row = {
+        "mu": mu,
+        "sigma": sigma,
+        "lambda1": lam1,
+        "lambda2": lam2,
+        "lambda": lam,
+        "grad_mu_norm": float(np.linalg.norm(g_mu)),
+        "grad_dot": float(g_mu @ g_sec),
+        "weights_min": float((lam + sw).min()),
+    }
+    return direction, replace(state, ema_mean=mu), row

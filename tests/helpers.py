@@ -1,14 +1,16 @@
-"""Shared test utilities: brute-force enumeration oracles.
+"""Shared test utilities: brute-force enumeration and finite-difference oracles.
 
-These deliberately use the dumbest possible method (full enumeration)
-so they can serve as independent checks of the sampled / closed-form
-code paths.
+These deliberately use the dumbest possible method (full enumeration,
+central differences) so they can serve as independent checks of the
+sampled / closed-form / analytic code paths.
 """
 
 import numpy as np
 from scipy import stats
 
-from vfair.metrics import RANK_METRICS, higher_is_better, overall_utility
+from vfair.errors import ConfigError, DataError
+from vfair.metrics import RANK_METRICS, GroupPartition, group_utilities, higher_is_better
+from vfair.nnet import Batch, ModelSpec, forward, per_example_losses
 
 
 def all_set_partitions(n):
@@ -69,14 +71,18 @@ def count_calls(monkeypatch, counts, key, fn, *owners):
 
 
 def loop_random_partition_rank(per_method_predictions, targets, k, trials, seed, kind):
-    """Reference `[methods, 4]` average ranks: one boolean-mask
-    `overall_utility` per group, per method, per trial, drawing each
-    partition with `rng.integers(0, k, size=n)` until every group is hit."""
+    """Reference `[methods, 4]` average ranks: one boolean-mask one-group
+    utility per group, per method, per trial, drawing each partition with
+    `rng.integers(0, k, size=n)` until every group is hit."""
     methods = list(per_method_predictions)
     targets = np.asarray(targets)
     n = len(targets)
     sign = -1.0 if higher_is_better(kind) else 1.0
-    util = np.array([overall_utility(per_method_predictions[m], targets, kind) for m in methods])
+
+    def overall(p, t):
+        return group_utilities(p, t, GroupPartition.whole(len(t)), kind)[0]
+
+    util = np.array([overall(per_method_predictions[m], targets) for m in methods])
     rng = np.random.default_rng(seed)
     rank_sum = np.zeros((len(methods), len(RANK_METRICS)))
     for _ in range(trials):
@@ -87,10 +93,49 @@ def loop_random_partition_rank(per_method_predictions, targets, k, trials, seed,
         wu, mud, tud = [], [], []
         for m in methods:
             p = np.asarray(per_method_predictions[m])
-            gu = np.array([overall_utility(p[g == j], targets[g == j], kind) for j in range(k)])
+            gu = np.array([overall(p[g == j], targets[g == j]) for j in range(k)])
             wu.append(sign * (gu.min() if higher_is_better(kind) else gu.max()))
             mud.append(gu.max() - gu.min())
             tud.append(np.abs(gu - gu.mean()).sum())
         for j, values in enumerate((sign * util, wu, mud, tud)):
             rank_sum[:, j] += stats.rankdata(values, method="average")
     return rank_sum / trials
+
+
+def directional_derivative_fd(
+    spec: ModelSpec,
+    params: np.ndarray,
+    batch: Batch,
+    objective: str,
+    direction: np.ndarray,
+    h: float = 1e-6,
+    weights: np.ndarray | None = None,
+) -> float:
+    """Central-difference directional derivative of a scalar batch objective.
+
+    objective: "mean"      mean of per-example losses
+               "sigma"     std-dev of per-example losses about the batch mean
+               "weighted"  (1/b) * sum_i weights_i * loss_i (weights required)
+
+    Used as an independent check of the analytic gradients; never called
+    by training code.
+    """
+    if objective not in ("mean", "sigma", "weighted"):
+        raise ConfigError(f"unknown fd objective {objective!r}")
+    if objective == "weighted":
+        if weights is None:
+            raise ConfigError("objective 'weighted' needs a weights vector")
+        weights = np.asarray(weights, dtype=np.float64)
+    direction = np.asarray(direction, dtype=np.float64)
+    if direction.shape != np.asarray(params).shape:
+        raise DataError("direction must match the parameter vector shape")
+
+    def value(p):
+        losses = per_example_losses(spec, forward(spec, p, batch), batch.targets)
+        if objective == "mean":
+            return float(losses.mean())
+        if objective == "sigma":
+            return float(np.sqrt(np.mean((losses - losses.mean()) ** 2)))
+        return float(np.mean(weights * losses))
+
+    return (value(params + h * direction) - value(params - h * direction)) / (2.0 * h)

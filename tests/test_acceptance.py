@@ -11,14 +11,20 @@ import time
 import numpy as np
 import pytest
 
-from helpers import all_set_partitions, group_means
+from helpers import all_set_partitions, directional_derivative_fd, group_means
 from vfair.data import DatasetSchema
 from vfair.harness import config_from_dict, run_experiment
-from vfair.metrics import mud, overall_utility, random_partition_rank, significance_test, tud
+from vfair.metrics import (
+    GroupPartition,
+    group_utilities,
+    mud,
+    random_partition_rank,
+    significance_test,
+    tud,
+)
 from vfair.nnet import (
     Batch,
     ModelSpec,
-    directional_derivative_fd,
     init_params,
     forward,
     parameter_count,
@@ -77,9 +83,9 @@ def test_gradient_oracle_suite():
     max_fd = 0.0
     for _ in range(n_instances):
         spec, params, batch = random_instance(rng)
-        trained, _, step = vfair_direction(BATCH_STATISTICS, spec, params, batch)
+        trained, _, row = vfair_direction(BATCH_STATISTICS, spec, params, batch)
         losses = per_example_losses(spec, forward(spec, params, batch), batch.targets)
-        weights = step.lam + (losses - step.mu) / step.sigma
+        weights = row["lambda"] + (losses - row["mu"]) / row["sigma"]
         one_pass = weighted_gradient(spec, params, batch, weights)
         rel = np.linalg.norm(trained - one_pass) / max(np.linalg.norm(trained), 1e-12)
         max_rel = max(max_rel, rel)
@@ -87,7 +93,7 @@ def test_gradient_oracle_suite():
         direction = rng.normal(size=len(params))
         direction /= np.linalg.norm(direction)
         analytic = float(trained @ direction)
-        fd = step.lam * directional_derivative_fd(
+        fd = row["lambda"] * directional_derivative_fd(
             spec, params, batch, "mean", direction
         ) + directional_derivative_fd(spec, params, batch, "sigma", direction)
         max_fd = max(max_fd, abs(analytic - fd) / max(1.0, abs(analytic)))
@@ -109,10 +115,10 @@ def test_coefficient_logic_suite():
     worst_weight = np.inf
     for _ in range(n_batches):
         spec, params, batch = random_instance(rng)
-        trained, _, step = vfair_direction(BATCH_STATISTICS, spec, params, batch)
+        trained, _, row = vfair_direction(BATCH_STATISTICS, spec, params, batch)
         gmu = grad_mu(spec, params, batch)
         worst_margin = min(worst_margin, float(trained @ gmu - gmu @ gmu))
-        worst_weight = min(worst_weight, step.weights_min)
+        worst_weight = min(worst_weight, row["weights_min"])
     elapsed = time.perf_counter() - t0
     ok = worst_margin >= -1e-12 and worst_weight >= -1e-12 and elapsed < 5.0
     report(
@@ -305,7 +311,8 @@ def test_metric_unit_values():
         u = rng.uniform(0.0, 1.0, size=2)
         tud_ok = tud_ok and abs(tud(u) - mud(u)) <= 1e-12
 
-    f1 = overall_utility(np.array([1.0, 1.0]), np.array([1.0, 0.0]), "f1")
+    f1 = group_utilities(np.array([1.0, 1.0]), np.array([1.0, 0.0]), GroupPartition.whole(2), "f1")
+    f1 = f1[0]
     f1_ok = abs(f1 - 2.0 / 3.0) <= 1e-12
 
     ema_ok = True

@@ -7,7 +7,6 @@ from vfair.data import (
     Dataset,
     DatasetSchema,
     SyntheticSpec,
-    decode_categorical,
     load_csv,
     split,
     synthesize,
@@ -125,11 +124,11 @@ def test_categorical_round_trip(tmp_path):
         "age,job,y,sex\n1,x,0,F\n2,y,1,M\n3,x,0,F\n4,z,1,M\n",
     )
     ds = load_csv(p, BASIC_SCHEMA)
-    assert decode_categorical(ds, "job").tolist() == ["x", "y", "x", "z"]
-    with pytest.raises(ConfigError):
-        decode_categorical(ds, "age")
-    with pytest.raises(ConfigError):
-        decode_categorical(ds, "salary")
+    # age is column 0; job is one-hot over its sorted levels x, y, z
+    assert ds.numeric_columns == (0,)
+    block = ds.features[:, 1:]
+    assert np.array_equal(block.sum(axis=1), np.ones(4))
+    assert np.array(["x", "y", "z"])[block.argmax(axis=1)].tolist() == ["x", "y", "x", "z"]
 
 
 def test_constant_numeric_column_zeroed(tmp_path):
@@ -199,9 +198,10 @@ def test_split_sides_partition_the_data():
 def test_split_normalizes_with_train_stats_only():
     ds = synthetic_for_split()
     tr, te = split(ds, test_fraction=0.3, seed=1)
-    for col in tr.columns:
-        tr_col = tr.features[:, col.start]
-        te_col = te.features[:, col.start]
+    assert tr.numeric_columns == tuple(range(tr.feature_dim))
+    for j in tr.numeric_columns:
+        tr_col = tr.features[:, j]
+        te_col = te.features[:, j]
         # train side is exactly standardized (population stats)
         assert tr_col.mean() == pytest.approx(0.0, abs=1e-12)
         assert np.sqrt(np.mean((tr_col - tr_col.mean()) ** 2)) == pytest.approx(1.0)

@@ -24,7 +24,6 @@ from vfair.harness import (
     load_config,
     resolve_utility,
     run_experiment,
-    select_epoch,
     write_trace,
 )
 from vfair.data import take_batch
@@ -118,6 +117,26 @@ def test_config_rejects_bad_sections():
         config_from_dict(malformed)
     with pytest.raises(ConfigError, match="'model'"):
         config_from_dict(tiny_config(model=[8]))
+    with pytest.raises(ConfigError, match="erm_reference_loss"):
+        config_from_dict(tiny_config(erm_reference_loss=float("nan")))
+
+
+@pytest.mark.parametrize("section, key, value", [
+    (None, "methods", "erm"),
+    (None, "methods", 3),
+    (None, "seeds", "12"),
+    (None, "seeds", 7),
+    ("model", "hidden_dims", "64"),
+    ("model", "hidden_dims", 8),
+])
+def test_list_keys_reject_a_bare_string_or_number(section, key, value):
+    # a string would otherwise be read character by character ("12" as
+    # seeds 1 and 2), a number would fail without saying what is wanted
+    d = tiny_config()
+    (d[section] if section else d)[key] = value
+    name = f"{section}.{key}" if section else key
+    with pytest.raises(ConfigError, match=f"'{name}' must be a list"):
+        config_from_dict(d)
 
 
 def test_load_config_errors(tmp_path):
@@ -180,15 +199,23 @@ def test_adagrad_steps_shrink_under_constant_gradient():
 # -- epoch selection --------------------------------------------------------
 
 
-def test_select_epoch_final_and_harmless():
-    losses = [0.9, 0.4, 0.35, 0.32]
-    assert select_epoch(losses, "final", None) == 3
-    assert select_epoch(losses, "harmless", 0.41) == 1
-    assert select_epoch(losses, "harmless", 0.0) == 3
-    # ties resolve to the earliest epoch
-    assert select_epoch([0.5, 0.3, 0.5], "harmless", 0.5) == 0
-    with pytest.raises(ConfigError):
-        select_epoch(losses, "harmless", None)
+@pytest.mark.parametrize("selection", ["final", "harmless"])
+def test_selected_epoch_is_final_or_nearest_reference(selection):
+    d = tiny_config(methods=["erm", "vfair_std", "dro"], epochs=5,
+                    epoch_selection=selection, seeds=[0, 1])
+    cfg = config_from_dict(d)
+    records = run_experiment(cfg)
+    refs = {r.seed: r.per_epoch_loss[-1] for r in records if r.method == "erm"}
+    for rec in records:
+        if selection == "final" or rec.method == "erm":
+            want = cfg.epochs - 1
+        else:
+            want = int(np.argmin(np.abs(np.asarray(rec.per_epoch_loss) - refs[rec.seed])))
+        assert rec.selected_epoch == want
+        # the record holds that epoch's parameters: a run stopped after it
+        # ends on the same bits
+        short = tiny_config(methods=[rec.method], epochs=want + 1, seeds=[rec.seed])
+        assert np.array_equal(run_experiment(config_from_dict(short))[0].params, rec.params)
 
 
 def test_harmless_never_beats_final_epoch_distance():
@@ -205,11 +232,8 @@ def test_harmless_never_beats_final_epoch_distance():
 
 
 def test_harmless_without_reference_raises():
-    cfg = config_from_dict(
-        tiny_config(methods=["vfair_std"], epoch_selection="harmless", epochs=2)
-    )
-    with pytest.raises(ConfigError):
-        run_experiment(cfg)
+    with pytest.raises(ConfigError, match="erm_reference_loss"):
+        config_from_dict(tiny_config(methods=["vfair_std"], epoch_selection="harmless"))
 
 
 def test_harmless_with_explicit_reference():
@@ -455,7 +479,7 @@ def test_failed_write_keeps_the_old_file(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["trace.csv"]
 
 
-def test_failed_rank_write_keeps_the_old_file(tmp_path, monkeypatch):
+def test_failed_rank_write_keeps_the_old_file(tmp_path, monkeypatch, capsys):
     # rank.csv goes through the same temp-file-then-replace path
     cfg_path = write_config(tmp_path, tiny_config(methods=["erm", "vfair_std"]))
     out = tmp_path / "out"
@@ -470,10 +494,22 @@ def test_failed_rank_write_keeps_the_old_file(tmp_path, monkeypatch):
         raise OSError("disk full")
 
     monkeypatch.setattr(harness.os, "replace", refuse)
-    with pytest.raises(OSError, match="disk full"):
-        cli_main(["rank", "--runs", *runs, "--k", "2", "--trials", "3", "--out", str(rank_csv)])
+    capsys.readouterr()
+    argv = ["rank", "--runs", *runs, "--k", "2", "--trials", "3", "--out", str(rank_csv)]
+    assert cli_main(argv) == 2
+    assert capsys.readouterr().err == "error: disk full\n"
     assert rank_csv.read_text() == "the old table\n"
     assert [p.name for p in rank_dir.iterdir()] == ["rank.csv"]
+
+
+def test_failed_write_raises_its_own_error(tmp_path):
+    # the temp file cannot be made under a regular file; the cleanup must
+    # not replace that error with one of its own
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    with pytest.raises(NotADirectoryError) as caught:
+        harness._write_atomically(blocker / "x.csv", "text")
+    assert caught.value.__context__ is None
 
 
 def test_emit_loss_curve_sorted_with_mean_row(tmp_path):
@@ -560,6 +596,25 @@ def test_cli_train_badly_typed_value_exits_2(tmp_path, capsys, section, key, val
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
     assert err.startswith("error: ") and key in err
+
+
+@pytest.mark.parametrize("command", ["train", "curve"])
+def test_cli_output_under_a_file_exits_2(tmp_path, capsys, command):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    cfg_path = write_config(tmp_path, tiny_config(methods=["erm"], epochs=1))
+    if command == "train":
+        argv = ["train", "--config", str(cfg_path), "--out", str(blocker / "sub")]
+    else:
+        out = tmp_path / "out"
+        assert cli_main(["train", "--config", str(cfg_path), "--out", str(out)]) == 0
+        run = str(out / "runs" / "erm_seed0.json")
+        argv = ["curve", "--run", run, "--out", str(blocker / "x.csv")]
+    capsys.readouterr()
+    assert cli_main(argv) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and str(blocker) in err
 
 
 def test_cli_missing_config_exits_2(tmp_path, capsys):

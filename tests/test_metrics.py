@@ -21,10 +21,7 @@ from vfair.metrics import (
     build_report,
     group_utilities,
     higher_is_better,
-    model_similarity,
     mud,
-    overall_utility,
-    prediction_similarity,
     random_partition,
     random_partition_rank,
     significance_test,
@@ -87,14 +84,19 @@ def test_accuracy_and_mse_group_utilities():
 
 def test_f1_hand_values():
     # TP=1, FP=1, FN=0 -> precision 1/2, recall 1 -> F1 = 2/3
-    assert overall_utility(np.array([1, 1]), np.array([1, 0]), "f1") == pytest.approx(2.0 / 3.0)
+    f1 = group_utilities(np.array([1, 1]), np.array([1, 0]), GroupPartition.whole(2), "f1")[0]
+    assert f1 == pytest.approx(2.0 / 3.0)
     # no positives anywhere: denominator 0 scores 0 by convention
-    assert overall_utility(np.zeros(3), np.zeros(3), kind="f1") == 0.0
-    assert overall_utility(np.ones(3), np.ones(3), kind="f1") == 1.0
+    whole = GroupPartition.whole(3)
+    assert group_utilities(np.zeros(3), np.zeros(3), whole, "f1")[0] == 0.0
+    assert group_utilities(np.ones(3), np.ones(3), whole, "f1")[0] == 1.0
 
 
 @pytest.mark.parametrize("kind", ["mse", "prediction_error", "accuracy", "f1"])
 def test_stacked_group_utilities_match_masked_overall_utility(kind):
+    def overall(p, t):
+        return group_utilities(p, t, GroupPartition.whole(len(t)), kind)[0]
+
     rng = np.random.default_rng(38)
     m, n, k = 4, 90, 6
     if kind in ("accuracy", "f1"):
@@ -113,8 +115,7 @@ def test_stacked_group_utilities_match_masked_overall_utility(kind):
         got = group_utilities(stack, targets, part, kind)
         assert got.shape == (m, k)
         want = np.array([
-            [overall_utility(row[part.group_of == g], targets[part.group_of == g], kind)
-             for g in range(k)]
+            [overall(row[part.group_of == g], targets[part.group_of == g]) for g in range(k)]
             for row in stack
         ])
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
@@ -141,8 +142,6 @@ def test_spread_statistics_row_wise():
         assert np.array_equal(worst_utility(u, kind), [worst_utility(r, kind) for r in u])
     assert np.array_equal(mud(u), [mud(r) for r in u])
     assert np.array_equal(tud(u), [tud(r) for r in u])
-    centers = rng.uniform(size=5)
-    assert np.array_equal(tud(u, center=centers), [tud(r, center=c) for r, c in zip(u, centers)])
     assert isinstance(mud(u[0]), float) and isinstance(tud(u[0]), float)
     with pytest.raises(DataError):
         mud(np.zeros((3, 0)))
@@ -158,14 +157,16 @@ def test_worst_utility_orientation():
 
 def test_unknown_kind_rejected():
     with pytest.raises(ConfigError):
-        overall_utility(np.zeros(2), np.zeros(2), "auc")
+        group_utilities(np.zeros(2), np.zeros(2), GroupPartition.whole(2), "auc")
 
 
 def test_overall_utility_alignment_errors():
+    # the overall utility is the one-group partition's
+    whole = GroupPartition.whole(3)
     with pytest.raises(DataError):
-        overall_utility(np.zeros(3), np.zeros(4), "mse")
+        group_utilities(np.zeros(3), np.zeros(4), whole, "mse")
     with pytest.raises(DataError):
-        overall_utility(np.zeros((2, 3)), np.zeros((2, 3)), "mse")
+        group_utilities(np.zeros((2, 3)), np.zeros((2, 3)), whole, "mse")
 
 
 # ---------------------------------------------------------------------------
@@ -194,10 +195,6 @@ def test_tud_equals_mud_for_two_groups():
     for _ in range(100):
         u = rng.uniform(0.0, 1.0, size=2)
         assert tud(u) == pytest.approx(mud(u), abs=1e-15)
-
-
-def test_tud_explicit_center():
-    assert tud([1.0, 0.0], center=0.25) == pytest.approx(0.75 + 0.25)
 
 
 def test_var_pred_error_population_variance():
@@ -247,7 +244,7 @@ def test_build_report_builds_the_terms_once(monkeypatch):
     targets = np.array([1.0, 1.0, 0.0, 1.0])
     rep = build_report(preds, targets, np.zeros(4), part, "f1")
     assert counts == {"terms": 1}
-    assert rep.utility == overall_utility(preds, targets, "f1")
+    assert rep.utility == group_utilities(preds, targets, GroupPartition.whole(4), "f1")[0]
     assert rep.per_group_utility == group_utilities(preds, targets, part, "f1").tolist()
     with pytest.raises(DataError):
         build_report(np.stack([preds, preds]), targets, np.zeros(4), part, "f1")
@@ -269,7 +266,7 @@ def test_overall_report_utility_is_its_one_group_utility(kind):
     whole = GroupPartition.whole(n, label="overall")
     rep = build_report(preds, targets, (preds - targets) ** 2, whole, kind)
     assert rep.utility == rep.per_group_utility[0]
-    assert rep.utility == overall_utility(preds, targets, kind)
+    assert rep.utility == group_utilities(preds, targets, whole, kind)[0]
     assert rep.partition_label == "overall"
 
 
@@ -396,7 +393,7 @@ def test_sampled_mud_matches_enumeration():
 
 
 # ---------------------------------------------------------------------------
-# Significance / similarity
+# Significance
 # ---------------------------------------------------------------------------
 
 
@@ -424,31 +421,6 @@ def test_significance_degenerate_and_separated():
 def test_significance_needs_two_per_side():
     with pytest.raises(ConfigError):
         significance_test([1.0], [1.0, 2.0])
-
-
-def test_model_similarity():
-    a = np.array([1.0, 2.0, 3.0])
-    assert model_similarity(a, 2.5 * a) == pytest.approx(1.0)
-    assert model_similarity(a, -a) == pytest.approx(-1.0)
-    assert model_similarity(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == pytest.approx(0.0)
-    with pytest.raises(DataError):
-        model_similarity(a, np.zeros(3))
-    with pytest.raises(DataError):
-        model_similarity(a, np.zeros(2))
-
-
-def test_prediction_similarity_binary_and_multiclass():
-    a = np.array([1.0, -1.0, 2.0, -0.5])
-    b = np.array([0.5, -2.0, -1.0, 3.0])
-    assert prediction_similarity(a, b, "binary_bce") == pytest.approx(0.5)
-    assert prediction_similarity(a, a, "logistic_regression_mse") == 1.0
-
-    am = np.array([[1.0, 0.0], [0.0, 1.0], [2.0, 1.0]])
-    bm = np.array([[0.9, 0.1], [1.0, 0.0], [0.0, 5.0]])
-    assert prediction_similarity(am, bm, "multiclass_ce") == pytest.approx(1.0 / 3.0)
-
-    with pytest.raises(ConfigError):
-        prediction_similarity(a, b, "regression_mse")
 
 
 def test_rank_table_csv(tmp_path, capsys):

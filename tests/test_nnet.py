@@ -5,11 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from helpers import directional_derivative_fd
 from vfair.errors import ConfigError, DataError
 from vfair.nnet import (
     Batch,
     ModelSpec,
-    directional_derivative_fd,
     forward,
     forward_cache,
     init_params,

@@ -1,0 +1,47 @@
+"""The package keeps no public function or class that only the tests use."""
+
+import ast
+from pathlib import Path
+
+import vfair
+
+SRC = Path(vfair.__file__).parent
+
+# public names the package itself never calls, each with its caller
+ALLOWED = {
+    "group_utilities": "called by perfbench/",
+    "dro_objective": "called by perfbench/",
+}
+
+
+def _names_used(tree, skip=None) -> set:
+    """Every name a tree loads, reads as an attribute or imports, outside
+    the subtree `skip`."""
+    used = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            used.update(alias.name for alias in node.names)
+        stack.extend(ast.iter_child_nodes(node))
+    return used
+
+
+def test_every_public_definition_has_a_caller_in_the_package():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SRC.glob("*.py")}
+    assert "harness.py" in trees
+    unused = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            used = set().union(*(_names_used(t, skip=node) for t in trees.values()))
+            if node.name not in used | set(vfair.__all__) | set(ALLOWED):
+                unused.append(f"{module}:{node.name}")
+    assert unused == []

@@ -6,13 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from helpers import count_calls
+from helpers import count_calls, directional_derivative_fd
 from vfair import nnet, update
 from vfair.errors import ConfigError
+from vfair.harness import TRACE_COLUMNS
 from vfair.nnet import (
     Batch,
     ModelSpec,
-    directional_derivative_fd,
     forward,
     init_params,
     per_example_losses,
@@ -21,7 +21,6 @@ from vfair.nnet import (
 from vfair.update import (
     OBJECTIVES,
     SIGMA_FLOOR,
-    StepReport,
     UpdateState,
     batch_sigma,
     ema_update,
@@ -114,8 +113,7 @@ def test_batch_sigma_running_mean_not_batch_mean():
 
 
 def test_batch_sigma_floor():
-    assert batch_sigma(np.array([2.0, 2.0]), 2.0) == 1e-12
-    assert batch_sigma(np.array([2.0, 2.0]), 2.0, floor=1e-6) == 1e-6
+    assert batch_sigma(np.array([2.0, 2.0]), 2.0) == SIGMA_FLOOR == 1e-12
 
 
 def test_lambda1_hand_values():
@@ -140,14 +138,14 @@ def test_lambda2_hand_values_and_cap():
 def test_combined_weights_hand_vector():
     # losses [1, 2, 3] at mu = 2: weights lam + (l - mu)/sigma = 1 -/+ 1/sigma
     spec, params, batch = regression_batch_with_losses([1.0, 2.0, 3.0])
-    direction, _, report = vfair_direction(BATCH_STATISTICS, spec, params, batch)
+    direction, _, row = vfair_direction(BATCH_STATISTICS, spec, params, batch)
     sigma = math.sqrt(2.0 / 3.0)
-    assert report.mu == pytest.approx(2.0)
-    assert report.sigma == pytest.approx(sigma)
-    assert report.lam == pytest.approx(2.0 / sigma)  # lambda2, uncapped
+    assert row["mu"] == pytest.approx(2.0)
+    assert row["sigma"] == pytest.approx(sigma)
+    assert row["lambda"] == pytest.approx(2.0 / sigma)  # lambda2, uncapped
     z = 1.0 / sigma
-    w = report.lam + np.array([-z, 0.0, z])
-    assert report.weights_min == pytest.approx(w[0])
+    w = row["lambda"] + np.array([-z, 0.0, z])
+    assert row["weights_min"] == pytest.approx(w[0])
     np.testing.assert_allclose(direction, weighted_gradient(spec, params, batch, w), rtol=1e-12)
 
 
@@ -158,11 +156,11 @@ def test_combined_weights_nonnegative_with_lambda2_uncapped():
     for _ in range(200):
         losses = rng.uniform(0.0, 5.0, size=int(rng.integers(2, 40)))
         spec, params, batch = regression_batch_with_losses(losses)
-        _, _, report = vfair_direction(BATCH_STATISTICS, spec, params, batch)
+        _, _, row = vfair_direction(BATCH_STATISTICS, spec, params, batch)
         losses = per_example_losses(spec, forward(spec, params, batch), batch.targets)
-        weights = report.lam + (losses - report.mu) / report.sigma
+        weights = row["lambda"] + (losses - row["mu"]) / row["sigma"]
         assert weights.min() >= -1e-12
-        assert report.weights_min >= -1e-12
+        assert row["weights_min"] >= -1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -220,12 +218,12 @@ def test_grad_sigma_matches_fd_with_batch_statistics():
     checked = 0
     while checked < 40:
         spec, params, batch = random_setup(rng)
-        direction, _, report = vfair_direction(BATCH_STATISTICS, spec, params, batch)
-        if report.sigma < 1e-4:  # fd of a kink, skip degenerate draws
+        direction, _, row = vfair_direction(BATCH_STATISTICS, spec, params, batch)
+        if row["sigma"] < 1e-4:  # fd of a kink, skip degenerate draws
             continue
         d = rng.normal(size=params.shape)
         d /= np.linalg.norm(d)
-        fd = report.lam * directional_derivative_fd(
+        fd = row["lambda"] * directional_derivative_fd(
             spec, params, batch, "mean", d
         ) + directional_derivative_fd(spec, params, batch, "sigma", d)
         tol = 1e-4 if spec.activation == "relu" else 1e-5
@@ -239,30 +237,30 @@ def test_reweighted_form_equals_two_gradient_form():
     rng = np.random.default_rng(14)
     for _ in range(50):
         spec, params, batch = random_setup(rng)
-        direction, _, report = vfair_direction(BATCH_STATISTICS, spec, params, batch)
+        direction, _, row = vfair_direction(BATCH_STATISTICS, spec, params, batch)
         losses = per_example_losses(spec, forward(spec, params, batch), batch.targets)
-        g_sigma = weighted_gradient(spec, params, batch, (losses - report.mu) / report.sigma)
-        double = report.lam * grad_mu(spec, params, batch) + g_sigma
+        g_sigma = weighted_gradient(spec, params, batch, (losses - row["mu"]) / row["sigma"])
+        double = row["lambda"] * grad_mu(spec, params, batch) + g_sigma
         np.testing.assert_allclose(direction, double, rtol=1e-10, atol=1e-14)
 
 
 def test_vfair_direction_is_one_reweighted_backward():
     # the direction that trains equals one weighted backward pass with
-    # weights lam + sw, sw rebuilt from the report's mu and sigma
+    # weights lam + sw, sw rebuilt from the row's mu and sigma
     rng = np.random.default_rng(17)
     for objective in OBJECTIVES:
         for _ in range(30):
             spec, params, batch = random_setup(rng)
             state = UpdateState(ema_mean=float(rng.uniform(0.0, 2.0)))
-            direction, _, report = vfair_direction(state, spec, params, batch, objective)
+            direction, _, row = vfair_direction(state, spec, params, batch, objective)
             losses = per_example_losses(spec, forward(spec, params, batch), batch.targets)
             if objective == "std_dev":
-                sw = (losses - report.mu) / report.sigma
+                sw = (losses - row["mu"]) / row["sigma"]
             elif objective == "variance":
-                sw = 2.0 * (losses - report.mu)
+                sw = 2.0 * (losses - row["mu"])
             else:
                 sw = pairwise_coefficients(losses)
-            single = weighted_gradient(spec, params, batch, report.lam + sw)
+            single = weighted_gradient(spec, params, batch, row["lambda"] + sw)
             assert np.linalg.norm(direction - single) <= 1e-10 * np.linalg.norm(single)
 
 
@@ -285,14 +283,14 @@ def test_vfair_direction_one_forward_one_backward(monkeypatch):
 def test_step_report_on_hand_built_batch():
     spec, params, batch = regression_batch_with_losses([1.0, 2.0, 3.0])
     state = UpdateState(ema_mean=2.0)  # batch mean is also 2 -> mu stays 2
-    direction, new_state, report = vfair_direction(state, spec, params, batch)
+    direction, new_state, row = vfair_direction(state, spec, params, batch)
 
     sigma = math.sqrt(2.0 / 3.0)
-    assert report.mu == pytest.approx(2.0)
-    assert report.sigma == pytest.approx(sigma)
-    assert report.lambda2 == pytest.approx(min(3.0, 2.0 / sigma))
-    assert report.lam == max(report.lambda1, report.lambda2)
-    assert report.weights_min == pytest.approx(report.lam + (1.0 - 2.0) / sigma)
+    assert row["mu"] == pytest.approx(2.0)
+    assert row["sigma"] == pytest.approx(sigma)
+    assert row["lambda2"] == pytest.approx(min(3.0, 2.0 / sigma))
+    assert row["lambda"] == max(row["lambda1"], row["lambda2"])
+    assert row["weights_min"] == pytest.approx(row["lambda"] + (1.0 - 2.0) / sigma)
     assert new_state.ema_mean == pytest.approx(2.0)
     # the running mean is the only state a step advances
     assert new_state == dataclasses.replace(state, ema_mean=new_state.ema_mean)
@@ -310,9 +308,9 @@ def test_floored_sigma_with_unit_cap_degenerates_to_mean_step():
     batch = Batch(features=x, targets=y)
     params = np.zeros(2)
     state = UpdateState(ema_mean=4.0, lambda2_cap=1.0)
-    direction, _, report = vfair_direction(state, spec, params, batch)
-    assert report.sigma == SIGMA_FLOOR
-    assert report.lam == 1.0
+    direction, _, row = vfair_direction(state, spec, params, batch)
+    assert row["sigma"] == SIGMA_FLOOR
+    assert row["lambda"] == 1.0
     np.testing.assert_allclose(direction, grad_mu(spec, params, batch))
 
 
@@ -320,16 +318,16 @@ def test_variance_objective_hand_lambda2():
     # losses [0, 1] with running mean 0.5: lam2 = 2*(0.5 - 0) = 1
     spec, params, batch = regression_batch_with_losses([0.0, 1.0])
     state = UpdateState(ema_mean=0.5)
-    _, _, report = vfair_direction(state, spec, params, batch, objective="variance")
-    assert report.mu == pytest.approx(0.5)
-    assert report.lambda2 == pytest.approx(1.0)
+    _, _, row = vfair_direction(state, spec, params, batch, objective="variance")
+    assert row["mu"] == pytest.approx(0.5)
+    assert row["lambda2"] == pytest.approx(1.0)
 
 
 def test_pairwise_objective_constant_lambda2():
     spec, params, batch = regression_batch_with_losses([0.2, 0.9, 1.7])
     state = UpdateState(ema_mean=1.0)
-    _, _, report = vfair_direction(state, spec, params, batch, objective="pairwise")
-    assert report.lambda2 == 2.0
+    _, _, row = vfair_direction(state, spec, params, batch, objective="pairwise")
+    assert row["lambda2"] == 2.0
 
 
 def test_unknown_objective_rejected():
@@ -346,7 +344,7 @@ def test_descent_safety_all_objectives():
         state = UpdateState(ema_mean=0.0)
         for _ in range(40):
             spec, params, batch = random_setup(rng)
-            direction, state2, report = vfair_direction(state, spec, params, batch, objective)
+            direction, state2, row = vfair_direction(state, spec, params, batch, objective)
             g = grad_mu(spec, params, batch)
             lhs = float(direction @ g)
             assert lhs >= float(g @ g) - 1e-12
@@ -363,8 +361,13 @@ def test_update_state_validation():
 
 
 def test_step_report_row_columns():
-    row = StepReport(1.0, 2.0, 3.0, 4.0, 4.0, 5.0, 6.0, 7.0).to_row()
-    assert list(row) == [
-        "mu", "sigma", "lambda1", "lambda2", "lambda",
-        "grad_mu_norm", "grad_dot", "weights_min",
-    ]
+    # the row a step returns is the trace's coefficient columns, in order
+    spec, params, batch = regression_batch_with_losses([1.0, 2.0, 3.0])
+    for objective in OBJECTIVES:
+        _, _, row = vfair_direction(UpdateState(), spec, params, batch, objective)
+        assert list(row) == [
+            "mu", "sigma", "lambda1", "lambda2", "lambda",
+            "grad_mu_norm", "grad_dot", "weights_min",
+        ]
+        assert set(row) < set(TRACE_COLUMNS)
+        assert all(type(v) is float for v in row.values())
