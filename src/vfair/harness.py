@@ -362,7 +362,7 @@ class RunRecord:
     def save(self, path) -> None:
         """Strict JSON; a non-finite value raises before anything is written."""
         try:
-            text = json.dumps(self.to_json_dict(), indent=2, sort_keys=True, allow_nan=False)
+            text = json.dumps(self.to_json_dict(), sort_keys=True, allow_nan=False)
         except ValueError as exc:
             raise NumericError(f"{self.method} seed={self.seed}: record not saved: {exc}") from None
         _write_atomically(path, text)

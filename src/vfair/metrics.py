@@ -247,9 +247,6 @@ class RankTable:
     methods: list[str]
     avg_rank: np.ndarray  # [n_methods, len(RANK_METRICS)]
 
-    def rank_of(self, method: str, metric: str) -> float:
-        return float(self.avg_rank[self.methods.index(method), RANK_METRICS.index(metric)])
-
 
 # rejection sampling in `random_partition` refuses (n, k) whose expected
 # number of draws exceeds this

@@ -7,6 +7,11 @@ vector treated as constants.  The plain mean gradient, the spread
 calls of this primitive with different weights, so the backprop code
 below is the only place derivatives are taken.
 
+Whole-split evaluation (``forward``) runs the same forward pass over
+fixed FORWARD_BLOCK_ROWS-row blocks, so its peak memory scales with the
+block rather than the split; its outputs agree with a one-pass forward
+to within ulps and are deterministic.
+
 Parameters live in a single flat float64 vector.  The layout is a
 deterministic function of the model spec (layer by layer, weight matrix
 then bias), which keeps gradient vectors, parameter vectors and
@@ -198,9 +203,26 @@ def forward_cache(spec: ModelSpec, params: np.ndarray, batch: Batch) -> ForwardC
     return ForwardCache(inputs, preacts, h)
 
 
+# rows per ``forward_cache`` call when ``forward`` evaluates a whole split
+FORWARD_BLOCK_ROWS = 2048
+
+
 def forward(spec: ModelSpec, params: np.ndarray, batch: Batch) -> np.ndarray:
-    """Network outputs [b, output_dim]; classification tasks return logits."""
-    return forward_cache(spec, params, batch).outputs
+    """Network outputs [b, output_dim]; classification tasks return logits.
+
+    Runs ``forward_cache`` over consecutive FORWARD_BLOCK_ROWS-row views
+    of the batch, so peak memory follows the block, not the split.  A
+    batch of at most one block is the one-pass forward bit for bit; on
+    longer ones, BLAS may pick another kernel for a block's shape, so
+    outputs can differ from one pass in the last ulps.  The block size
+    is fixed, so outputs are deterministic.
+    """
+    n = len(batch)
+    outputs = np.empty((n, spec.output_dim))
+    for start in range(0, n, FORWARD_BLOCK_ROWS):
+        block = slice(start, start + FORWARD_BLOCK_ROWS)
+        outputs[block] = forward_cache(spec, params, batch.subset(block)).outputs
+    return outputs
 
 
 def _check_targets(spec: ModelSpec, targets: np.ndarray) -> np.ndarray:

@@ -8,6 +8,9 @@ import pytest
 from helpers import directional_derivative_fd
 from vfair.errors import ConfigError, DataError
 from vfair.nnet import (
+    ACTIVATIONS,
+    FORWARD_BLOCK_ROWS,
+    TASKS,
     Batch,
     ModelSpec,
     forward,
@@ -124,6 +127,24 @@ def test_forward_zero_params_predicts_zero():
     batch = make_batch([[1.0, -2.0], [0.5, 4.0]], [0.0, 0.0])
     out = forward(spec, np.zeros(parameter_count(spec)), batch)
     assert np.array_equal(out, np.zeros((2, 1)))
+
+
+B = FORWARD_BLOCK_ROWS
+
+
+@pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 3 * B + 7])
+@pytest.mark.parametrize("activation", ACTIVATIONS)
+@pytest.mark.parametrize("task", TASKS)
+def test_blocked_forward_matches_one_pass(task, activation, n):
+    spec = ModelSpec(input_dim=7, hidden_dims=(16, 8), output_dim=3 if task == "multiclass_ce" else 1,
+                     task=task, activation=activation)
+    params = init_params(spec, seed=5)
+    batch = Batch(features=np.random.default_rng(n).normal(size=(n, 7)) * 2.0, targets=np.zeros(n))
+    blocked = forward(spec, params, batch)
+    one_pass = forward_cache(spec, params, batch).outputs
+    assert np.array_equal(blocked[:B], one_pass[:B])
+    np.testing.assert_allclose(blocked, one_pass, rtol=1e-12, atol=1e-12 * np.abs(one_pass).max())
+    assert np.array_equal(forward(spec, params, batch), blocked)
 
 
 def test_regression_loss_and_gradient_single_example():
