@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError
 from .nnet import Batch, ModelSpec, forward_cache, per_example_losses, weighted_gradient
 
 
@@ -65,13 +65,10 @@ def dro_eta(losses: np.ndarray, cfg: DroConfig) -> float:
     when C^2 > b / m.  F is convex, so eta* is the first eta_m (m rising)
     that is not below its segment, i.e. not below the (m+1)-th largest
     loss; m = b always qualifies.  With C >= sqrt(b), F rises from max l
-    onward and eta* = max l.
+    onward and eta* = max l.  ``losses`` come from ``per_example_losses``
+    (finite, non-negative, non-empty); if their prefix sums overflow, m = b
+    is taken and eta* is NaN, for the next loss check to report.
     """
-    losses = np.asarray(losses, dtype=np.float64)
-    if losses.ndim != 1 or len(losses) == 0:
-        raise DataError("losses must be a non-empty 1-d array")
-    if not np.all(np.isfinite(losses)) or np.any(losses < 0.0):
-        raise DataError("losses must be finite and non-negative")
     b = len(losses)
     c2 = cfg.scale**2
     top = float(losses.max())
@@ -83,7 +80,9 @@ def dro_eta(losses: np.ndarray, cfg: DroConfig) -> float:
     spread = np.maximum(np.cumsum(d * d) - d1 * d1 / m, 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         shift = (d1 + np.sqrt(b * spread / (c2 - b / m))) / m
-    first = np.flatnonzero((c2 > b / m) & (shift <= np.append(d[1:], np.inf)))[0]
+    qualifies = (c2 > b / m) & (shift <= np.append(d[1:], np.inf))
+    qualifies[-1] = True  # fails only when an overflowed sum made shift NaN
+    first = int(qualifies.argmax())
     return top - float(shift[first])
 
 

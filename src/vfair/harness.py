@@ -17,6 +17,7 @@ import csv
 import io
 import json
 import logging
+import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -124,8 +125,6 @@ class ExperimentConfig:
             raise ConfigError("at least one seed is required")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError("duplicate seeds in config")
-        if self.erm_reference_loss is not None and not np.isfinite(self.erm_reference_loss):
-            raise ConfigError("erm_reference_loss must be finite")
         if (self.epoch_selection == "harmless" and "erm" not in self.methods
                 and self.erm_reference_loss is None):
             raise ConfigError(
@@ -156,7 +155,8 @@ _SYNTHETIC_KEYS = {
 
 def _typed(section: dict, table: dict, where: str = "") -> dict:
     """The converted values of the keys in `section` that `table` names;
-    a value the converter refuses is a ConfigError naming `where` + key."""
+    a value the converter refuses, or a float that is not finite, is a
+    ConfigError naming `where` + key."""
     if not isinstance(section, dict):
         raise ConfigError(f"config section {where.rstrip('.')!r} must be a JSON object")
     out = {}
@@ -168,8 +168,10 @@ def _typed(section: dict, table: dict, where: str = "") -> dict:
             raise ConfigError(f"config key {where + key!r} must be a list, got {value!r}")
         try:
             out[key] = convert(value)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):  # int(inf) overflows
             raise ConfigError(f"config key {where + key!r} has a bad value {value!r}") from None
+        if convert is float and not math.isfinite(out[key]):
+            raise ConfigError(f"config key {where + key!r} must be finite, got {value!r}")
     return out
 
 
@@ -177,7 +179,7 @@ def config_from_dict(d: dict) -> ExperimentConfig:
     """Validate and type a parsed config mapping (see README for the schema)."""
     if not isinstance(d, dict):
         raise ConfigError("config root must be a JSON object")
-    unknown = set(d) - set(_TOP_LEVEL_KEYS) - {"dataset", "model", "method"}
+    unknown = set(d) - set(_TOP_LEVEL_KEYS) - {"dataset", "model"}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
 
@@ -216,8 +218,6 @@ def config_from_dict(d: dict) -> ExperimentConfig:
     fields.update(_typed(ds, _DATASET_KEYS, "dataset."))
     if "seed" in fields:
         fields["data_seed"] = fields.pop("seed")
-    if "methods" not in fields and d.get("method") is not None:
-        fields["methods"] = (str(d["method"]),)
     return ExperimentConfig(
         raw=d,
         dataset_kind=kind,
@@ -432,31 +432,28 @@ def _train_one(cfg: ExperimentConfig, spec: ModelSpec, train: Dataset, method: s
     per_epoch_loss = []
     trace = []
     step = 0
-    # a diverging run reports itself once, as the NumericError that
-    # per_example_losses raises, not as a burst of overflow warnings first
     try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            for epoch in range(cfg.epochs):
-                order = rng.permutation(train.n)
-                for start in range(0, train.n, cfg.batch_size):
-                    batch = full.subset(order[start : start + cfg.batch_size])
-                    if method == "erm":
-                        grad = grad_mu(spec, params, batch)
-                    elif method == "dro":
-                        grad, eta = dro_direction(spec, params, batch, dro_cfg)
-                        trace.append({"step": step, "eta": eta})
-                    else:
-                        grad, state, row = vfair_direction(state, spec, params, batch, objective)
-                        trace.append({"step": step, **row})
-                    params = optimizer.step(params, grad)
-                    step += 1
-                losses = per_example_losses(spec, forward(spec, params, full), full.targets)
-                loss = float(losses.mean())
-                per_epoch_loss.append(loss)
-                if reference is None or epoch == 0 or (
-                    abs(loss - reference) < abs(per_epoch_loss[best_epoch] - reference)
-                ):
-                    best, best_epoch = params, epoch
+        for epoch in range(cfg.epochs):
+            order = rng.permutation(train.n)
+            for start in range(0, train.n, cfg.batch_size):
+                batch = full.subset(order[start : start + cfg.batch_size])
+                if method == "erm":
+                    grad = grad_mu(spec, params, batch)
+                elif method == "dro":
+                    grad, eta = dro_direction(spec, params, batch, dro_cfg)
+                    trace.append({"step": step, "eta": eta})
+                else:
+                    grad, state, row = vfair_direction(state, spec, params, batch, objective)
+                    trace.append({"step": step, **row})
+                params = optimizer.step(params, grad)
+                step += 1
+            losses = per_example_losses(spec, forward(spec, params, full), full.targets)
+            loss = float(losses.mean())
+            per_epoch_loss.append(loss)
+            if reference is None or epoch == 0 or (
+                abs(loss - reference) < abs(per_epoch_loss[best_epoch] - reference)
+            ):
+                best, best_epoch = params, epoch
     except NumericError as exc:
         raise NumericError(f"{method} seed={seed} epoch={epoch} step={step}: {exc}") from exc
     return best, best_epoch, per_epoch_loss, trace
@@ -516,19 +513,23 @@ def run_experiment(cfg: ExperimentConfig) -> list:
 
     harmless = cfg.epoch_selection == "harmless"
     records = []
-    for seed in cfg.seeds:
-        reference = cfg.erm_reference_loss
-        for method in ordered:
-            params, chosen, per_epoch_loss, trace = _train_one(
-                cfg, spec, train, method, seed, reference if harmless else None
-            )
-            if method == "erm" and reference is None:
-                reference = per_epoch_loss[-1]
-            record = evaluate(cfg, spec, test, params, method, seed)
-            record.per_epoch_loss = per_epoch_loss
-            record.selected_epoch = chosen
-            record.trace = trace
-            records.append(record)
+    # a run that breaks down numerically, in training or in test
+    # evaluation, reports itself once: as the NumericError of the next
+    # loss check or of RunRecord.save, not after a burst of overflow warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for seed in cfg.seeds:
+            reference = cfg.erm_reference_loss
+            for method in ordered:
+                params, chosen, per_epoch_loss, trace = _train_one(
+                    cfg, spec, train, method, seed, reference if harmless else None
+                )
+                if method == "erm" and reference is None:
+                    reference = per_epoch_loss[-1]
+                record = evaluate(cfg, spec, test, params, method, seed)
+                record.per_epoch_loss = per_epoch_loss
+                record.selected_epoch = chosen
+                record.trace = trace
+                records.append(record)
     return records
 
 

@@ -33,9 +33,6 @@ from .errors import ConfigError, DataError, NumericError
 TASKS = ("regression_mse", "binary_bce", "multiclass_ce", "logistic_regression_mse")
 ACTIVATIONS = ("relu", "sigmoid", "identity")
 
-# Tasks whose network output is a logit (loss applies the link itself).
-_LOGIT_TASKS = ("binary_bce", "multiclass_ce", "logistic_regression_mse")
-
 
 # ---------------------------------------------------------------------------
 # Specs and batches
@@ -304,14 +301,11 @@ def weighted_gradient(spec: ModelSpec, params: np.ndarray, batch: Batch, weights
     per row).  A stack costs one reverse pass: the k output deltas of
     each example travel side by side, so every layer is one matrix
     product.  ``cache``, from ``forward_cache`` on the same params and
-    batch, saves the forward pass.
+    batch, saves the forward pass.  ``weights`` is a float array, not
+    checked: callers build it from losses ``per_example_losses`` found
+    finite, and a weight that overflows shows at the next loss check.
     """
-    weights = np.asarray(weights, dtype=np.float64)
     b = len(batch)
-    if weights.ndim not in (1, 2) or weights.shape[-1] != b:
-        raise DataError("weights must be [b] or [k, b], aligned with the batch")
-    if not np.all(np.isfinite(weights)):
-        raise DataError("non-finite weights")
     if cache is None:
         cache = forward_cache(spec, params, batch)
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError
 from .nnet import Batch, ModelSpec, forward_cache, per_example_losses, weighted_gradient
 
 OBJECTIVES = ("std_dev", "variance", "pairwise")
@@ -70,12 +70,11 @@ class UpdateState:
 
 
 def ema_update(mu_prev: float, losses: np.ndarray, decay: float) -> float:
-    """mu_t = decay * mu_{t-1} + (1 - decay) * mean(losses)."""
-    losses = np.asarray(losses, dtype=np.float64)
-    if losses.ndim != 1 or len(losses) == 0:
-        raise DataError("losses must be a non-empty 1-d array")
-    if not 0.0 <= decay < 1.0:
-        raise ConfigError("decay must be in [0, 1)")
+    """mu_t = decay * mu_{t-1} + (1 - decay) * mean(losses).
+
+    ``losses`` come from ``per_example_losses`` (a non-empty, finite,
+    non-negative 1-d array) and ``decay`` from a validated UpdateState.
+    """
     return float(decay * mu_prev + (1.0 - decay) * losses.mean())
 
 
@@ -83,11 +82,9 @@ def batch_sigma(losses: np.ndarray, mu: float) -> float:
     """Root mean squared deviation of the batch losses around mu, floored.
 
     mu is the running mean, not necessarily the batch mean, so this is
-    not the batch standard deviation in general.
+    not the batch standard deviation in general.  ``losses`` come from
+    ``per_example_losses`` (a non-empty, finite 1-d array).
     """
-    losses = np.asarray(losses, dtype=np.float64)
-    if losses.ndim != 1 or len(losses) == 0:
-        raise DataError("losses must be a non-empty 1-d array")
     return max(SIGMA_FLOOR, float(np.sqrt(np.mean((losses - mu) ** 2))))
 
 
@@ -110,9 +107,8 @@ def lambda2(mu: float, sigma: float, cap: float = 3.0) -> float:
     lam >= mu/sigma keeps every reweighting coefficient non-negative.
     The cap bounds the mean-loss emphasis when sigma is tiny relative
     to mu (a z-score beyond the cap is treated as an outlier tail).
+    ``sigma`` comes from ``batch_sigma``, so it is at least SIGMA_FLOOR.
     """
-    if sigma <= 0.0:
-        raise ConfigError("sigma must be positive (apply the floor first)")
     return min(float(cap), mu / sigma)
 
 
@@ -121,9 +117,9 @@ def pairwise_coefficients(losses: np.ndarray) -> np.ndarray:
 
     Sorting first makes the consecutive-difference sum collapse to
     max - min, so interior coefficients are -1/0/+1 (ties contribute 0,
-    using sign(0) = 0).  Returned in original example order.
+    using sign(0) = 0).  Returned in original example order.  ``losses``
+    is the float64 1-d array that ``per_example_losses`` returns.
     """
-    losses = np.asarray(losses, dtype=np.float64)
     b = len(losses)
     phi_sorted = np.zeros(b)
     if b > 1:

@@ -9,7 +9,7 @@ from scipy.special import expit
 from helpers import count_calls
 from vfair import baselines, nnet
 from vfair.baselines import DroConfig, dro_direction, dro_eta, dro_objective
-from vfair.errors import ConfigError, DataError
+from vfair.errors import ConfigError
 from vfair.harness import Sgd, config_from_dict
 from vfair.nnet import (
     Batch,
@@ -128,11 +128,14 @@ def test_dro_eta_below_min_loss_minus_one():
     assert dro_objective(losses, eta, cfg) <= dro_objective(losses, grid, cfg).min() + 1e-12
 
 
-def test_dro_eta_validation():
-    with pytest.raises(DataError):
-        dro_eta(np.array([]), DroConfig())
-    with pytest.raises(DataError):
-        dro_eta(np.array([-1.0]), DroConfig())
+def test_dro_eta_overflowed_sums_give_nan_not_an_error():
+    # finite losses whose squared prefix sums overflow: no segment test
+    # holds, so eta* falls back to m = b and comes back NaN for the next
+    # loss check to report; run_experiment's errstate is reproduced here
+    losses = np.linspace(0.0, 1e300, 40)
+    with np.errstate(over="ignore", invalid="ignore"):
+        eta = dro_eta(losses, DroConfig())
+    assert math.isnan(eta)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -84,7 +85,6 @@ def test_config_defaults_and_types():
     # a present key is re-typed, an explicit null keeps the default
     typed = config_from_dict(tiny_config(epochs="4", seeds=["2"], erm_reference_loss=None))
     assert typed.epochs == 4 and typed.seeds == (2,) and typed.erm_reference_loss is None
-    assert config_from_dict(tiny_config(methods=None, method="dro")).methods == ("dro",)
 
 
 def test_config_rejects_bad_sections():
@@ -586,6 +586,11 @@ def test_cli_train_bad_config_exits_2(tmp_path, capsys):
     (None, "seeds", 3),
     ("model", "hidden_dims", ["x"]),
     ("dataset", "n", "lots"),
+    # a non-finite number would train, then fail as if the run had diverged
+    (None, "lambda2_cap", float("nan")),
+    (None, "step_size", float("nan")),
+    (None, "step_size", float("inf")),
+    (None, "epochs", float("inf")),
 ])
 def test_cli_train_badly_typed_value_exits_2(tmp_path, capsys, section, key, value):
     d = tiny_config()
@@ -644,15 +649,48 @@ def test_cli_rank_rejects_mismatched_runs(tmp_path, capsys):
     assert "test split" in capsys.readouterr().err
 
 
-def test_cli_train_divergence_exits_3(tmp_path, capsys, recwarn):
-    cfg_path = write_config(tmp_path, tiny_config(step_size=50.0))
+def readme_config(dataset_seed, **overrides):
+    """The README config with one seed, the final epoch and a dataset seed."""
+    d = {
+        "dataset": {
+            "kind": "synthetic", "n": 1500, "group_ratio": 0.3, "feature_dim": 4,
+            "minority_shift": 1.0, "noise_std": 0.1, "task": "regression_mse",
+            "seed": dataset_seed, "test_fraction": 0.3, "split_seed": 3,
+        },
+        "model": {"hidden_dims": [16, 8], "activation": "relu"},
+        "optimizer": "sgd", "step_size": 0.01, "batch_size": 128, "epochs": 150,
+        "decay": 0.99, "lambda2_cap": 3.0, "dro_alpha_min": 0.2, "seeds": [0],
+        "epoch_selection": "final", "utility": "auto",
+    }
+    d.update(overrides)
+    return d
+
+
+DIVERGED = r"non-finite per-example loss$"
+
+
+@pytest.mark.parametrize("config, message", [
+    (tiny_config(step_size=50.0), r"erm seed=0 epoch=\d+ step=\d+: " + DIVERGED),
+    # DRO's closed-form sums overflow while the losses are still finite
+    (tiny_config(methods=["dro"], batch_size=64, step_size=0.5),
+     r"dro seed=0 epoch=\d+ step=\d+: " + DIVERGED),
+    (readme_config(3, methods=["dro"], step_size=1.0, epochs=5),
+     r"dro seed=0 epoch=\d+ step=\d+: " + DIVERGED),
+    # the variance weights overflow before the losses do
+    (readme_config(5, methods=["vfair_var"], step_size=5.0, epochs=5),
+     r"vfair_var seed=0 epoch=\d+ step=\d+: " + DIVERGED),
+    # training ends; the test metrics overflow and the record is refused
+    (readme_config(5, methods=["erm"], step_size=5.0, epochs=5), r"erm seed=0: record not saved: "),
+], ids=["erm", "dro_tiny", "dro_readme", "vfair_var", "erm_evaluation"])
+def test_cli_train_divergence_exits_3(tmp_path, capsys, recwarn, config, message):
+    cfg_path = write_config(tmp_path, config)
     out = tmp_path / "o"
     code = cli_main(["train", "--config", str(cfg_path), "--out", str(out)])
     assert code == 3
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
-    assert err.startswith("error: erm seed=0 epoch=") and " step=" in err
+    assert re.match("error: " + message, err.strip()), err
     for record in (out / "runs").glob("*.json"):
         assert "Infinity" not in record.read_text() and "NaN" not in record.read_text()
 
