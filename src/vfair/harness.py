@@ -302,14 +302,6 @@ class Adagrad:
         return params - self.step_size * grad / (np.sqrt(self.accum) + self.eps)
 
 
-def make_optimizer(name: str, step_size: float, dim: int):
-    if name == "sgd":
-        return Sgd(step_size)
-    if name == "adagrad":
-        return Adagrad(step_size, dim)
-    raise ConfigError(f"unknown optimizer {name!r}")
-
-
 # ---------------------------------------------------------------------------
 # Records
 # ---------------------------------------------------------------------------
@@ -418,7 +410,7 @@ def _train_one(cfg: ExperimentConfig, spec: ModelSpec, train: Dataset, method: s
     `reference` loss the one whose training loss is nearest it (earliest
     wins ties)."""
     params = init_params(spec, seed)
-    optimizer = make_optimizer(cfg.optimizer, cfg.step_size, len(params))
+    optimizer = Sgd(cfg.step_size) if cfg.optimizer == "sgd" else Adagrad(cfg.step_size, len(params))
     state = UpdateState(
         decay=cfg.decay, step_size=cfg.step_size, lambda2_cap=cfg.lambda2_cap
     )
@@ -434,9 +426,10 @@ def _train_one(cfg: ExperimentConfig, spec: ModelSpec, train: Dataset, method: s
     step = 0
     try:
         for epoch in range(cfg.epochs):
-            order = rng.permutation(train.n)
+            # one gather per epoch; each minibatch is a view of its rows
+            shuffled = full.subset(rng.permutation(train.n))
             for start in range(0, train.n, cfg.batch_size):
-                batch = full.subset(order[start : start + cfg.batch_size])
+                batch = shuffled.subset(slice(start, start + cfg.batch_size))
                 if method == "erm":
                     grad = grad_mu(spec, params, batch)
                 elif method == "dro":
@@ -525,7 +518,10 @@ def run_experiment(cfg: ExperimentConfig) -> list:
                 )
                 if method == "erm" and reference is None:
                     reference = per_epoch_loss[-1]
-                record = evaluate(cfg, spec, test, params, method, seed)
+                try:
+                    record = evaluate(cfg, spec, test, params, method, seed)
+                except NumericError as exc:
+                    raise NumericError(f"{method} seed={seed}: test split: {exc}") from exc
                 record.per_epoch_loss = per_epoch_loss
                 record.selected_epoch = chosen
                 record.trace = trace

@@ -98,9 +98,9 @@ class Batch:
     def __len__(self) -> int:
         return self.features.shape[0]
 
-    def subset(self, positions: np.ndarray) -> "Batch":
-        """Rows at `positions` (a slice of a permutation, say), not
-        re-validated: rows of a validated batch are valid."""
+    def subset(self, positions: np.ndarray | slice) -> "Batch":
+        """Rows at `positions`, not re-validated: rows of a validated batch
+        are valid.  An index array gathers a copy; a slice returns views."""
         sub = object.__new__(Batch)
         object.__setattr__(sub, "features", self.features[positions])
         object.__setattr__(sub, "targets", self.targets[positions])
@@ -166,17 +166,19 @@ def _activate(name: str, z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _activate_grad(name: str, z: np.ndarray) -> np.ndarray:
+def _activate_grad(name: str, z: np.ndarray):
+    """d activation / dz, for `delta *=`: ReLU's is the bool mask z > 0."""
     if name == "relu":
-        return (z > 0.0).astype(np.float64)
+        return z > 0.0
     if name == "sigmoid":
         s = expit(z)
         return s * (1.0 - s)
-    return np.ones_like(z)
+    return 1.0
 
 
 class ForwardCache(NamedTuple):
     """One forward pass kept for backprop."""
+    layers: list          # (W, b) views of the params, from ``unpack``
     inputs: list          # a_{l-1}: input to layer l
     preacts: list         # z_l
     outputs: np.ndarray   # [b, output_dim]
@@ -197,7 +199,7 @@ def forward_cache(spec: ModelSpec, params: np.ndarray, batch: Batch) -> ForwardC
         z = h @ w + b
         preacts.append(z)
         h = z if idx == len(layers) - 1 else _activate(spec.activation, z)
-    return ForwardCache(inputs, preacts, h)
+    return ForwardCache(layers, inputs, preacts, h)
 
 
 # rows per ``forward_cache`` call when ``forward`` evaluates a whole split
@@ -286,9 +288,8 @@ def _loss_output_grad(spec: ModelSpec, outputs: np.ndarray, targets: np.ndarray)
     # multiclass_ce: softmax minus one-hot
     z = outputs - outputs.max(axis=1, keepdims=True)
     e = np.exp(z)
-    soft = e / e.sum(axis=1, keepdims=True)
-    grad = soft.copy()
-    grad[np.arange(len(grad)), targets.astype(np.int64)] -= 1.0
+    grad = e / e.sum(axis=1, keepdims=True)
+    grad[np.arange(len(grad)), targets] -= 1.0
     return grad
 
 
@@ -298,33 +299,30 @@ def weighted_gradient(spec: ModelSpec, params: np.ndarray, batch: Batch, weights
 
     ``weights`` is one vector [b] (returns a flat gradient [P] in the
     layout of ``params``) or a stack [k, b] (returns [k, P], one gradient
-    per row).  A stack costs one reverse pass: the k output deltas of
-    each example travel side by side, so every layer is one matrix
-    product.  ``cache``, from ``forward_cache`` on the same params and
-    batch, saves the forward pass.  ``weights`` is a float array, not
-    checked: callers build it from losses ``per_example_losses`` found
-    finite, and a weight that overflows shows at the next loss check.
+    per row).  Backprop is linear in each example's output delta, so one
+    unweighted delta [b, d] per layer serves every row; row w enters only
+    the layer's products a^T (w * delta) and w . delta.  ``cache``, from
+    ``forward_cache`` on the same params and batch, saves the forward pass
+    and the unpacking.  ``weights`` is a float array, not checked: callers
+    build it from losses ``per_example_losses`` found finite, and a weight
+    that overflows shows at the next loss check.
     """
-    b = len(batch)
     if cache is None:
         cache = forward_cache(spec, params, batch)
 
     rows = np.atleast_2d(weights)
     k = rows.shape[0]
     slices = layer_slices(spec)
-    layers = unpack(spec, params)
     grad = np.empty((k, parameter_count(spec)))
-    # delta[i, j]: output-side delta of example i under weight row j
-    delta = _loss_output_grad(spec, cache.outputs, batch.targets)[:, None, :] * (rows.T / b)[:, :, None]
-    for l in range(len(layers) - 1, -1, -1):
-        ws, (d_in, d_out), bs, _ = slices[l]
-        g_w = cache.inputs[l].T @ delta.reshape(b, k * d_out)
-        grad[:, ws] = g_w.reshape(d_in, k, d_out).transpose(1, 0, 2).reshape(k, -1)
-        grad[:, bs] = delta.sum(axis=0)
+    delta = _loss_output_grad(spec, cache.outputs, batch.targets)
+    delta *= 1.0 / len(batch)
+    for l in range(len(slices) - 1, -1, -1):
+        ws, _, bs, _ = slices[l]
+        grad[:, ws] = (cache.inputs[l].T @ (rows[:, :, None] * delta)).reshape(k, -1)
+        grad[:, bs] = rows @ delta
         if l > 0:
-            w, _ = layers[l]
-            back = (delta.reshape(b * k, d_out) @ w.T).reshape(b, k, d_in)
-            delta = back * _activate_grad(spec.activation, cache.preacts[l - 1])[:, None, :]
+            delta = delta @ cache.layers[l][0].T
+            delta *= _activate_grad(spec.activation, cache.preacts[l - 1])
     return grad if weights.ndim == 2 else grad[0]
 
 

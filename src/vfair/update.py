@@ -28,6 +28,7 @@ smallest weight come back as a dict keyed by the step-trace columns.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -88,16 +89,16 @@ def batch_sigma(losses: np.ndarray, mu: float) -> float:
     return max(SIGMA_FLOOR, float(np.sqrt(np.mean((losses - mu) ** 2))))
 
 
-def lambda1(grad_mu_vec: np.ndarray, grad_secondary_vec: np.ndarray) -> float:
-    """Projection bound: smallest non-negative lam keeping
+def lambda1(norm_sq: float, dot: float) -> float:
+    """Projection bound from norm_sq = ||g_mu||^2 and dot = g_mu . g_sec:
+    the smallest non-negative lam keeping
     (lam * g_mu + g_sec) . g_mu >= EPSILON_PROJECTION * ||g_mu||^2.
 
     Returns 0 when the mean-loss gradient is numerically zero.
     """
-    norm_sq = float(grad_mu_vec @ grad_mu_vec)
     if norm_sq < GRAD_NORM_FLOOR:
         return 0.0
-    return max(0.0, EPSILON_PROJECTION - float(grad_mu_vec @ grad_secondary_vec) / norm_sq)
+    return max(0.0, EPSILON_PROJECTION - dot / norm_sq)
 
 
 def lambda2(mu: float, sigma: float, cap: float = 3.0) -> float:
@@ -120,18 +121,12 @@ def pairwise_coefficients(losses: np.ndarray) -> np.ndarray:
     using sign(0) = 0).  Returned in original example order.  ``losses``
     is the float64 1-d array that ``per_example_losses`` returns.
     """
-    b = len(losses)
-    phi_sorted = np.zeros(b)
-    if b > 1:
-        order = np.argsort(losses, kind="stable")
-        s = losses[order]
-        d = np.sign(s[1:] - s[:-1])
-        phi_sorted[:-1] -= d
-        phi_sorted[1:] += d
-        phi = np.zeros(b)
-        phi[order] = phi_sorted
-        return phi
-    return phi_sorted
+    order = np.argsort(losses, kind="stable")
+    d = np.sign(np.diff(losses[order]))
+    phi = np.zeros(len(losses))
+    phi[order[:-1]] -= d
+    phi[order[1:]] += d
+    return phi
 
 
 # ---------------------------------------------------------------------------
@@ -149,11 +144,15 @@ def grad_mu(spec: ModelSpec, params: np.ndarray, batch: Batch) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _secondary(objective, losses, mu, sigma, floored, cap):
-    """Per-example weight vector of the secondary objective and its lam2."""
+def _secondary(objective, losses, mu, sigma, cap):
+    """Per-example weight vector of the secondary objective and its lam2.
+
+    A negative variance lam2 (the running mean below every loss) is right
+    as it is: every weight 2 * (l - mu) is then positive, and lam = lam1.
+    """
     if objective == "std_dev":
         # a floored sigma means the spread is (numerically) zero: nothing to suppress
-        sw = np.zeros_like(losses) if floored else (losses - mu) / sigma
+        sw = np.zeros_like(losses) if sigma <= SIGMA_FLOOR else (losses - mu) / sigma
         lam2 = lambda2(mu, sigma, cap)
     elif objective == "variance":
         sw = 2.0 * (losses - mu)
@@ -186,13 +185,17 @@ def vfair_direction(
     losses = per_example_losses(spec, cache.outputs, batch.targets)
     mu = ema_update(state.ema_mean, losses, state.decay)
     sigma = batch_sigma(losses, mu)
-    floored = sigma <= SIGMA_FLOOR
 
-    sw, lam2 = _secondary(objective, losses, mu, sigma, floored, state.lambda2_cap)
+    sw, lam2 = _secondary(objective, losses, mu, sigma, state.lambda2_cap)
+    weights = np.empty((2, len(losses)))
+    weights[0] = 1.0
+    weights[1] = sw
 
-    g_mu, g_sec = weighted_gradient(spec, params, batch, np.stack([np.ones_like(sw), sw]), cache)
+    g_mu, g_sec = weighted_gradient(spec, params, batch, weights, cache)
 
-    lam1 = lambda1(g_mu, g_sec)
+    norm_sq = float(g_mu @ g_mu)
+    dot = float(g_mu @ g_sec)
+    lam1 = lambda1(norm_sq, dot)
     lam = max(lam1, lam2)
     direction = lam * g_mu + g_sec
 
@@ -202,8 +205,9 @@ def vfair_direction(
         "lambda1": lam1,
         "lambda2": lam2,
         "lambda": lam,
-        "grad_mu_norm": float(np.linalg.norm(g_mu)),
-        "grad_dot": float(g_mu @ g_sec),
-        "weights_min": float((lam + sw).min()),
+        "grad_mu_norm": math.sqrt(norm_sq),
+        "grad_dot": dot,
+        # rounding is monotone, so min(lam + sw) == lam + min(sw)
+        "weights_min": lam + float(sw.min()),
     }
     return direction, replace(state, ema_mean=mu), row

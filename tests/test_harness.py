@@ -231,6 +231,31 @@ def test_harmless_never_beats_final_epoch_distance():
         assert dist[rec.selected_epoch] <= dist[-1] + 1e-15
 
 
+def test_minibatches_are_consecutive_slices_of_each_epoch_permutation(monkeypatch):
+    # 120 train rows in batches of 32: three full batches and a short one of 24
+    cfg = config_from_dict(tiny_config(methods=["erm"], seeds=[4]))
+    train, _ = build_datasets(cfg)
+    spec = build_model_spec(cfg, train)
+    fed = []
+
+    def recording_grad_mu(spec, params, batch):
+        fed.append((batch.features.copy(), batch.targets.copy()))
+        return np.zeros_like(params)
+
+    monkeypatch.setattr(harness, "grad_mu", recording_grad_mu)
+    harness._train_one(cfg, spec, train, "erm", 4)
+    rng = np.random.default_rng(4)
+    want = []
+    for _ in range(cfg.epochs):
+        order = rng.permutation(train.n)
+        want += [order[s : s + cfg.batch_size] for s in range(0, train.n, cfg.batch_size)]
+    assert [len(rows) for rows in want[:4]] == [32, 32, 32, 24]
+    assert len(fed) == len(want)
+    for (features, targets), rows in zip(fed, want):
+        assert np.array_equal(features, train.features[rows])
+        assert np.array_equal(targets, train.targets[rows])
+
+
 def test_harmless_without_reference_raises():
     with pytest.raises(ConfigError, match="erm_reference_loss"):
         config_from_dict(tiny_config(methods=["vfair_std"], epoch_selection="harmless"))
@@ -669,6 +694,24 @@ def readme_config(dataset_seed, **overrides):
 DIVERGED = r"non-finite per-example loss$"
 
 
+def split_csv_config(tmp_path, test_y):
+    """ERM, hidden [4], 2 epochs on a 40-row `x,y` CSV whose train rows are
+    tame and whose 12 test rows (those `data.split` draws at split seed 0)
+    all have target `test_y`."""
+    y = np.arange(40) / 40.0
+    y[np.random.default_rng(0).permutation(40)[:12]] = test_y
+    path = tmp_path / "rows.csv"
+    path.write_text("x,y\n" + "".join(f"{i},{float(v)!r}\n" for i, v in enumerate(y)))
+    return {
+        "dataset": {
+            "kind": "csv", "path": str(path), "split_seed": 0,
+            "schema": {"features": [["x", "numeric"]], "label": "y", "task": "regression_mse"},
+        },
+        "model": {"hidden_dims": [4]},
+        "methods": ["erm"], "epochs": 2, "seeds": [0],
+    }
+
+
 @pytest.mark.parametrize("config, message", [
     (tiny_config(step_size=50.0), r"erm seed=0 epoch=\d+ step=\d+: " + DIVERGED),
     # DRO's closed-form sums overflow while the losses are still finite
@@ -679,10 +722,16 @@ DIVERGED = r"non-finite per-example loss$"
     # the variance weights overflow before the losses do
     (readme_config(5, methods=["vfair_var"], step_size=5.0, epochs=5),
      r"vfair_var seed=0 epoch=\d+ step=\d+: " + DIVERGED),
-    # training ends; the test metrics overflow and the record is refused
-    (readme_config(5, methods=["erm"], step_size=5.0, epochs=5), r"erm seed=0: record not saved: "),
-], ids=["erm", "dro_tiny", "dro_readme", "vfair_var", "erm_evaluation"])
+    # training ends; the test losses (about 1e200) are finite, their
+    # variance overflows and the record is refused
+    (lambda tmp_path: split_csv_config(tmp_path, 1e100), r"erm seed=0: record not saved: "),
+    # training ends; the test losses themselves overflow
+    (lambda tmp_path: split_csv_config(tmp_path, 1e200),
+     r"erm seed=0: test split: " + DIVERGED),
+], ids=["erm", "dro_tiny", "dro_readme", "vfair_var", "erm_evaluation", "erm_test_loss"])
 def test_cli_train_divergence_exits_3(tmp_path, capsys, recwarn, config, message):
+    if callable(config):
+        config = config(tmp_path)
     cfg_path = write_config(tmp_path, config)
     out = tmp_path / "o"
     code = cli_main(["train", "--config", str(cfg_path), "--out", str(out)])

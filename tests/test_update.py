@@ -8,6 +8,7 @@ import pytest
 
 from helpers import count_calls, directional_derivative_fd
 from vfair import nnet, update
+from vfair.baselines import DroConfig, dro_direction
 from vfair.errors import ConfigError
 from vfair.harness import TRACE_COLUMNS
 from vfair.nnet import (
@@ -112,14 +113,14 @@ def test_batch_sigma_floor():
 
 
 def test_lambda1_hand_values():
-    g_mu = np.array([1.0, 0.0])
-    assert lambda1(g_mu, np.array([-2.0, 0.0])) == pytest.approx(3.0)
+    # lambda1(||g_mu||^2, g_mu . g_sec), here with g_mu = [1, 0]
+    assert lambda1(1.0, -2.0) == pytest.approx(3.0)  # g_sec = [-2, 0]
     # orthogonal secondary leaves the bound at epsilon
-    assert lambda1(g_mu, np.array([0.0, 5.0])) == pytest.approx(1.0)
+    assert lambda1(1.0, 0.0) == pytest.approx(1.0)  # g_sec = [0, 5]
     # strongly aligned secondary clamps at zero
-    assert lambda1(g_mu, np.array([9.0, 0.0])) == 0.0
-    # vanishing primary gradient
-    assert lambda1(np.array([1e-12, 0.0]), np.array([1.0, 0.0])) == 0.0
+    assert lambda1(1.0, 9.0) == 0.0  # g_sec = [9, 0]
+    # vanishing primary gradient: g_mu = [1e-12, 0], g_sec = [1, 0]
+    assert lambda1(1e-24, 1e-12) == 0.0
 
 
 def test_lambda2_hand_values_and_cap():
@@ -268,6 +269,20 @@ def test_vfair_direction_one_forward_one_backward(monkeypatch):
     assert counts == {"forward": 3, "backward": 3}
 
 
+def test_each_step_unpacks_the_params_once(monkeypatch):
+    # the backward reads the (W, b) views its forward cache unpacked
+    counts = {}
+    count_calls(monkeypatch, counts, "unpack", nnet.unpack, nnet)
+    rng = np.random.default_rng(19)
+    steps = [grad_mu, lambda s, p, b: dro_direction(s, p, b, DroConfig(alpha_min=0.4))]
+    steps += [lambda s, p, b, o=o: vfair_direction(UpdateState(), s, p, b, o) for o in OBJECTIVES]
+    for step in steps:
+        spec, params, batch = random_setup(rng)
+        counts["unpack"] = 0
+        step(spec, params, batch)
+        assert counts["unpack"] == 1
+
+
 # ---------------------------------------------------------------------------
 # The full step
 # ---------------------------------------------------------------------------
@@ -314,6 +329,18 @@ def test_variance_objective_hand_lambda2():
     _, _, row = vfair_direction(state, spec, params, batch, objective="variance")
     assert row["mu"] == pytest.approx(0.5)
     assert row["lambda2"] == pytest.approx(1.0)
+
+
+def test_negative_variance_lambda2_leaves_lambda1_binding():
+    # a running mean below every loss (mu = 0.01 * 2 = 0.02 < 1) makes
+    # lam2 = 2 * (mu - min l) negative; every weight 2 * (l - mu) is then
+    # already positive, so lam = lam1 and the smallest weight stays positive
+    spec, params, batch = regression_batch_with_losses([1.0, 2.0, 3.0])
+    _, _, row = vfair_direction(UpdateState(), spec, params, batch, objective="variance")
+    assert row["mu"] == pytest.approx(0.02)
+    assert row["lambda2"] == pytest.approx(2.0 * (0.02 - 1.0))
+    assert row["lambda"] == row["lambda1"]
+    assert row["weights_min"] > 0.0
 
 
 def test_pairwise_objective_constant_lambda2():
