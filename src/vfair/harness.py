@@ -32,7 +32,6 @@ from .data import (
     load_csv,
     split,
     synthesize,
-    take_batch,
 )
 from .errors import ConfigError, DataError, NumericError
 from .metrics import (
@@ -43,6 +42,7 @@ from .metrics import (
     significance_test,
 )
 from .nnet import (
+    Batch,
     ModelSpec,
     forward,
     init_params,
@@ -418,7 +418,7 @@ def _train_one(cfg: ExperimentConfig, spec: ModelSpec, train: Dataset, method: s
     objective = _VFAIR_OBJECTIVE.get(method)
     rng = np.random.default_rng(seed)
 
-    full = take_batch(train, np.arange(train.n))  # validates every row once
+    full = Batch(train.features, train.targets)  # validates every row once, copies none
     # the optimizers return a new array per step, so holding `params` keeps it
     best, best_epoch = params, 0
     per_epoch_loss = []
@@ -454,7 +454,7 @@ def _train_one(cfg: ExperimentConfig, spec: ModelSpec, train: Dataset, method: s
 
 def evaluate(cfg, spec, test: Dataset, params, method: str, seed: int) -> RunRecord:
     """Full test-split evaluation of fixed parameters into a RunRecord."""
-    full = take_batch(test, np.arange(test.n))
+    full = Batch(test.features, test.targets)
     outputs = forward(spec, params, full)
     losses = per_example_losses(spec, outputs, full.targets)
     kind = resolve_utility(cfg.utility, spec.task)
@@ -613,7 +613,7 @@ def aggregate(records) -> AggregateTable:
 def emit_loss_curve(spec: ModelSpec, params, dataset: Dataset, path=None) -> np.ndarray:
     """Sorted per-example losses of a model over a dataset; optionally
     written as CSV of (rank, loss) with a final mean row."""
-    full = take_batch(dataset, np.arange(dataset.n))
+    full = Batch(dataset.features, dataset.targets)
     losses = np.sort(per_example_losses(spec, forward(spec, params, full), full.targets))
     if path is not None:
         rows = [{"rank": i, "loss": repr(float(v))} for i, v in enumerate(losses, start=1)]

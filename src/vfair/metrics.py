@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .errors import ConfigError, DataError
 
@@ -324,10 +324,28 @@ def random_partition_rank(
 
     # ranks are half-integers, so their sum over trials is exact
     avg_rank = np.column_stack([
-        stats.rankdata(sign * util, method="average"),
-        stats.rankdata(spread, method="average", axis=1).mean(axis=0),
+        _average_ranks(sign * util, axis=0),
+        _average_ranks(spread, axis=1).mean(axis=0),
     ])
     return RankTable(methods=methods, avg_rank=avg_rank)
+
+
+def _average_ranks(x: np.ndarray, axis: int) -> np.ndarray:
+    """1-based ranks along `axis`, each run of ties sharing its mean rank, and
+    NaN where a slice holds a NaN: scipy's `rankdata(method="average")`."""
+    x = np.moveaxis(x, axis, -1)
+    n = x.shape[-1]
+    order = np.argsort(x, axis=-1, kind="stable")
+    xs = np.take_along_axis(x, order, axis=-1)
+    starts = np.ones(x.shape, dtype=bool)
+    starts[..., 1:] = xs[..., :-1] != xs[..., 1:]
+    first = np.flatnonzero(starts)
+    counts = np.diff(first, append=x.size)
+    sorted_ranks = np.repeat(first % n + 1 + (counts - 1) / 2, counts).reshape(x.shape)
+    ranks = np.empty(x.shape)
+    np.put_along_axis(ranks, order, sorted_ranks, axis=-1)
+    ranks[np.isnan(x).any(axis=-1)] = np.nan
+    return np.moveaxis(ranks, -1, axis)
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +354,8 @@ def random_partition_rank(
 
 
 def significance_test(a, b) -> float:
-    """Two-sided Welch's t-test p-value between two metric samples."""
+    """Two-sided Welch's t-test p-value between two metric samples, computed
+    step for step as scipy's `ttest_ind(a, b, equal_var=False)` computes it."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if len(a) < 2 or len(b) < 2:
@@ -345,4 +364,11 @@ def significance_test(a, b) -> float:
         # degenerate: every repetition produced the identical value, so the
         # usual test statistic is undefined
         return 1.0 if a[0] == b[0] else 0.0
-    return float(stats.ttest_ind(a, b, equal_var=False).pvalue)
+    n1, n2 = len(a), len(b)
+    vn1 = np.mean((a - a.mean()) ** 2) * (n1 / (n1 - 1)) / n1
+    vn2 = np.mean((b - b.mean()) ** 2) * (n2 / (n2 - 1)) / n2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # a variance that underflows to 0 leaves df undefined; any df then works
+        df = (vn1 + vn2) ** 2 / (vn1 ** 2 / (n1 - 1) + vn2 ** 2 / (n2 - 1))
+        t = (a.mean() - b.mean()) / np.sqrt(vn1 + vn2)
+    return float(2 * special.stdtr(1.0 if np.isnan(df) else df, -abs(t)))

@@ -1,5 +1,7 @@
 """Tests for the group-fairness metric suite."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -325,6 +327,25 @@ def rank_of(table, method, metric):
     return float(table.avg_rank[table.methods.index(method), RANK_METRICS.index(metric)])
 
 
+@pytest.mark.parametrize("ties", [True, False])
+def test_average_ranks_match_scipy_rankdata(ties):
+    rng = np.random.default_rng(38)
+    for _ in range(200):
+        shape = (int(rng.integers(1, 6)), int(rng.integers(1, 7)), 3)
+        x = rng.integers(0, 3, size=shape).astype(float) if ties else rng.normal(size=shape)
+        # the two calls random_partition_rank makes: methods along axis 1 of
+        # [trials, methods, metrics], and along a 1-d overall-utility vector
+        assert np.array_equal(metrics._average_ranks(x, axis=1), stats.rankdata(x, method="average", axis=1))
+        v = x[0, :, 0]
+        assert np.array_equal(metrics._average_ranks(v, axis=0), stats.rankdata(v, method="average"))
+
+
+def test_average_ranks_propagate_nan_like_scipy():
+    x = np.array([[1.0, np.nan, 1.0], [2.0, 0.0, 2.0]])
+    expected = stats.rankdata(x, method="average", axis=1)
+    assert np.array_equal(metrics._average_ranks(x, axis=1), expected, equal_nan=True)
+
+
 def test_rank_table_prefers_uniform_method():
     # method "flat" matches every target to the same modest error;
     # method "spiky" nails most examples but ruins a tail -> flat must
@@ -404,11 +425,22 @@ def test_sampled_mud_matches_enumeration():
 
 def test_significance_matches_scipy_welch():
     rng = np.random.default_rng(36)
-    a = rng.normal(size=12)
-    b = rng.normal(loc=0.3, size=9)
-    assert significance_test(a, b) == pytest.approx(
-        float(stats.ttest_ind(a, b, equal_var=False).pvalue)
-    )
+    for _ in range(300):
+        a = rng.normal(size=rng.integers(2, 13))
+        b = rng.normal(rng.uniform(-1.0, 1.0), rng.uniform(0.1, 3.0), size=rng.integers(2, 13))
+        assert significance_test(a, b) == float(stats.ttest_ind(a, b, equal_var=False).pvalue)
+
+
+def test_significance_one_constant_side_is_silent_and_matches_scipy():
+    # a method whose quantized accuracy is equal on every seed: scipy warns
+    # of precision loss on the constant side, the package must not
+    a, b = [0.4, 0.4, 0.4], [0.1, 0.2, 0.3]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        expected = float(stats.ttest_ind(a, b, equal_var=False).pvalue)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert significance_test(a, b) == expected
 
 
 def test_significance_degenerate_and_separated():

@@ -1,6 +1,9 @@
-"""The package keeps no public function or class that only the tests use."""
+"""The package keeps no public function or class that only the tests use,
+and its command line imports nothing it does not need."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import vfair
@@ -11,6 +14,7 @@ SRC = Path(vfair.__file__).parent
 ALLOWED = {
     "group_utilities": "called by perfbench/",
     "dro_objective": "called by perfbench/",
+    "take_batch": "called by perfbench/",
 }
 
 
@@ -45,3 +49,13 @@ def test_every_public_definition_has_a_caller_in_the_package():
             if node.name not in used | set(vfair.__all__) | set(ALLOWED):
                 unused.append(f"{module}:{node.name}")
     assert unused == []
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs most of a command's start-up; the package ranks and
+    # Welch-tests with numpy and scipy.special instead
+    code = "import sys, vfair.cli; print('scipy.stats' in sys.modules)"
+    # run from the directory holding the package, so it imports without an install
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         cwd=SRC.parent)
+    assert out.stdout.strip() == "False"
