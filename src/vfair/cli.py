@@ -94,9 +94,7 @@ def _cmd_rank(args) -> int:
     kind = records[0].utility_kind
     per_method = {}
     for rec in records:
-        if rec.test_targets.shape != targets.shape or not np.array_equal(
-            rec.test_targets, targets
-        ):
+        if not np.array_equal(rec.test_targets, targets):
             raise DataError("rank needs runs evaluated on the identical test split")
         if rec.utility_kind != kind:
             raise DataError("rank needs runs sharing one utility kind")

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -113,12 +114,22 @@ def _parse_label(raw_labels: list, task: str) -> np.ndarray:
     return vals
 
 
+def _spoils_row(cell: str, text_ok: bool) -> bool:
+    """Whether `cell` is a number that is not finite ("inf", "nan", ...),
+    or, unless `text_ok`, not a number at all."""
+    try:
+        return not math.isfinite(float(cell))
+    except ValueError:
+        return not text_ok
+
+
 def load_csv(path, schema: DatasetSchema) -> Dataset:
     """Read a UTF-8 comma-separated file against the schema.
 
-    Rows with a missing value, or a non-numeric entry in a numeric
-    column, are dropped (and counted on the returned dataset).  Numeric
-    features are returned raw; ``split`` standardizes them.
+    Rows with a missing value, an entry that is not a finite number in a
+    numeric column, or a label that parses as a non-finite number, are
+    dropped (and counted on the returned dataset).  Numeric features are
+    returned raw; ``split`` standardizes them.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
@@ -130,26 +141,18 @@ def load_csv(path, schema: DatasetSchema) -> Dataset:
         missing = [c for c in needed if c not in reader.fieldnames]
         if missing:
             raise DataError(f"{path}: missing columns {missing}")
+        numeric_names = [n for n, kind in schema.feature_columns if kind == "numeric"]
 
         kept_raw = []
         rejected = 0
         for row in reader:
             cells = {c: (row[c] or "").strip() for c in needed}
-            if any(v == "" for v in cells.values()):
+            if (any(v == "" for v in cells.values())
+                    or any(_spoils_row(cells[n], text_ok=False) for n in numeric_names)
+                    or _spoils_row(cells[schema.label_column], text_ok=True)):
                 rejected += 1
-                continue
-            ok = True
-            for name, kind in schema.feature_columns:
-                if kind == "numeric":
-                    try:
-                        float(cells[name])
-                    except ValueError:
-                        ok = False
-                        break
-            if ok:
-                kept_raw.append(cells)
             else:
-                rejected += 1
+                kept_raw.append(cells)
 
     if rejected:
         logger.warning("%s: dropped %d malformed/incomplete rows", path, rejected)

@@ -35,6 +35,7 @@ from .data import (
 )
 from .errors import ConfigError, DataError, NumericError
 from .metrics import (
+    UTILITY_KINDS,
     GroupPartition,
     MetricsReport,
     build_report,
@@ -55,7 +56,7 @@ from .update import UpdateState, grad_mu, vfair_direction
 METHODS = ("erm", "vfair_std", "vfair_var", "vfair_pairwise", "dro")
 OPTIMIZERS = ("sgd", "adagrad")
 EPOCH_SELECTION = ("final", "harmless")
-UTILITY_CHOICES = ("auto", "accuracy", "f1", "mse", "prediction_error")
+UTILITY_CHOICES = ("auto", *UTILITY_KINDS)
 
 logger = logging.getLogger(__name__)
 
@@ -76,8 +77,7 @@ TRACE_COLUMNS = (
 class ExperimentConfig:
     raw: dict = field(repr=False)
 
-    # dataset
-    dataset_kind: str = "synthetic"
+    # dataset: `synthetic` is set for a synthetic one, `csv_path` and `schema` for a csv one
     synthetic: SyntheticSpec | None = None
     csv_path: str | None = None
     schema: DatasetSchema | None = None
@@ -92,12 +92,12 @@ class ExperimentConfig:
     # training
     methods: tuple = ("erm",)
     optimizer: str = "sgd"
-    step_size: float = 0.01
+    step_size: float = UpdateState.step_size
     batch_size: int = 128
     epochs: int = 50
-    decay: float = 0.99
-    lambda2_cap: float = 3.0
-    dro_alpha_min: float = 0.2
+    decay: float = UpdateState.decay
+    lambda2_cap: float = UpdateState.lambda2_cap
+    dro_alpha_min: float = DroConfig.alpha_min
     seeds: tuple = (0,)
     epoch_selection: str = "final"
     utility: str = "auto"
@@ -119,8 +119,9 @@ class ExperimentConfig:
             raise ConfigError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
-        if self.step_size <= 0.0:
-            raise ConfigError("step_size must be positive")
+        # the update's and DRO's settings are checked by their own types
+        UpdateState(decay=self.decay, step_size=self.step_size, lambda2_cap=self.lambda2_cap)
+        DroConfig(alpha_min=self.dro_alpha_min)
         if not self.seeds:
             raise ConfigError("at least one seed is required")
         if len(set(self.seeds)) != len(self.seeds):
@@ -133,10 +134,12 @@ class ExperimentConfig:
             )
 
 
-# config key -> converter, one table per section; each key sets the
-# ExperimentConfig field of its name (the dataset's "seed" sets data_seed).
-# An absent or null key keeps the field's default: defaults live only there.
-# A key in _LIST_KEYS takes a JSON list only, never a string or number.
+# config key -> converter, one table per section; each key of the top-level,
+# model and dataset tables sets the ExperimentConfig field of its name (the
+# dataset's "seed" sets data_seed).  An absent or null key keeps the field's
+# default, and the update's and DRO's fields take theirs from UpdateState and
+# DroConfig, so each default is written once.  A key that no table of its
+# section names is refused.  A key in _LIST_KEYS takes a JSON list only.
 _TOP_LEVEL_KEYS = {
     "methods": lambda v: tuple(str(m) for m in v), "optimizer": str, "step_size": float,
     "batch_size": int, "epochs": int, "decay": float, "lambda2_cap": float,
@@ -145,20 +148,29 @@ _TOP_LEVEL_KEYS = {
 }
 _DATASET_KEYS = {"seed": int, "test_fraction": float, "split_seed": int}
 _MODEL_KEYS = {"hidden_dims": lambda v: tuple(int(h) for h in v), "activation": str}
-_LIST_KEYS = {"methods", "seeds", "hidden_dims"}
+_LIST_KEYS = {"methods", "seeds", "hidden_dims", "features", "sensitive"}
 # the synthetic generator's keys, all required but "task"
 _SYNTHETIC_KEYS = {
     "n": int, "group_ratio": float, "feature_dim": int, "minority_shift": float,
     "noise_std": float, "task": str,
 }
+# a csv dataset's schema keys, all required but "sensitive"
+_SCHEMA_KEYS = {
+    "features": lambda v: tuple((str(n), str(k)) for n, k in v), "label": str,
+    "sensitive": lambda v: tuple(str(s) for s in v), "task": str,
+}
 
 
-def _typed(section: dict, table: dict, where: str = "") -> dict:
-    """The converted values of the keys in `section` that `table` names;
-    a value the converter refuses, or a float that is not finite, is a
-    ConfigError naming `where` + key."""
+def _typed(section: dict, table: dict, where: str = "", also=()) -> dict:
+    """The converted values of the keys in `section` that `table` names.  A
+    key in neither `table` nor `also` (the keys read elsewhere), a value the
+    converter refuses, or a float that is not finite, is a ConfigError
+    naming `where` + key."""
     if not isinstance(section, dict):
         raise ConfigError(f"config section {where.rstrip('.')!r} must be a JSON object")
+    unknown = sorted(set(section) - set(table) - set(also))
+    if unknown:
+        raise ConfigError(f"unknown config keys: {[where + k for k in unknown]}")
     out = {}
     for key, convert in table.items():
         value = section.get(key)
@@ -179,9 +191,8 @@ def config_from_dict(d: dict) -> ExperimentConfig:
     """Validate and type a parsed config mapping (see README for the schema)."""
     if not isinstance(d, dict):
         raise ConfigError("config root must be a JSON object")
-    unknown = set(d) - set(_TOP_LEVEL_KEYS) - {"dataset", "model"}
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    fields = _typed(d, _TOP_LEVEL_KEYS, also=("dataset", "model"))
+    fields |= _typed(d.get("model", {}), _MODEL_KEYS, "model.")
 
     ds = d.get("dataset")
     if not isinstance(ds, dict) or "kind" not in ds:
@@ -194,33 +205,26 @@ def config_from_dict(d: dict) -> ExperimentConfig:
         missing = [k for k in _SYNTHETIC_KEYS if k != "task" and ds.get(k) is None]
         if missing:
             raise ConfigError(f"synthetic dataset section is missing {missing[0]!r}")
-        synthetic = SyntheticSpec(**_typed(ds, _SYNTHETIC_KEYS, "dataset."))
+        typed = _typed(ds, _SYNTHETIC_KEYS | _DATASET_KEYS, "dataset.", also=("kind",))
+        synthetic = SyntheticSpec(**{k: typed.pop(k) for k in _SYNTHETIC_KEYS if k in typed})
     elif kind == "csv":
         if "path" not in ds or "schema" not in ds:
             raise ConfigError("csv dataset section needs 'path' and 'schema'")
+        typed = _typed(ds, _DATASET_KEYS, "dataset.", also=("kind", "path", "schema"))
         csv_path = str(ds["path"])
-        sc = ds["schema"]
-        try:
-            schema = DatasetSchema(
-                feature_columns=tuple((str(n), str(k)) for n, k in sc["features"]),
-                label_column=str(sc["label"]),
-                sensitive_columns=tuple(sc.get("sensitive", ())),
-                task=str(sc["task"]),
-            )
-        except KeyError as exc:
-            raise ConfigError(f"csv schema section is missing {exc}") from None
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"csv schema section is malformed: {exc}") from None
+        sc = _typed(ds["schema"], _SCHEMA_KEYS, "dataset.schema.")
+        missing = [k for k in _SCHEMA_KEYS if k != "sensitive" and k not in sc]
+        if missing:
+            raise ConfigError(f"csv schema section is missing {missing[0]!r}")
+        schema = DatasetSchema(sc["features"], sc["label"], sc.get("sensitive", ()), sc["task"])
     else:
         raise ConfigError(f"dataset kind must be 'synthetic' or 'csv', got {kind!r}")
 
-    fields = _typed(d, _TOP_LEVEL_KEYS) | _typed(d.get("model", {}), _MODEL_KEYS, "model.")
-    fields.update(_typed(ds, _DATASET_KEYS, "dataset."))
+    fields |= typed
     if "seed" in fields:
         fields["data_seed"] = fields.pop("seed")
     return ExperimentConfig(
         raw=d,
-        dataset_kind=kind,
         synthetic=synthetic,
         csv_path=csv_path,
         schema=schema,
@@ -240,7 +244,7 @@ def load_config(path) -> ExperimentConfig:
 
 
 def build_datasets(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
-    if cfg.dataset_kind == "synthetic":
+    if cfg.synthetic is not None:
         full = synthesize(cfg.synthetic, seed=cfg.data_seed)
     else:
         full = load_csv(cfg.csv_path, cfg.schema)
@@ -265,15 +269,14 @@ def resolve_utility(utility: str, task: str) -> str:
     """Map the configured utility to a concrete kind valid for the task."""
     if utility == "auto":
         return "mse" if task in ("regression_mse", "logistic_regression_mse") else "accuracy"
-    kind = "mse" if utility == "prediction_error" else utility
     valid = {
         "accuracy": ("binary_bce", "logistic_regression_mse", "multiclass_ce"),
         "f1": ("binary_bce", "logistic_regression_mse"),
         "mse": ("regression_mse", "logistic_regression_mse", "binary_bce"),
-    }[kind]
+    }.get(utility, ())
     if task not in valid:
         raise ConfigError(f"utility {utility!r} is not defined for task {task!r}")
-    return kind
+    return utility
 
 
 # ---------------------------------------------------------------------------
@@ -292,14 +295,14 @@ class Sgd:
 class Adagrad:
     """Per-coordinate scaling by accumulated squared gradients."""
 
-    def __init__(self, step_size: float, dim: int, eps: float = 1e-10):
+    def __init__(self, step_size: float, dim: int):
         self.step_size = step_size
-        self.eps = eps
         self.accum = np.zeros(dim)
 
     def step(self, params: np.ndarray, grad: np.ndarray) -> np.ndarray:
         self.accum += grad * grad
-        return params - self.step_size * grad / (np.sqrt(self.accum) + self.eps)
+        # 1e-10 keeps a coordinate whose gradients have all been zero finite
+        return params - self.step_size * grad / (np.sqrt(self.accum) + 1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +350,6 @@ class RunRecord:
             utility_kind=d["utility_kind"],
             test_predictions=np.asarray(d["test_predictions"], dtype=np.float64),
             test_targets=np.asarray(d["test_targets"], dtype=np.float64),
-            trace=[],
             config=d.get("config", {}),
         )
 

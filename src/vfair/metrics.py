@@ -12,7 +12,7 @@ only do well by being uniformly good.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -20,18 +20,18 @@ from scipy import special
 
 from .errors import ConfigError, DataError
 
-UTILITY_KINDS = ("accuracy", "f1", "mse", "prediction_error")
+UTILITY_KINDS = ("accuracy", "f1", "mse")
 RANK_METRICS = ("utility", "wu", "mud", "tud")
 
 
-def _canonical_kind(kind: str) -> str:
+def _checked_kind(kind: str) -> str:
     if kind not in UTILITY_KINDS:
         raise ConfigError(f"unknown utility kind {kind!r}; expected one of {UTILITY_KINDS}")
-    return "mse" if kind == "prediction_error" else kind
+    return kind
 
 
 def higher_is_better(kind: str) -> bool:
-    return _canonical_kind(kind) in ("accuracy", "f1")
+    return _checked_kind(kind) in ("accuracy", "f1")
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +123,7 @@ def group_utilities(predictions, targets, partition: GroupPartition, kind: str) 
     `predictions` is one model's `[n]` (result `[k]`) or a stack of m
     models' `[m, n]` (result `[m, k]`).
     """
-    kind = _canonical_kind(kind)
+    kind = _checked_kind(kind)
     out = _score_groups(_aligned_terms(predictions, targets, len(partition), kind), partition, kind)
     return out if np.ndim(predictions) == 2 else out[0]
 
@@ -190,17 +190,7 @@ class MetricsReport:
     partition_label: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "utility_kind": self.utility_kind,
-            "utility": self.utility,
-            "per_group_utility": list(self.per_group_utility),
-            "wu": self.wu,
-            "mud": self.mud,
-            "tud": self.tud,
-            "var": self.var,
-            "n_examples": self.n_examples,
-            "partition_label": self.partition_label,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "MetricsReport":
@@ -216,7 +206,7 @@ def build_report(
     """Assemble the full metric set for one model on one partition.  The
     per-example terms are built once and scored on the partition and on
     the whole (the overall utility)."""
-    kind = _canonical_kind(kind)
+    kind = _checked_kind(kind)
     if np.ndim(predictions) != 1:
         raise DataError("predictions must be one model's 1-d array")
     n = len(partition)
@@ -299,7 +289,7 @@ def random_partition_rank(
     methods are then ranked per metric (ties share the mean rank).  Ranks are
     averaged over trials.
     """
-    kind = _canonical_kind(kind)
+    kind = _checked_kind(kind)
     methods = list(per_method_predictions)
     if len(methods) < 2:
         raise ConfigError("ranking needs at least two methods")

@@ -14,15 +14,15 @@ to within ulps and are deterministic.
 
 Parameters live in a single flat float64 vector.  The layout is a
 deterministic function of the model spec (layer by layer, weight matrix
-then bias), which keeps gradient vectors, parameter vectors and
-finite-difference probes trivially interchangeable.
+then bias), computed once as ``ModelSpec.layout``, which keeps gradient
+vectors, parameter vectors and finite-difference probes trivially
+interchangeable.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -48,6 +48,8 @@ class ModelSpec:
     output_dim: int
     task: str
     activation: str = "relu"
+    # derived, not passed: per layer (W slice, W shape, b slice) of the flat parameters
+    layout: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.task not in TASKS:
@@ -67,9 +69,14 @@ class ModelSpec:
             raise ConfigError(f"task {self.task!r} requires output_dim = 1")
         # hidden_dims arrives as a list from configs often enough to be worth fixing
         object.__setattr__(self, "hidden_dims", tuple(int(h) for h in self.hidden_dims))
-
-    def layer_dims(self) -> list[int]:
-        return [self.input_dim, *self.hidden_dims, self.output_dim]
+        dims = [self.input_dim, *self.hidden_dims, self.output_dim]
+        layout = []
+        offset = 0
+        for d_in, d_out in zip(dims[:-1], dims[1:]):
+            w_end = offset + d_in * d_out
+            layout.append((slice(offset, w_end), (d_in, d_out), slice(w_end, w_end + d_out)))
+            offset = w_end + d_out
+        object.__setattr__(self, "layout", tuple(layout))
 
 
 @dataclass(frozen=True)
@@ -112,21 +119,8 @@ class Batch:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=64)
-def layer_slices(spec: ModelSpec) -> tuple[tuple[slice, tuple[int, int], slice, int], ...]:
-    """Deterministic flat layout, cached per spec: per layer (W slice, W shape, b slice, b size)."""
-    dims = spec.layer_dims()
-    out = []
-    offset = 0
-    for d_in, d_out in zip(dims[:-1], dims[1:]):
-        w_n = d_in * d_out
-        out.append((slice(offset, offset + w_n), (d_in, d_out), slice(offset + w_n, offset + w_n + d_out), d_out))
-        offset += w_n + d_out
-    return tuple(out)
-
-
 def parameter_count(spec: ModelSpec) -> int:
-    return layer_slices(spec)[-1][2].stop
+    return spec.layout[-1][2].stop
 
 
 def unpack(spec: ModelSpec, params: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -136,20 +130,17 @@ def unpack(spec: ModelSpec, params: np.ndarray) -> list[tuple[np.ndarray, np.nda
         raise DataError(
             f"parameter vector has shape {params.shape}, expected ({parameter_count(spec)},)"
         )
-    return [
-        (params[ws].reshape(shape), params[bs])
-        for ws, shape, bs, _ in layer_slices(spec)
-    ]
+    return [(params[ws].reshape(shape), params[bs]) for ws, shape, bs in spec.layout]
 
 
 def init_params(spec: ModelSpec, seed: int) -> np.ndarray:
     """Seeded uniform init in [-1/sqrt(fan_in), +1/sqrt(fan_in)] per layer."""
     rng = np.random.default_rng(seed)
     params = np.empty(parameter_count(spec), dtype=np.float64)
-    for (ws, shape, bs, b_n) in layer_slices(spec):
-        limit = 1.0 / math.sqrt(shape[0])
-        params[ws] = rng.uniform(-limit, limit, shape[0] * shape[1])
-        params[bs] = rng.uniform(-limit, limit, b_n)
+    for ws, (d_in, d_out), bs in spec.layout:
+        limit = 1.0 / math.sqrt(d_in)
+        params[ws] = rng.uniform(-limit, limit, d_in * d_out)
+        params[bs] = rng.uniform(-limit, limit, d_out)
     return params
 
 
@@ -247,6 +238,9 @@ def per_example_losses(spec: ModelSpec, predictions: np.ndarray, targets: np.nda
     binary_bce              log(1 + e^z) - y*z        (z = logit)
     multiclass_ce           logsumexp(z) - z[y]
     logistic_regression_mse (sigmoid(z) - y)^2
+
+    Each is >= 0 and never -0.0 as rounded, so none is clamped: squares are,
+    logaddexp(0, z) is max(0, z) plus a log1p term >= 0, and lse >= z[y].
     """
     predictions = np.asarray(predictions, dtype=np.float64)
     targets = _check_targets(spec, np.asarray(targets, dtype=np.float64))
@@ -267,9 +261,6 @@ def per_example_losses(spec: ModelSpec, predictions: np.ndarray, targets: np.nda
         m = z.max(axis=1)
         lse = m + np.log(np.exp(z - m[:, None]).sum(axis=1))
         losses = lse - z[np.arange(len(z)), targets.astype(np.int64)]
-    # exact zeros are fine; tiny negatives from cancellation are not expected,
-    # but clamp defensively so downstream sqrt/ratio logic keeps its contract
-    losses = np.maximum(losses, 0.0)
     if not np.all(np.isfinite(losses)):
         raise NumericError("non-finite per-example loss")
     return losses
@@ -312,12 +303,11 @@ def weighted_gradient(spec: ModelSpec, params: np.ndarray, batch: Batch, weights
 
     rows = np.atleast_2d(weights)
     k = rows.shape[0]
-    slices = layer_slices(spec)
     grad = np.empty((k, parameter_count(spec)))
     delta = _loss_output_grad(spec, cache.outputs, batch.targets)
     delta *= 1.0 / len(batch)
-    for l in range(len(slices) - 1, -1, -1):
-        ws, _, bs, _ = slices[l]
+    for l in range(len(spec.layout) - 1, -1, -1):
+        ws, _, bs = spec.layout[l]
         grad[:, ws] = (cache.inputs[l].T @ (rows[:, :, None] * delta)).reshape(k, -1)
         grad[:, bs] = rows @ delta
         if l > 0:

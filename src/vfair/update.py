@@ -61,6 +61,8 @@ class UpdateState:
             raise ConfigError("decay must be in [0, 1)")
         if self.step_size <= 0.0:
             raise ConfigError("step_size must be positive")
+        if self.lambda2_cap < 0.0:
+            raise ConfigError("lambda2_cap must be >= 0")
         if self.ema_mean < 0.0:
             raise ConfigError("ema_mean cannot be negative for non-negative losses")
 
@@ -101,7 +103,7 @@ def lambda1(norm_sq: float, dot: float) -> float:
     return max(0.0, EPSILON_PROJECTION - dot / norm_sq)
 
 
-def lambda2(mu: float, sigma: float, cap: float = 3.0) -> float:
+def lambda2(mu: float, sigma: float, cap: float) -> float:
     """Weight-positivity bound for the std-dev objective: mu/sigma, capped.
 
     For non-negative losses the most negative z-score is -mu/sigma, so

@@ -78,7 +78,7 @@ def test_load_csv_encoding_and_standardization(tmp_path):
     assert ds.feature_dim == 3
 
 
-def test_load_csv_rejects_bad_rows(tmp_path):
+def test_load_csv_rejects_bad_rows(tmp_path, caplog):
     p = write_csv(
         tmp_path,
         "age,job,y,sex\n"
@@ -86,11 +86,24 @@ def test_load_csv_rejects_bad_rows(tmp_path):
         ",a,0,M\n"          # missing numeric
         "oops,b,1,F\n"      # non-numeric in numeric column
         "3,b,0,\n"          # missing sensitive
+        "inf,a,0,M\n"       # non-finite in numeric column
+        "-Infinity,a,1,F\n"
+        "NaN,b,0,M\n"
+        "5,b,nan,F\n"       # label that parses as a non-finite number
         "4,b,1,M\n",
     )
-    ds = load_csv(p, BASIC_SCHEMA)
+    with caplog.at_level("WARNING", logger="vfair"):
+        ds = load_csv(p, BASIC_SCHEMA)
     assert ds.n == 2
-    assert ds.rejected_rows == 3
+    assert ds.rejected_rows == 7
+    assert "dropped 7 malformed/incomplete rows" in caplog.text
+    # so does a regression or class label that is not finite (a multiclass
+    # "inf" label would otherwise reach int() in build_model_spec and crash)
+    p = write_csv(tmp_path, "age,job,y,sex\n1,a,1,F\n2,a,inf,M\n3,b,-nan,F\n", "labels.csv")
+    for task in ("regression_mse", "multiclass_ce"):
+        ds = load_csv(p, DatasetSchema(BASIC_SCHEMA.feature_columns, "y", ("sex",), task))
+        assert ds.targets.tolist() == [1.0]
+        assert ds.rejected_rows == 2
 
 
 def test_load_csv_missing_column(tmp_path):

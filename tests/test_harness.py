@@ -78,7 +78,7 @@ def test_config_defaults_and_types():
     dataset = {k: v for k, v in tiny_config()["dataset"].items()
                if k not in ("seed", "test_fraction", "split_seed")}
     minimal = config_from_dict({"dataset": dataset})
-    from_dataset = {"raw", "dataset_kind", "synthetic", "csv_path", "schema"}
+    from_dataset = {"raw", "synthetic", "csv_path", "schema"}
     for f in dataclasses.fields(ExperimentConfig):
         if f.name not in from_dataset:
             assert getattr(minimal, f.name) == f.default, f.name
@@ -139,6 +139,29 @@ def test_list_keys_reject_a_bare_string_or_number(section, key, value):
         config_from_dict(d)
 
 
+@pytest.mark.parametrize("section, key", [
+    ("model", "hidden_dim"),
+    ("dataset", "tset_fraction"),
+    ("dataset.schema", "lable"),
+])
+def test_cli_unknown_key_in_a_section_exits_2(tmp_path, capsys, section, key):
+    # a misspelt key would otherwise be ignored, its field keeping the default
+    d = tiny_config()
+    if section == "dataset.schema":
+        d["dataset"] = {"kind": "csv", "path": "data.csv", "schema": {
+            "features": [["x", "numeric"]], "label": "y", "task": "regression_mse"}}
+    target = d
+    for name in section.split("."):
+        target = target[name]
+    target[key] = [16]
+    code = cli_main(["train", "--config", str(write_config(tmp_path, d)),
+                     "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: unknown config keys") and f"'{section}.{key}'" in err
+
+
 def test_load_config_errors(tmp_path):
     with pytest.raises(ConfigError):
         load_config(tmp_path / "absent.json")
@@ -154,7 +177,11 @@ def test_resolve_utility():
     assert resolve_utility("auto", "binary_bce") == "accuracy"
     assert resolve_utility("auto", "multiclass_ce") == "accuracy"
     assert resolve_utility("f1", "binary_bce") == "f1"
-    assert resolve_utility("prediction_error", "binary_bce") == "mse"
+    # one name per utility: the former alias of mse is refused, here and when a config loads
+    with pytest.raises(ConfigError):
+        resolve_utility("prediction_error", "binary_bce")
+    with pytest.raises(ConfigError, match="prediction_error"):
+        config_from_dict(tiny_config(utility="prediction_error"))
     with pytest.raises(ConfigError):
         resolve_utility("accuracy", "regression_mse")
     with pytest.raises(ConfigError):
@@ -173,7 +200,7 @@ def test_sgd_step_is_plain_descent():
 
 
 def test_adagrad_matches_hand_accumulator():
-    opt = Adagrad(0.1, dim=2, eps=1e-10)
+    opt = Adagrad(0.1, dim=2)
     p = np.array([0.0, 0.0])
     g1 = np.array([3.0, 4.0])
     p = opt.step(p, g1)
@@ -616,6 +643,8 @@ def test_cli_train_bad_config_exits_2(tmp_path, capsys):
     (None, "step_size", float("nan")),
     (None, "step_size", float("inf")),
     (None, "epochs", float("inf")),
+    # a negative cap would make lambda2 negative on every step
+    (None, "lambda2_cap", -1.0),
 ])
 def test_cli_train_badly_typed_value_exits_2(tmp_path, capsys, section, key, value):
     d = tiny_config()

@@ -81,8 +81,9 @@ def test_accuracy_and_mse_group_utilities():
     tgt = np.array([0.0, 0.0, 0.0, 1.0])
     mse = group_utilities(vals, tgt, part, "mse")
     np.testing.assert_allclose(mse, [0.5, 4.0])
-    # prediction_error is an alias for mse
-    np.testing.assert_allclose(group_utilities(vals, tgt, part, "prediction_error"), mse)
+    # mse has one name: its former alias is refused
+    with pytest.raises(ConfigError, match="prediction_error"):
+        group_utilities(vals, tgt, part, "prediction_error")
 
 
 def test_f1_hand_values():
@@ -95,7 +96,7 @@ def test_f1_hand_values():
     assert group_utilities(np.ones(3), np.ones(3), whole, "f1")[0] == 1.0
 
 
-@pytest.mark.parametrize("kind", ["mse", "prediction_error", "accuracy", "f1"])
+@pytest.mark.parametrize("kind", ["mse", "accuracy", "f1"])
 def test_stacked_group_utilities_match_masked_overall_utility(kind):
     def overall(p, t):
         return group_utilities(p, t, GroupPartition.whole(len(t)), kind)[0]

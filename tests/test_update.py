@@ -124,9 +124,9 @@ def test_lambda1_hand_values():
 
 
 def test_lambda2_hand_values_and_cap():
-    assert lambda2(2.0, math.sqrt(2.0 / 3.0)) == pytest.approx(2.0 / math.sqrt(2.0 / 3.0))
+    assert lambda2(2.0, math.sqrt(2.0 / 3.0), cap=3.0) == pytest.approx(2.0 / math.sqrt(2.0 / 3.0))
     assert lambda2(4.0, 1.0, cap=3.0) == 3.0
-    assert lambda2(0.0, 1.0) == 0.0
+    assert lambda2(0.0, 1.0, cap=3.0) == 0.0
 
 
 def test_combined_weights_hand_vector():
@@ -378,6 +378,10 @@ def test_update_state_validation():
         UpdateState(step_size=0.0)
     with pytest.raises(ConfigError):
         UpdateState(ema_mean=-0.1)
+    with pytest.raises(ConfigError, match="lambda2_cap"):
+        UpdateState(lambda2_cap=-1.0)
+    # no cap at all is valid: lambda2 is then mu / sigma
+    assert UpdateState(lambda2_cap=np.inf).lambda2_cap == np.inf
 
 
 def test_step_report_row_columns():
