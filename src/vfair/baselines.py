@@ -76,30 +76,33 @@ def dro_eta(losses: np.ndarray, cfg: DroConfig) -> float:
         return top
     d = np.sort(top - losses)
     m = np.arange(1, b + 1)
-    d1 = np.cumsum(d)
-    spread = np.maximum(np.cumsum(d * d) - d1 * d1 / m, 0.0)
+    bm = b / m
+    d1 = d.cumsum()
+    spread = np.maximum((d * d).cumsum() - d1 * d1 / m, 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        shift = (d1 + np.sqrt(b * spread / (c2 - b / m))) / m
-    qualifies = (c2 > b / m) & (shift <= np.append(d[1:], np.inf))
+        shift = (d1 + np.sqrt(b * spread / (c2 - bm))) / m
+    qualifies = (c2 > bm) & (shift <= np.concatenate((d[1:], [np.inf])))
     qualifies[-1] = True  # fails only when an overflowed sum made shift NaN
     first = int(qualifies.argmax())
     return top - float(shift[first])
 
 
 def dro_direction(
-    spec: ModelSpec, params: np.ndarray, batch: Batch, cfg: DroConfig
+    spec: ModelSpec, params: np.ndarray, batch: Batch, cfg: DroConfig,
+    layers: list | None = None,
 ) -> tuple[np.ndarray, float]:
     """Gradient of the eta-minimized dual objective, plus eta* itself.
 
     Weights (l_i - eta*)_+ vanish for every example at or below eta*
     (zero subgradient at the kink); if that kills the whole batch the
-    returned direction is exactly zero.
+    returned direction is exactly zero.  ``layers``, the ``unpack`` views
+    of ``params``, saves unpacking them.
     """
-    cache = forward_cache(spec, params, batch)
+    cache = forward_cache(spec, params, batch, layers)
     losses = per_example_losses(spec, cache.outputs, batch.targets)
     eta = dro_eta(losses, cfg)
     pos = np.maximum(losses - eta, 0.0)
-    denom = math.sqrt(float(np.mean(pos**2)))
+    denom = math.sqrt((pos**2).sum() / len(pos))
     if denom == 0.0:
         return np.zeros_like(np.asarray(params, dtype=np.float64)), eta
     grad = (cfg.scale / denom) * weighted_gradient(spec, params, batch, pos, cache)

@@ -94,14 +94,15 @@ def take_batch(dataset: Dataset, indices) -> Batch:
 # ---------------------------------------------------------------------------
 
 
-def _parse_label(raw_labels: list, task: str) -> np.ndarray:
-    """Labels as float targets; non-numeric classification labels are
-    mapped onto sorted distinct levels."""
-    try:
-        vals = np.array([float(v) for v in raw_labels], dtype=np.float64)
-    except ValueError:
-        if task == "regression_mse":
-            raise DataError("regression labels must be numeric")
+def _parse_label(raw_labels: list, numbers: list, task: str) -> np.ndarray:
+    """Labels as float targets.  `numbers` holds each raw label as parsed,
+    None where it is not a number; if any is None, classification labels
+    are mapped onto sorted distinct levels."""
+    if None not in numbers:
+        vals = np.array(numbers, dtype=np.float64)
+    elif task == "regression_mse":
+        raise DataError("regression labels must be numeric")
+    else:
         levels = sorted(set(raw_labels))
         lookup = {lv: i for i, lv in enumerate(levels)}
         vals = np.array([lookup[v] for v in raw_labels], dtype=np.float64)
@@ -114,13 +115,12 @@ def _parse_label(raw_labels: list, task: str) -> np.ndarray:
     return vals
 
 
-def _spoils_row(cell: str, text_ok: bool) -> bool:
-    """Whether `cell` is a number that is not finite ("inf", "nan", ...),
-    or, unless `text_ok`, not a number at all."""
+def _number(cell: str) -> float | None:
+    """`cell` as a float, or None when it is not a number."""
     try:
-        return not math.isfinite(float(cell))
+        return float(cell)
     except ValueError:
-        return not text_ok
+        return None
 
 
 def load_csv(path, schema: DatasetSchema) -> Dataset:
@@ -129,7 +129,8 @@ def load_csv(path, schema: DatasetSchema) -> Dataset:
     Rows with a missing value, an entry that is not a finite number in a
     numeric column, or a label that parses as a non-finite number, are
     dropped (and counted on the returned dataset).  Numeric features are
-    returned raw; ``split`` standardizes them.
+    returned raw; ``split`` standardizes them.  Each numeric cell is parsed
+    once, by the test that keeps its row.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
@@ -144,15 +145,21 @@ def load_csv(path, schema: DatasetSchema) -> Dataset:
         numeric_names = [n for n, kind in schema.feature_columns if kind == "numeric"]
 
         kept_raw = []
+        kept_numbers = []  # per kept row, its numeric feature values
+        kept_labels = []  # per kept row, its label as a number, or None for text
         rejected = 0
         for row in reader:
             cells = {c: (row[c] or "").strip() for c in needed}
-            if (any(v == "" for v in cells.values())
-                    or any(_spoils_row(cells[n], text_ok=False) for n in numeric_names)
-                    or _spoils_row(cells[schema.label_column], text_ok=True)):
+            numbers = [_number(cells[n]) for n in numeric_names]
+            label = _number(cells[schema.label_column])
+            if ("" in cells.values()
+                    or not all(x is not None and math.isfinite(x) for x in numbers)
+                    or (label is not None and not math.isfinite(label))):
                 rejected += 1
             else:
                 kept_raw.append(cells)
+                kept_numbers.append(numbers)
+                kept_labels.append(label)
 
     if rejected:
         logger.warning("%s: dropped %d malformed/incomplete rows", path, rejected)
@@ -160,12 +167,13 @@ def load_csv(path, schema: DatasetSchema) -> Dataset:
         raise DataError(f"{path}: no usable rows")
 
     # column layout: numeric -> one raw column, categorical -> one-hot
+    values = np.array(kept_numbers, dtype=np.float64).reshape(len(kept_raw), len(numeric_names))
     numeric = []
     blocks = []
     offset = 0
     for name, kind in schema.feature_columns:
         if kind == "numeric":
-            blocks.append(np.array([float(r[name]) for r in kept_raw], dtype=np.float64)[:, None])
+            blocks.append(values[:, len(numeric), None])  # numeric column number len(numeric)
             numeric.append(offset)
         else:
             raw = [r[name] for r in kept_raw]
@@ -176,7 +184,7 @@ def load_csv(path, schema: DatasetSchema) -> Dataset:
             blocks.append(hot)
         offset += blocks[-1].shape[1]
 
-    targets = _parse_label([r[schema.label_column] for r in kept_raw], schema.task)
+    targets = _parse_label([r[schema.label_column] for r in kept_raw], kept_labels, schema.task)
     sensitive = {
         s: np.array([r[s] for r in kept_raw], dtype=object) for s in schema.sensitive_columns
     }

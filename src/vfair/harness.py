@@ -45,11 +45,13 @@ from .metrics import (
 from .nnet import (
     Batch,
     ModelSpec,
+    _check_targets,
     forward,
     init_params,
     per_example_losses,
     predicted_labels,
     predicted_values,
+    unpack,
 )
 from .update import UpdateState, grad_mu, vfair_direction
 
@@ -66,6 +68,9 @@ TRACE_COLUMNS = (
     "step", "mu", "sigma", "lambda1", "lambda2", "lambda",
     "grad_mu_norm", "grad_dot", "weights_min", "eta",
 )
+# the step-trace columns each method fills besides "step", in trace order
+# (a vfair step's row has these keys in this order); erm fills none
+_TRACE_FILLED = {"dro": ("eta",), **dict.fromkeys(_VFAIR_OBJECTIVE, TRACE_COLUMNS[1:-1])}
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +326,7 @@ class RunRecord:
     utility_kind: str
     test_predictions: np.ndarray  # decoded per utility kind
     test_targets: np.ndarray
-    trace: list = field(default_factory=list)
+    trace: dict = field(default_factory=dict)  # step-trace column -> values; not saved
     config: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
@@ -395,9 +400,20 @@ def _write_csv(path, columns, rows) -> None:
     _write_atomically(path, buf.getvalue())
 
 
-def write_trace(rows, path) -> None:
-    """Step-trace CSV; methods fill only the columns they produce."""
-    _write_csv(path, TRACE_COLUMNS, rows)
+def write_trace(trace, path) -> None:
+    """Step-trace CSV of every TRACE_COLUMNS column, written column by column
+    with the bytes ``csv.DictWriter`` writes for one dict row per step.
+    `trace` maps the columns a run fills to equal-length arrays ("step"
+    holds integers); the others are blank.  An unknown column raises
+    ValueError before `path` is touched."""
+    unknown = [c for c in trace if c not in TRACE_COLUMNS]
+    if unknown:
+        raise ValueError(f"unknown step-trace columns {unknown}")
+    blank = [""] * len(trace["step"])
+    # str of a Python int or float is what DictWriter writes for it
+    cells = [map(str, trace[c].tolist()) if c in trace else blank for c in TRACE_COLUMNS]
+    lines = [",".join(TRACE_COLUMNS), *map(",".join, zip(*cells)), ""]
+    _write_atomically(path, "\r\n".join(lines))
 
 
 # ---------------------------------------------------------------------------
@@ -405,13 +421,28 @@ def write_trace(rows, path) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _split_batch(spec: ModelSpec, dataset: Dataset) -> Batch:
+    """A whole split as one batch, its rows and targets checked once here:
+    the steps and losses computed on its rows do not check them again."""
+    full = Batch(dataset.features, dataset.targets)  # copies no valid float64 array
+    _check_targets(spec, full.targets)
+    return full
+
+
 def _train_one(cfg: ExperimentConfig, spec: ModelSpec, train: Dataset, method: str, seed: int,
                reference: float | None = None):
     """Train one (method, seed); returns (selected params, selected epoch,
     per-epoch loss, trace).  The selected epoch is the last one, or with a
     `reference` loss the one whose training loss is nearest it (earliest
-    wins ties)."""
+    wins ties).  The trace maps "step" and the columns the method fills
+    to one value per step.
+
+    The run's workspace is built once: (W, b) views of the parameters,
+    which every update overwrites in place, and one [steps, columns]
+    array of trace values.
+    """
     params = init_params(spec, seed)
+    layers = unpack(spec, params)
     optimizer = Sgd(cfg.step_size) if cfg.optimizer == "sgd" else Adagrad(cfg.step_size, len(params))
     state = UpdateState(
         decay=cfg.decay, step_size=cfg.step_size, lambda2_cap=cfg.lambda2_cap
@@ -420,11 +451,12 @@ def _train_one(cfg: ExperimentConfig, spec: ModelSpec, train: Dataset, method: s
     objective = _VFAIR_OBJECTIVE.get(method)
     rng = np.random.default_rng(seed)
 
-    full = Batch(train.features, train.targets)  # validates every row once, copies none
-    # the optimizers return a new array per step, so holding `params` keeps it
-    best, best_epoch = params, 0
+    full = _split_batch(spec, train)
+    steps = cfg.epochs * -(-train.n // cfg.batch_size)
+    filled = _TRACE_FILLED.get(method, ())
+    values = np.empty((steps, len(filled)))
+    best, best_epoch = np.empty_like(params), 0  # epoch 0 always fills it
     per_epoch_loss = []
-    trace = []
     step = 0
     try:
         for epoch in range(cfg.epochs):
@@ -433,30 +465,35 @@ def _train_one(cfg: ExperimentConfig, spec: ModelSpec, train: Dataset, method: s
             for start in range(0, train.n, cfg.batch_size):
                 batch = shuffled.subset(slice(start, start + cfg.batch_size))
                 if method == "erm":
-                    grad = grad_mu(spec, params, batch)
+                    grad = grad_mu(spec, params, batch, layers)
                 elif method == "dro":
-                    grad, eta = dro_direction(spec, params, batch, dro_cfg)
-                    trace.append({"step": step, "eta": eta})
+                    grad, eta = dro_direction(spec, params, batch, dro_cfg, layers)
+                    values[step, 0] = eta
                 else:
-                    grad, state, row = vfair_direction(state, spec, params, batch, objective)
-                    trace.append({"step": step, **row})
-                params = optimizer.step(params, grad)
+                    grad, state, row = vfair_direction(
+                        state, spec, params, batch, objective, layers
+                    )
+                    values[step] = tuple(row.values())
+                # the optimizers stay pure; the copy keeps `layers` viewing `params`
+                params[...] = optimizer.step(params, grad)
                 step += 1
-            losses = per_example_losses(spec, forward(spec, params, full), full.targets)
+            losses = per_example_losses(spec, forward(spec, params, full, layers), full.targets)
             loss = float(losses.mean())
             per_epoch_loss.append(loss)
             if reference is None or epoch == 0 or (
                 abs(loss - reference) < abs(per_epoch_loss[best_epoch] - reference)
             ):
-                best, best_epoch = params, epoch
+                best[...] = params
+                best_epoch = epoch
     except NumericError as exc:
         raise NumericError(f"{method} seed={seed} epoch={epoch} step={step}: {exc}") from exc
+    trace = {"step": np.arange(steps), **dict(zip(filled, values.T))} if filled else {}
     return best, best_epoch, per_epoch_loss, trace
 
 
 def evaluate(cfg, spec, test: Dataset, params, method: str, seed: int) -> RunRecord:
     """Full test-split evaluation of fixed parameters into a RunRecord."""
-    full = Batch(test.features, test.targets)
+    full = _split_batch(spec, test)
     outputs = forward(spec, params, full)
     losses = per_example_losses(spec, outputs, full.targets)
     kind = resolve_utility(cfg.utility, spec.task)
@@ -615,7 +652,7 @@ def aggregate(records) -> AggregateTable:
 def emit_loss_curve(spec: ModelSpec, params, dataset: Dataset, path=None) -> np.ndarray:
     """Sorted per-example losses of a model over a dataset; optionally
     written as CSV of (rank, loss) with a final mean row."""
-    full = Batch(dataset.features, dataset.targets)
+    full = _split_batch(spec, dataset)
     losses = np.sort(per_example_losses(spec, forward(spec, params, full), full.targets))
     if path is not None:
         rows = [{"rank": i, "loss": repr(float(v))} for i, v in enumerate(losses, start=1)]

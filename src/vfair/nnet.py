@@ -95,9 +95,9 @@ class Batch:
             raise DataError("targets must be 1-d and aligned with features")
         if f.shape[0] == 0:
             raise DataError("empty batch")
-        if not np.all(np.isfinite(f)):
+        if not np.isfinite(f).all():
             raise DataError("non-finite feature values")
-        if not np.all(np.isfinite(t)):
+        if not np.isfinite(t).all():
             raise DataError("non-finite target values")
         object.__setattr__(self, "features", f)
         object.__setattr__(self, "targets", t)
@@ -175,21 +175,26 @@ class ForwardCache(NamedTuple):
     outputs: np.ndarray   # [b, output_dim]
 
 
-def forward_cache(spec: ModelSpec, params: np.ndarray, batch: Batch) -> ForwardCache:
-    """Forward pass keeping layer inputs and pre-activations for backprop."""
+def forward_cache(spec: ModelSpec, params: np.ndarray, batch: Batch,
+                  layers: list | None = None) -> ForwardCache:
+    """Forward pass keeping layer inputs and pre-activations for backprop.
+    ``layers``, the ``unpack`` views of ``params``, saves unpacking them."""
     if batch.features.shape[1] != spec.input_dim:
         raise DataError(
             f"batch has {batch.features.shape[1]} features, spec expects {spec.input_dim}"
         )
-    layers = unpack(spec, params)
+    if layers is None:
+        layers = unpack(spec, params)
     inputs = []
     preacts = []
     h = batch.features
+    last = len(layers) - 1
     for idx, (w, b) in enumerate(layers):
         inputs.append(h)
-        z = h @ w + b
+        z = h @ w
+        z += b
         preacts.append(z)
-        h = z if idx == len(layers) - 1 else _activate(spec.activation, z)
+        h = z if idx == last else _activate(spec.activation, z)
     return ForwardCache(layers, inputs, preacts, h)
 
 
@@ -197,7 +202,8 @@ def forward_cache(spec: ModelSpec, params: np.ndarray, batch: Batch) -> ForwardC
 FORWARD_BLOCK_ROWS = 2048
 
 
-def forward(spec: ModelSpec, params: np.ndarray, batch: Batch) -> np.ndarray:
+def forward(spec: ModelSpec, params: np.ndarray, batch: Batch,
+            layers: list | None = None) -> np.ndarray:
     """Network outputs [b, output_dim]; classification tasks return logits.
 
     Runs ``forward_cache`` over consecutive FORWARD_BLOCK_ROWS-row views
@@ -205,17 +211,22 @@ def forward(spec: ModelSpec, params: np.ndarray, batch: Batch) -> np.ndarray:
     batch of at most one block is the one-pass forward bit for bit; on
     longer ones, BLAS may pick another kernel for a block's shape, so
     outputs can differ from one pass in the last ulps.  The block size
-    is fixed, so outputs are deterministic.
+    is fixed, so outputs are deterministic.  ``layers`` is as for
+    ``forward_cache``.
     """
+    if layers is None:
+        layers = unpack(spec, params)
     n = len(batch)
     outputs = np.empty((n, spec.output_dim))
     for start in range(0, n, FORWARD_BLOCK_ROWS):
         block = slice(start, start + FORWARD_BLOCK_ROWS)
-        outputs[block] = forward_cache(spec, params, batch.subset(block)).outputs
+        outputs[block] = forward_cache(spec, params, batch.subset(block), layers).outputs
     return outputs
 
 
-def _check_targets(spec: ModelSpec, targets: np.ndarray) -> np.ndarray:
+def _check_targets(spec: ModelSpec, targets: np.ndarray) -> None:
+    """Refuse targets the task cannot take.  Run once per split, where it
+    enters training or evaluation; the losses and gradients do not re-check."""
     if spec.task == "multiclass_ce":
         idx = targets.astype(np.int64)
         if np.any(idx != targets):
@@ -224,11 +235,9 @@ def _check_targets(spec: ModelSpec, targets: np.ndarray) -> np.ndarray:
             raise DataError(
                 f"class index out of range [0, {spec.output_dim}) in targets"
             )
-        return idx
-    if spec.task in ("binary_bce", "logistic_regression_mse"):
+    elif spec.task in ("binary_bce", "logistic_regression_mse"):
         if not np.all((targets == 0.0) | (targets == 1.0)):
             raise DataError(f"{spec.task} targets must be 0 or 1")
-    return targets
 
 
 def per_example_losses(spec: ModelSpec, predictions: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -241,9 +250,10 @@ def per_example_losses(spec: ModelSpec, predictions: np.ndarray, targets: np.nda
 
     Each is >= 0 and never -0.0 as rounded, so none is clamped: squares are,
     logaddexp(0, z) is max(0, z) plus a log1p term >= 0, and lse >= z[y].
+    ``targets`` are valid for the task (``_check_targets``), not re-checked.
     """
     predictions = np.asarray(predictions, dtype=np.float64)
-    targets = _check_targets(spec, np.asarray(targets, dtype=np.float64))
+    targets = np.asarray(targets, dtype=np.float64)
     if predictions.ndim != 2 or predictions.shape[1] != spec.output_dim:
         raise DataError("predictions must be [batch, output_dim]")
     if predictions.shape[0] != targets.shape[0]:
@@ -261,14 +271,13 @@ def per_example_losses(spec: ModelSpec, predictions: np.ndarray, targets: np.nda
         m = z.max(axis=1)
         lse = m + np.log(np.exp(z - m[:, None]).sum(axis=1))
         losses = lse - z[np.arange(len(z)), targets.astype(np.int64)]
-    if not np.all(np.isfinite(losses)):
+    if not np.isfinite(losses).all():
         raise NumericError("non-finite per-example loss")
     return losses
 
 
 def _loss_output_grad(spec: ModelSpec, outputs: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """d loss_i / d output_i, shape [b, output_dim]."""
-    targets = _check_targets(spec, np.asarray(targets, dtype=np.float64))
+    """d loss_i / d output_i, shape [b, output_dim], for float64 targets."""
     if spec.task == "regression_mse":
         return 2.0 * (outputs - targets[:, None])
     if spec.task == "binary_bce":
@@ -280,7 +289,7 @@ def _loss_output_grad(spec: ModelSpec, outputs: np.ndarray, targets: np.ndarray)
     z = outputs - outputs.max(axis=1, keepdims=True)
     e = np.exp(z)
     grad = e / e.sum(axis=1, keepdims=True)
-    grad[np.arange(len(grad)), targets] -= 1.0
+    grad[np.arange(len(grad)), targets.astype(np.int64)] -= 1.0
     return grad
 
 
@@ -301,14 +310,15 @@ def weighted_gradient(spec: ModelSpec, params: np.ndarray, batch: Batch, weights
     if cache is None:
         cache = forward_cache(spec, params, batch)
 
-    rows = np.atleast_2d(weights)
+    rows = weights if weights.ndim == 2 else weights[None]
     k = rows.shape[0]
+    per_example = rows[:, :, None]
     grad = np.empty((k, parameter_count(spec)))
     delta = _loss_output_grad(spec, cache.outputs, batch.targets)
     delta *= 1.0 / len(batch)
     for l in range(len(spec.layout) - 1, -1, -1):
         ws, _, bs = spec.layout[l]
-        grad[:, ws] = (cache.inputs[l].T @ (rows[:, :, None] * delta)).reshape(k, -1)
+        grad[:, ws] = (cache.inputs[l].T @ (per_example * delta)).reshape(k, -1)
         grad[:, bs] = rows @ delta
         if l > 0:
             delta = delta @ cache.layers[l][0].T

@@ -23,13 +23,14 @@ per-example weight vector and in the closed form of lam2:
 The running mean mu is an exponential moving average across batches
 (bias left uncorrected, mu_0 = 0); sigma is computed per batch around
 that running mean.  Each step's mu, sigma, lambdas, gradient norms and
-smallest weight come back as a dict keyed by the step-trace columns.
+smallest weight come back as a dict keyed by the step-trace columns, in
+their column order.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,6 +67,13 @@ class UpdateState:
         if self.ema_mean < 0.0:
             raise ConfigError("ema_mean cannot be negative for non-negative losses")
 
+    def _with_mean(self, mu: float) -> "UpdateState":
+        """This state with ema_mean = mu, copied without ``dataclasses.replace``,
+        which re-runs ``__post_init__`` every step; a mean of losses >= 0 is valid."""
+        new = object.__new__(UpdateState)
+        new.__dict__.update(self.__dict__, ema_mean=mu)
+        return new
+
 
 # ---------------------------------------------------------------------------
 # Scalar pieces
@@ -77,8 +85,9 @@ def ema_update(mu_prev: float, losses: np.ndarray, decay: float) -> float:
 
     ``losses`` come from ``per_example_losses`` (a non-empty, finite,
     non-negative 1-d array) and ``decay`` from a validated UpdateState.
+    The mean is ``sum / n``, bit for bit what ``np.mean`` returns.
     """
-    return float(decay * mu_prev + (1.0 - decay) * losses.mean())
+    return float(decay * mu_prev + (1.0 - decay) * (losses.sum() / len(losses)))
 
 
 def batch_sigma(losses: np.ndarray, mu: float) -> float:
@@ -88,7 +97,7 @@ def batch_sigma(losses: np.ndarray, mu: float) -> float:
     not the batch standard deviation in general.  ``losses`` come from
     ``per_example_losses`` (a non-empty, finite 1-d array).
     """
-    return max(SIGMA_FLOOR, float(np.sqrt(np.mean((losses - mu) ** 2))))
+    return max(SIGMA_FLOOR, math.sqrt(((losses - mu) ** 2).sum() / len(losses)))
 
 
 def lambda1(norm_sq: float, dot: float) -> float:
@@ -124,10 +133,13 @@ def pairwise_coefficients(losses: np.ndarray) -> np.ndarray:
     is the float64 1-d array that ``per_example_losses`` returns.
     """
     order = np.argsort(losses, kind="stable")
-    d = np.sign(np.diff(losses[order]))
-    phi = np.zeros(len(losses))
-    phi[order[:-1]] -= d
-    phi[order[1:]] += d
+    ranked = losses[order]
+    d = np.sign(ranked[1:] - ranked[:-1])
+    coef = np.zeros(len(losses))  # in ascending order, then scattered back
+    coef[:-1] -= d
+    coef[1:] += d
+    phi = np.empty(len(losses))
+    phi[order] = coef
     return phi
 
 
@@ -136,9 +148,12 @@ def pairwise_coefficients(losses: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def grad_mu(spec: ModelSpec, params: np.ndarray, batch: Batch) -> np.ndarray:
-    """Gradient of the batch mean loss (uniform weights)."""
-    return weighted_gradient(spec, params, batch, np.ones(len(batch)))
+def grad_mu(spec: ModelSpec, params: np.ndarray, batch: Batch,
+            layers: list | None = None) -> np.ndarray:
+    """Gradient of the batch mean loss (uniform weights).  ``layers``, the
+    ``unpack`` views of ``params``, saves unpacking them."""
+    cache = forward_cache(spec, params, batch, layers)
+    return weighted_gradient(spec, params, batch, np.ones(len(batch)), cache)
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +188,7 @@ def vfair_direction(
     params: np.ndarray,
     batch: Batch,
     objective: str = "std_dev",
+    layers: list | None = None,
 ) -> tuple[np.ndarray, UpdateState, dict]:
     """One update direction lam * g_mu + g_sec (not yet applied).
 
@@ -181,9 +197,10 @@ def vfair_direction(
     direction.  One forward pass feeds the losses and a single stacked
     backward pass with weight rows [1, sw], which yields g_mu and g_sec
     together.  Returns (direction, advanced state, trace row); the row's
-    keys are step-trace column names.
+    keys are step-trace column names.  ``layers``, the ``unpack`` views of
+    ``params``, saves unpacking them.
     """
-    cache = forward_cache(spec, params, batch)
+    cache = forward_cache(spec, params, batch, layers)
     losses = per_example_losses(spec, cache.outputs, batch.targets)
     mu = ema_update(state.ema_mean, losses, state.decay)
     sigma = batch_sigma(losses, mu)
@@ -212,4 +229,4 @@ def vfair_direction(
         # rounding is monotone, so min(lam + sw) == lam + min(sw)
         "weights_min": lam + float(sw.min()),
     }
-    return direction, replace(state, ema_mean=mu), row
+    return direction, state._with_mean(mu), row

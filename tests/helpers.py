@@ -5,6 +5,9 @@ central differences) so they can serve as independent checks of the
 sampled / closed-form / analytic code paths.
 """
 
+import csv
+import io
+
 import numpy as np
 from scipy import stats
 
@@ -68,6 +71,16 @@ def count_calls(monkeypatch, counts, key, fn, *owners):
 
     for owner in owners:
         monkeypatch.setattr(owner, fn.__name__, counted)
+
+
+def dictwriter_csv(columns, rows) -> str:
+    """CSV text of dict rows through `csv.DictWriter`, blanks for missing
+    columns: the oracle of the column-wise step-trace writer."""
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=columns, restval="")
+    writer.writeheader()
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 def loop_random_partition_rank(per_method_predictions, targets, k, trials, seed, kind):

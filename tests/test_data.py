@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from helpers import count_calls
+from vfair import data
 from vfair.data import (
     Dataset,
     DatasetSchema,
@@ -104,6 +106,33 @@ def test_load_csv_rejects_bad_rows(tmp_path, caplog):
         ds = load_csv(p, DatasetSchema(BASIC_SCHEMA.feature_columns, "y", ("sex",), task))
         assert ds.targets.tolist() == [1.0]
         assert ds.rejected_rows == 2
+
+
+def test_load_csv_parses_each_number_once(tmp_path, monkeypatch, caplog):
+    # padded and exponent cells are numbers; the rejected ones beside them
+    # are not, or are not finite
+    p = write_csv(
+        tmp_path,
+        "age,job,y,sex\n"
+        " 2.50 ,a,1,F\n"   # padded
+        "1e3,b,0,M\n"      # exponent
+        "1e,a,1,F\n"       # not a number
+        "2.5.0,b,0,M\n"
+        "1e999,a,1,F\n"    # overflows to inf
+        "-1E-2,b, 1 ,M\n"
+        "7,a,1e999,F\n",   # a label that overflows to inf
+    )
+    counts = {}
+    count_calls(monkeypatch, counts, "parsed", data._number, data)
+    with caplog.at_level("WARNING", logger="vfair"):
+        ds = load_csv(p, BASIC_SCHEMA)
+    assert ds.features[:, 0].tolist() == [2.5, 1000.0, -0.01]
+    assert ds.targets.tolist() == [1.0, 0.0, 1.0]
+    assert ds.sensitive["sex"].tolist() == ["F", "M", "M"]
+    assert ds.rejected_rows == 4
+    assert "dropped 4 malformed/incomplete rows" in caplog.text
+    # one parse per row for the numeric column and one for the label
+    assert counts["parsed"] == 7 * 2
 
 
 def test_load_csv_missing_column(tmp_path):

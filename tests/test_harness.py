@@ -7,10 +7,13 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from vfair import harness
+from helpers import count_calls, dictwriter_csv
+from vfair import harness, nnet
 from vfair.cli import main as cli_main
 from vfair.errors import ConfigError, DataError, NumericError
 from vfair.harness import (
+    METHODS,
+    OPTIMIZERS,
     Adagrad,
     AggregateTable,
     ExperimentConfig,
@@ -29,7 +32,7 @@ from vfair.harness import (
 )
 from vfair.data import take_batch
 from vfair.metrics import MetricsReport
-from vfair.nnet import forward, predicted_labels, predicted_values
+from vfair.nnet import ModelSpec, forward, init_params, predicted_labels, predicted_values
 
 
 def tiny_config(**overrides):
@@ -226,10 +229,13 @@ def test_adagrad_steps_shrink_under_constant_gradient():
 # -- epoch selection --------------------------------------------------------
 
 
+@pytest.mark.parametrize("optimizer", OPTIMIZERS)
 @pytest.mark.parametrize("selection", ["final", "harmless"])
-def test_selected_epoch_is_final_or_nearest_reference(selection):
+def test_selected_epoch_is_final_or_nearest_reference(selection, optimizer):
+    # training updates its parameters in place, so a selected epoch that
+    # shared memory with them would end on the final epoch's bits
     d = tiny_config(methods=["erm", "vfair_std", "dro"], epochs=5,
-                    epoch_selection=selection, seeds=[0, 1])
+                    epoch_selection=selection, seeds=[0, 1], optimizer=optimizer)
     cfg = config_from_dict(d)
     records = run_experiment(cfg)
     refs = {r.seed: r.per_epoch_loss[-1] for r in records if r.method == "erm"}
@@ -241,7 +247,8 @@ def test_selected_epoch_is_final_or_nearest_reference(selection):
         assert rec.selected_epoch == want
         # the record holds that epoch's parameters: a run stopped after it
         # ends on the same bits
-        short = tiny_config(methods=[rec.method], epochs=want + 1, seeds=[rec.seed])
+        short = tiny_config(methods=[rec.method], epochs=want + 1, seeds=[rec.seed],
+                            optimizer=optimizer)
         assert np.array_equal(run_experiment(config_from_dict(short))[0].params, rec.params)
 
 
@@ -265,7 +272,7 @@ def test_minibatches_are_consecutive_slices_of_each_epoch_permutation(monkeypatc
     spec = build_model_spec(cfg, train)
     fed = []
 
-    def recording_grad_mu(spec, params, batch):
+    def recording_grad_mu(spec, params, batch, layers=None):
         fed.append((batch.features.copy(), batch.targets.copy()))
         return np.zeros_like(params)
 
@@ -281,6 +288,38 @@ def test_minibatches_are_consecutive_slices_of_each_epoch_permutation(monkeypatc
     for (features, targets), rows in zip(fed, want):
         assert np.array_equal(features, train.features[rows])
         assert np.array_equal(targets, train.targets[rows])
+
+
+@pytest.mark.parametrize("epochs", [1, 4])
+@pytest.mark.parametrize("method", METHODS)
+def test_a_run_unpacks_and_checks_targets_once(monkeypatch, method, epochs):
+    # the run's (W, b) views and its checked training split serve every
+    # step and epoch evaluation, however many there are
+    cfg = config_from_dict(tiny_config(methods=[method], epochs=epochs))
+    train, _ = build_datasets(cfg)
+    spec = build_model_spec(cfg, train)
+    counts = {}
+    count_calls(monkeypatch, counts, "unpack", nnet.unpack, nnet, harness)
+    count_calls(monkeypatch, counts, "check", nnet._check_targets, nnet, harness)
+    _, _, per_epoch_loss, _ = harness._train_one(cfg, spec, train, method, 0)
+    assert len(per_epoch_loss) == epochs
+    assert counts == {"unpack": 1, "check": 1}
+
+
+def test_each_split_checks_its_targets_where_it_enters():
+    # regression targets are not 0/1 labels: a binary model refuses them
+    # before its first step, its test evaluation or its loss curve
+    cfg = config_from_dict(tiny_config(methods=["erm"]))
+    train, test = build_datasets(cfg)
+    spec = ModelSpec(input_dim=train.feature_dim, hidden_dims=(8,), output_dim=1,
+                     task="binary_bce")
+    params = init_params(spec, 0)
+    with pytest.raises(DataError, match="0 or 1"):
+        harness._train_one(cfg, spec, train, "erm", 0)
+    with pytest.raises(DataError, match="0 or 1"):
+        harness.evaluate(cfg, spec, test, params, "erm", 0)
+    with pytest.raises(DataError, match="0 or 1"):
+        emit_loss_curve(spec, params, test)
 
 
 def test_harmless_without_reference_raises():
@@ -316,11 +355,12 @@ def test_run_experiment_record_shape():
         assert rec.test_predictions.shape == (test.n,)
         assert rec.metrics["overall"].n_examples == test.n
         assert rec.metrics["overall"].mud == 0.0  # single group
-    assert records[0].trace == []
-    assert len(records[1].trace) == cfg.epochs * 4  # 120 train rows / batch 32
-    assert [row["step"] for row in records[1].trace] == list(range(cfg.epochs * 4))
-    assert {"mu", "sigma", "lambda"} <= set(records[1].trace[0])
-    assert set(records[2].trace[0]) == {"step", "eta"}
+    assert records[0].trace == {}
+    # 120 train rows / batch 32: 4 steps per epoch
+    assert records[1].trace["step"].tolist() == list(range(cfg.epochs * 4))
+    assert {"mu", "sigma", "lambda"} <= set(records[1].trace)
+    assert all(len(v) == cfg.epochs * 4 for v in records[1].trace.values())
+    assert set(records[2].trace) == {"step", "eta"}
 
 
 def test_training_reduces_mean_loss():
@@ -497,31 +537,45 @@ def test_aggregate_single_seed_leaves_p_blank(tmp_path):
 
 
 def test_write_trace_union_schema(tmp_path):
-    rows = [
-        {"step": 0, "mu": 0.5, "sigma": 0.1, "lambda1": 0.0, "lambda2": 1.0,
-         "lambda": 1.0, "grad_mu_norm": 2.0, "grad_dot": 0.3, "weights_min": 0.2},
-        {"step": 1, "eta": 0.7},
-    ]
+    # every trace has all the columns; those its method does not fill are blank
     path = tmp_path / "trace.csv"
-    write_trace(rows, path)
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        assert reader.fieldnames == list(TRACE_COLUMNS)
-        got = list(reader)
-    assert got[0]["eta"] == ""
-    assert got[0]["mu"] == "0.5"
-    assert got[1]["eta"] == "0.7"
-    assert got[1]["sigma"] == ""
+    for filled, blank in ((TRACE_COLUMNS[1:-1], "eta"), (("eta",), "sigma")):
+        write_trace({"step": np.arange(2), **{c: np.array([0.5, 0.7]) for c in filled}}, path)
+        with open(path, newline="") as fh:
+            reader = csv.DictReader(fh)
+            assert reader.fieldnames == list(TRACE_COLUMNS)
+            got = list(reader)
+        assert [row["step"] for row in got] == ["0", "1"]
+        assert [row[filled[0]] for row in got] == ["0.5", "0.7"]
+        assert [row[blank] for row in got] == ["", ""]
+
+
+# the dro, vfair and blank (step only) column sets of a step trace
+TRACE_SETS = {"dro": ("eta",), "vfair": TRACE_COLUMNS[1:-1], "blank": ()}
+
+
+@pytest.mark.parametrize("filled", TRACE_SETS.values(), ids=TRACE_SETS.keys())
+def test_write_trace_matches_dictwriter(tmp_path, filled):
+    # the column-wise writer gives the bytes of csv.DictWriter on one dict
+    # row per step, on values whose shortest round-trip form is awkward
+    awkward = [1e-05, 1e+16, 0.1 + 0.2, -0.0, 5e-324]
+    steps = 12
+    values = np.resize(awkward, (steps, len(filled)))  # cycled through the cells
+    rows = [{"step": i, **dict(zip(filled, row))} for i, row in enumerate(values.tolist())]
+    path = tmp_path / "trace.csv"
+    write_trace({"step": np.arange(steps), **dict(zip(filled, values.T))}, path)
+    assert path.read_bytes() == dictwriter_csv(TRACE_COLUMNS, rows).encode("utf-8")
 
 
 def test_failed_write_keeps_the_old_file(tmp_path):
-    # a row with an unknown key raises ValueError; the trace written
+    # a trace with an unknown column raises ValueError; the trace written
     # before it stays byte-identical and no temp file is left behind
     path = tmp_path / "trace.csv"
-    write_trace([{"step": 0, "eta": 0.5}, {"step": 1, "eta": 0.25}], path)
+    write_trace({"step": np.arange(2), "eta": np.array([0.5, 0.25])}, path)
     before = path.read_bytes()
     with pytest.raises(ValueError):
-        write_trace([{"step": 0, "eta": 0.5}, {"step": 1, "bogus": 1.0}], path)
+        write_trace({"step": np.arange(2), "eta": np.array([0.5, 0.25]),
+                     "bogus": np.ones(2)}, path)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["trace.csv"]
     # a write that fails once the temp file exists removes it again

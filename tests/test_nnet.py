@@ -13,6 +13,7 @@ from vfair.nnet import (
     TASKS,
     Batch,
     ModelSpec,
+    _check_targets,
     forward,
     forward_cache,
     init_params,
@@ -192,16 +193,24 @@ def test_multiclass_uniform_logits_log_k():
     assert losses == pytest.approx([math.log(4.0)] * 3)
 
 
+# targets are checked once per split, where it enters training or evaluation
+# (see test_each_split_checks_its_targets_where_it_enters), not per loss call
+
+
 def test_multiclass_rejects_out_of_range_class():
     spec = linear_spec(task="multiclass_ce", output_dim=3)
-    with pytest.raises(DataError):
-        per_example_losses(spec, np.zeros((1, 3)), np.array([3.0]))
+    with pytest.raises(DataError, match="out of range"):
+        _check_targets(spec, np.array([3.0]))
+    with pytest.raises(DataError, match="integer"):
+        _check_targets(spec, np.array([1.5]))
+    _check_targets(spec, np.array([0.0, 2.0]))
 
 
 def test_binary_targets_validated():
     spec = linear_spec(task="logistic_regression_mse")
     with pytest.raises(DataError):
-        per_example_losses(spec, np.zeros((1, 1)), np.array([0.5]))
+        _check_targets(spec, np.array([0.5]))
+    _check_targets(spec, np.array([0.0, 1.0]))
 
 
 def test_losses_nonnegative_random():
