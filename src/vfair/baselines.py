@@ -44,15 +44,6 @@ class DroConfig:
         return math.sqrt(2.0 * (1.0 / self.alpha_min - 1.0) ** 2 + 1.0)
 
 
-def dro_objective(losses: np.ndarray, eta, cfg: DroConfig):
-    """Dual value C * sqrt(mean (l - eta)_+^2) + eta, elementwise over an eta array."""
-    losses = np.asarray(losses, dtype=np.float64)
-    eta = np.asarray(eta, dtype=np.float64)
-    pos = np.maximum(losses - eta[..., None], 0.0)
-    value = cfg.scale * np.sqrt(np.mean(pos**2, axis=-1)) + eta
-    return float(value) if value.ndim == 0 else value
-
-
 def dro_eta(losses: np.ndarray, cfg: DroConfig) -> float:
     """Exact minimizer of the dual objective over eta.
 

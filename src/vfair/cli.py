@@ -42,6 +42,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_train = sub.add_parser("train", help="run all (method, seed) pairs of a config")
     p_train.add_argument("--config", required=True, help="path to a JSON experiment config")
     p_train.add_argument("--out", required=True, help="output directory")
+    p_train.set_defaults(handler=_cmd_train)
 
     p_rank = sub.add_parser("rank", help="average ranks over random partitions")
     p_rank.add_argument("--runs", required=True, nargs="+", help="run record JSON files")
@@ -49,15 +50,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p_rank.add_argument("--trials", type=int, default=100, help="number of random partitions")
     p_rank.add_argument("--seed", type=int, default=0)
     p_rank.add_argument("--out", default=None, help="optional CSV output path")
+    p_rank.set_defaults(handler=_cmd_rank)
 
     p_curve = sub.add_parser("curve", help="sorted per-example loss curve of one run")
     p_curve.add_argument("--run", required=True, help="run record JSON file")
     p_curve.add_argument("--split", choices=("train", "test"), default="test")
     p_curve.add_argument("--out", required=True, help="CSV output path")
+    p_curve.set_defaults(handler=_cmd_curve)
 
     p_cmp = sub.add_parser("compare", help="aggregate metrics across saved runs")
     p_cmp.add_argument("--runs", required=True, nargs="+", help="run record JSON files")
     p_cmp.add_argument("--out", default=None, help="optional CSV output path")
+    p_cmp.set_defaults(handler=_cmd_compare)
 
     return parser
 
@@ -107,10 +111,7 @@ def _cmd_rank(args) -> int:
     )
     header = ("method", *RANK_METRICS)
     if args.out:
-        rows = (
-            dict(zip(header, (m, *(f"{v:.6g}" for v in ranks))))
-            for m, ranks in zip(table.methods, table.avg_rank)
-        )
+        rows = ((m, *(f"{v:.6g}" for v in r)) for m, r in zip(table.methods, table.avg_rank))
         _write_csv(args.out, header, rows)
     print(",".join(header))
     for i, m in enumerate(table.methods):
@@ -151,16 +152,9 @@ def _cmd_compare(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    handler = {
-        "train": _cmd_train,
-        "rank": _cmd_rank,
-        "curve": _cmd_curve,
-        "compare": _cmd_compare,
-    }[args.command]
+    args = _build_parser().parse_args(argv)
     try:
-        return handler(args)
+        return args.handler(args)
     except (ConfigError, DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -203,24 +203,9 @@ def load_csv(path, schema: DatasetSchema) -> Dataset:
 # ---------------------------------------------------------------------------
 
 
-def _standardize_pair(train: Dataset, test: Dataset):
-    """Standardize the numeric columns of both sides by the train side's
-    population stats."""
-    tr = train.features.copy()
-    te = test.features.copy()
-    for j in train.numeric_columns:
-        vals = tr[:, j]
-        mean = float(vals.mean())
-        std = float(np.sqrt(np.mean((vals - mean) ** 2)))
-        if std == 0.0:
-            std = 1.0  # constant on the train side -> train values all zero
-        tr[:, j] = (tr[:, j] - mean) / std
-        te[:, j] = (te[:, j] - mean) / std
-    return replace(train, features=tr), replace(test, features=te)
-
-
 def split(dataset: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
-    """Seeded shuffle split; numeric features standardized by train stats."""
+    """Seeded shuffle split; the numeric features of both sides are
+    standardized by the train side's population stats."""
     if not 0.0 < test_fraction < 1.0:
         raise ConfigError("test_fraction must be in (0, 1)")
     n = dataset.n
@@ -228,18 +213,26 @@ def split(dataset: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, D
     if n_test < 1 or n - n_test < 1:
         raise ConfigError(f"split of {n} rows at {test_fraction} leaves an empty side")
     perm = np.random.default_rng(seed).permutation(n)
-    test_idx, train_idx = perm[:n_test], perm[n_test:]
-
-    def subset(idx):
-        return replace(
+    # gathering the rows copies them, so each side is standardized in place
+    train, test = (
+        replace(
             dataset,
             features=dataset.features[idx],
             targets=dataset.targets[idx],
             sensitive={k: v[idx] for k, v in dataset.sensitive.items()},
             rejected_rows=0,
         )
-
-    return _standardize_pair(subset(train_idx), subset(test_idx))
+        for idx in (perm[n_test:], perm[:n_test])
+    )
+    for j in dataset.numeric_columns:
+        vals = train.features[:, j]
+        mean = float(vals.mean())
+        std = float(np.sqrt(np.mean((vals - mean) ** 2)))
+        if std == 0.0:
+            std = 1.0  # constant on the train side -> train values all zero
+        train.features[:, j] = (vals - mean) / std
+        test.features[:, j] = (test.features[:, j] - mean) / std
+    return train, test
 
 
 # ---------------------------------------------------------------------------

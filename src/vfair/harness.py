@@ -35,7 +35,6 @@ from .data import (
 )
 from .errors import ConfigError, DataError, NumericError
 from .metrics import (
-    UTILITY_KINDS,
     GroupPartition,
     MetricsReport,
     build_report,
@@ -58,7 +57,6 @@ from .update import UpdateState, grad_mu, vfair_direction
 METHODS = ("erm", "vfair_std", "vfair_var", "vfair_pairwise", "dro")
 OPTIMIZERS = ("sgd", "adagrad")
 EPOCH_SELECTION = ("final", "harmless")
-UTILITY_CHOICES = ("auto", *UTILITY_KINDS)
 
 logger = logging.getLogger(__name__)
 
@@ -118,8 +116,6 @@ class ExperimentConfig:
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
         if self.epoch_selection not in EPOCH_SELECTION:
             raise ConfigError(f"unknown epoch_selection {self.epoch_selection!r}")
-        if self.utility not in UTILITY_CHOICES:
-            raise ConfigError(f"unknown utility {self.utility!r}")
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
         if self.batch_size < 1:
@@ -131,12 +127,22 @@ class ExperimentConfig:
             raise ConfigError("at least one seed is required")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError("duplicate seeds in config")
+        # the task is known here, so a utility it cannot take is refused before any run
+        resolve_utility(self.utility, (self.synthetic or self.schema).task)
         if (self.epoch_selection == "harmless" and "erm" not in self.methods
                 and self.erm_reference_loss is None):
             raise ConfigError(
                 "harmless epoch selection needs an erm run in the same invocation "
                 "or an explicit erm_reference_loss"
             )
+
+
+def _whole(value) -> int:
+    """An integer key's value as an int.  A float passes only without a
+    fractional part (1e3, not 2.7), and a boolean never does."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(value)
+    return int(value)
 
 
 # config key -> converter, one table per section; each key of the top-level,
@@ -147,16 +153,16 @@ class ExperimentConfig:
 # section names is refused.  A key in _LIST_KEYS takes a JSON list only.
 _TOP_LEVEL_KEYS = {
     "methods": lambda v: tuple(str(m) for m in v), "optimizer": str, "step_size": float,
-    "batch_size": int, "epochs": int, "decay": float, "lambda2_cap": float,
-    "dro_alpha_min": float, "seeds": lambda v: tuple(int(x) for x in v),
+    "batch_size": _whole, "epochs": _whole, "decay": float, "lambda2_cap": float,
+    "dro_alpha_min": float, "seeds": lambda v: tuple(_whole(x) for x in v),
     "epoch_selection": str, "utility": str, "erm_reference_loss": float,
 }
-_DATASET_KEYS = {"seed": int, "test_fraction": float, "split_seed": int}
-_MODEL_KEYS = {"hidden_dims": lambda v: tuple(int(h) for h in v), "activation": str}
+_DATASET_KEYS = {"seed": _whole, "test_fraction": float, "split_seed": _whole}
+_MODEL_KEYS = {"hidden_dims": lambda v: tuple(_whole(h) for h in v), "activation": str}
 _LIST_KEYS = {"methods", "seeds", "hidden_dims", "features", "sensitive"}
 # the synthetic generator's keys, all required but "task"
 _SYNTHETIC_KEYS = {
-    "n": int, "group_ratio": float, "feature_dim": int, "minority_shift": float,
+    "n": _whole, "group_ratio": float, "feature_dim": _whole, "minority_shift": float,
     "noise_std": float, "task": str,
 }
 # a csv dataset's schema keys, all required but "sensitive"
@@ -185,7 +191,7 @@ def _typed(section: dict, table: dict, where: str = "", also=()) -> dict:
             raise ConfigError(f"config key {where + key!r} must be a list, got {value!r}")
         try:
             out[key] = convert(value)
-        except (TypeError, ValueError, OverflowError):  # int(inf) overflows
+        except (TypeError, ValueError, OverflowError):  # float() of a huge int overflows
             raise ConfigError(f"config key {where + key!r} has a bad value {value!r}") from None
         if convert is float and not math.isfinite(out[key]):
             raise ConfigError(f"config key {where + key!r} must be finite, got {value!r}")
@@ -368,9 +374,11 @@ class RunRecord:
 
     @classmethod
     def load(cls, path) -> "RunRecord":
+        """A saved record; a file that does not decode to one, whatever is
+        wrong with it, raises DataError."""
         try:
             return cls.from_json_dict(json.loads(Path(path).read_text(encoding="utf-8")))
-        except (json.JSONDecodeError, KeyError) as exc:
+        except (ArithmeticError, AttributeError, LookupError, TypeError, ValueError) as exc:
             raise DataError(f"{path} is not a run record: {exc}") from None
 
 
@@ -390,19 +398,18 @@ def _write_atomically(path, text: str) -> None:
         raise
 
 
-def _write_csv(path, columns, rows) -> None:
-    """A header and dict rows, blanks for missing columns; a row with an
-    unknown key raises ValueError before `path` is touched."""
+def _write_csv(path, header, rows) -> None:
+    """A header and rows of values, each in column order; None is a blank."""
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=columns, restval="")
-    writer.writeheader()
+    writer = csv.writer(buf)
+    writer.writerow(header)
     writer.writerows(rows)
     _write_atomically(path, buf.getvalue())
 
 
 def write_trace(trace, path) -> None:
     """Step-trace CSV of every TRACE_COLUMNS column, written column by column
-    with the bytes ``csv.DictWriter`` writes for one dict row per step.
+    with the bytes ``_write_csv`` writes for one row per step.
     `trace` maps the columns a run fills to equal-length arrays ("step"
     holds integers); the others are blank.  An unknown column raises
     ValueError before `path` is touched."""
@@ -410,7 +417,7 @@ def write_trace(trace, path) -> None:
     if unknown:
         raise ValueError(f"unknown step-trace columns {unknown}")
     blank = [""] * len(trace["step"])
-    # str of a Python int or float is what DictWriter writes for it
+    # str of a Python int or float is what csv.writer writes for it
     cells = [map(str, trace[c].tolist()) if c in trace else blank for c in TRACE_COLUMNS]
     lines = [",".join(TRACE_COLUMNS), *map(",".join, zip(*cells)), ""]
     _write_atomically(path, "\r\n".join(lines))
@@ -444,9 +451,7 @@ def _train_one(cfg: ExperimentConfig, spec: ModelSpec, train: Dataset, method: s
     params = init_params(spec, seed)
     layers = unpack(spec, params)
     optimizer = Sgd(cfg.step_size) if cfg.optimizer == "sgd" else Adagrad(cfg.step_size, len(params))
-    state = UpdateState(
-        decay=cfg.decay, step_size=cfg.step_size, lambda2_cap=cfg.lambda2_cap
-    )
+    state = UpdateState(decay=cfg.decay, lambda2_cap=cfg.lambda2_cap)
     dro_cfg = DroConfig(alpha_min=cfg.dro_alpha_min)
     objective = _VFAIR_OBJECTIVE.get(method)
     rng = np.random.default_rng(seed)
@@ -591,8 +596,7 @@ class AggregateTable:
     ]
 
     def to_csv(self, path) -> None:
-        rows = ({k: v for k, v in row.items() if v is not None} for row in self.rows)
-        _write_csv(path, self.COLUMNS, rows)
+        _write_csv(path, self.COLUMNS, ([row[c] for c in self.COLUMNS] for row in self.rows))
 
 
 def aggregate(records) -> AggregateTable:
@@ -600,41 +604,34 @@ def aggregate(records) -> AggregateTable:
     improvement against the mean-loss baseline where available."""
     if not records:
         raise ConfigError("no records to aggregate")
-    partitions = []
-    methods = []
+    groups = {}  # (partition, method) -> its records, in record order
     for r in records:
-        for p in r.metrics:
-            if p not in partitions:
-                partitions.append(p)
-        if r.method not in methods:
-            methods.append(r.method)
+        for partition in r.metrics:
+            groups.setdefault((partition, r.method), []).append(r)
+    partitions = list(dict.fromkeys(p for p, _ in groups))
+    methods = list(dict.fromkeys(r.method for r in records))
 
-    def values(method, partition, metric):
-        vals = [
-            getattr(r.metrics[partition], metric)
-            for r in records
-            if r.method == method and partition in r.metrics
-        ]
-        return np.asarray(vals, dtype=np.float64)
+    def values(group, partition, metric):
+        reports = (r.metrics[partition] for r in group)
+        return np.asarray([getattr(rep, metric) for rep in reports], dtype=np.float64)
 
     rows = []
     for partition in partitions:
+        erm = groups.get((partition, "erm"))  # a partition no erm run has gets no deltas
         for method in methods:
-            kinds = [
-                r.utility_kind for r in records if r.method == method and partition in r.metrics
-            ]
-            if not kinds:
+            group = groups.get((partition, method))
+            if group is None:
                 continue
-            kind = kinds[0]
-            row = {"partition": partition, "method": method, "n_runs": len(kinds)}
+            kind = group[0].utility_kind
+            row = {"partition": partition, "method": method, "n_runs": len(group)}
             for metric in MetricsReport.SCALARS:
-                vals = values(method, partition, metric)
+                vals = values(group, partition, metric)
                 row[f"{metric}_mean"] = float(vals.mean())
                 row[f"{metric}_std"] = float(vals.std(ddof=1)) if len(vals) > 1 else None
                 p = None
                 impr = None
-                if method != "erm" and "erm" in methods:
-                    erm_vals = values("erm", partition, metric)
+                if method != "erm" and erm:
+                    erm_vals = values(erm, partition, metric)
                     impr = _improvement(kind, metric, float(vals.mean()), float(erm_vals.mean()))
                     if len(vals) > 1 and len(erm_vals) > 1:
                         p = significance_test(erm_vals, vals)
@@ -655,7 +652,6 @@ def emit_loss_curve(spec: ModelSpec, params, dataset: Dataset, path=None) -> np.
     full = _split_batch(spec, dataset)
     losses = np.sort(per_example_losses(spec, forward(spec, params, full), full.targets))
     if path is not None:
-        rows = [{"rank": i, "loss": repr(float(v))} for i, v in enumerate(losses, start=1)]
-        rows.append({"rank": "mean", "loss": repr(float(losses.mean()))})
+        rows = [*enumerate(losses.tolist(), start=1), ("mean", float(losses.mean()))]
         _write_csv(path, ("rank", "loss"), rows)
     return losses

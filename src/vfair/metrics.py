@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy import special
@@ -243,7 +242,6 @@ class RankTable:
 MAX_EXPECTED_DRAWS = 1000
 
 
-@lru_cache(maxsize=64)
 def _too_many_draws(n: int, k: int) -> bool:
     """Whether k^n / (number of surjections of n onto k) > MAX_EXPECTED_DRAWS."""
     # union bound: P(some group empty) <= k (1 - 1/k)^n; at most 1/2 means

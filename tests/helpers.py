@@ -11,6 +11,7 @@ import io
 import numpy as np
 from scipy import stats
 
+from vfair.baselines import DroConfig
 from vfair.errors import ConfigError, DataError
 from vfair.metrics import RANK_METRICS, GroupPartition, group_utilities, higher_is_better
 from vfair.nnet import Batch, ModelSpec, forward, per_example_losses
@@ -73,9 +74,20 @@ def count_calls(monkeypatch, counts, key, fn, *owners):
         monkeypatch.setattr(owner, fn.__name__, counted)
 
 
+def dro_objective(losses, eta, cfg: DroConfig):
+    """Dual value C * sqrt(mean (l - eta)_+^2) + eta, elementwise over an eta
+    array: the grid oracle of `baselines.dro_eta`'s closed form."""
+    losses = np.asarray(losses, dtype=np.float64)
+    eta = np.asarray(eta, dtype=np.float64)
+    pos = np.maximum(losses - eta[..., None], 0.0)
+    value = cfg.scale * np.sqrt(np.mean(pos**2, axis=-1)) + eta
+    return float(value) if value.ndim == 0 else value
+
+
 def dictwriter_csv(columns, rows) -> str:
     """CSV text of dict rows through `csv.DictWriter`, blanks for missing
-    columns: the oracle of the column-wise step-trace writer."""
+    columns: the oracle of the column-wise step-trace writer and of
+    `harness._write_csv`."""
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=columns, restval="")
     writer.writeheader()

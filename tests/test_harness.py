@@ -165,6 +165,12 @@ def test_cli_unknown_key_in_a_section_exits_2(tmp_path, capsys, section, key):
     assert err.startswith("error: unknown config keys") and f"'{section}.{key}'" in err
 
 
+def test_integer_keys_take_a_whole_float():
+    cfg = config_from_dict(tiny_config(epochs=1e3, seeds=[2.0], model={"hidden_dims": [8.0]}))
+    assert (cfg.epochs, cfg.seeds, cfg.hidden_dims) == (1000, (2,), (8,))
+    assert type(cfg.epochs) is int and type(cfg.seeds[0]) is int
+
+
 def test_load_config_errors(tmp_path):
     with pytest.raises(ConfigError):
         load_config(tmp_path / "absent.json")
@@ -191,6 +197,28 @@ def test_resolve_utility():
         resolve_utility("f1", "multiclass_ce")
     with pytest.raises(ConfigError):
         resolve_utility("mse", "multiclass_ce")
+
+
+def test_a_utility_the_task_cannot_take_is_refused_before_training(tmp_path, capsys,
+                                                                      monkeypatch):
+    # the task is known when the config loads, from the synthetic section
+    # or from a csv schema (whose file is not read to find it)
+    with pytest.raises(ConfigError, match="'f1' is not defined for task 'regression_mse'"):
+        config_from_dict(tiny_config(utility="f1"))
+    schema = {"features": [["x", "numeric"]], "label": "y", "task": "regression_mse"}
+    csv_config = tiny_config(utility="accuracy")
+    csv_config["dataset"] = {"kind": "csv", "path": str(tmp_path / "absent.csv"), "schema": schema}
+    with pytest.raises(ConfigError, match="'accuracy' is not defined"):
+        config_from_dict(csv_config)
+    counts = {}
+    count_calls(monkeypatch, counts, "train", harness._train_one, harness)
+    out = tmp_path / "o"
+    code = cli_main(["train", "--config", str(write_config(tmp_path, tiny_config(utility="f1"))),
+                     "--out", str(out)])
+    assert code == 2 and counts == {"train": 0}
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: utility 'f1'")
 
 
 # -- optimizers -------------------------------------------------------------
@@ -533,6 +561,71 @@ def test_aggregate_single_seed_leaves_p_blank(tmp_path):
         aggregate([])
 
 
+def test_aggregate_keeps_row_order_when_partition_sets_differ():
+    # partitions and methods each come in first-seen order over all records,
+    # a (partition, method) pair with no records gets no row, and a
+    # partition no erm run has gets no deltas against erm
+    def record(method, seed, partitions, u):
+        rec = fake_record(method, seed, "mse",
+                          {"utility": u, "wu": u, "mud": 0.1, "tud": 0.1, "var": 0.2})
+        rec.metrics = dict.fromkeys(partitions, rec.metrics["overall"])
+        return rec
+
+    recs = [
+        record("erm", 0, ["overall", "sex"], 1.0),
+        record("dro", 0, ["race", "overall"], 2.0),
+        record("erm", 1, ["overall", "race"], 3.0),
+        record("vfair_std", 0, ["sex", "site"], 4.0),
+        record("dro", 1, ["overall"], 5.0),
+    ]
+    rows = aggregate(recs).rows
+    assert [(r["partition"], r["method"], r["n_runs"], r["utility_mean"]) for r in rows] == [
+        ("overall", "erm", 2, 2.0), ("overall", "dro", 2, 3.5),
+        ("sex", "erm", 1, 1.0), ("sex", "vfair_std", 1, 4.0),
+        ("race", "erm", 1, 3.0), ("race", "dro", 1, 2.0),
+        ("site", "vfair_std", 1, 4.0),
+    ]
+    assert [r["utility_impr_vs_erm"] for r in rows] == [None, -1.5, None, -3.0, None, 1.0, None]
+
+
+def test_write_csv_matches_dictwriter(tmp_path):
+    # csv.writer writes None as a blank and quotes like csv.DictWriter, which
+    # wraps it; a csv schema's sensitive-column names reach aggregate.csv as
+    # partition labels, so a cell may hold a comma, a double quote or a newline
+    header = ("label", "n", "a", "b", "c", "d", "e")
+    rows = [
+        ('sex, "self-reported"\nat intake', 3, 1e-05, 0.1 + 0.2, -0.0, 5e-324, None),
+        (None, -7, 5e-324, None, 1e-05, 0.1 + 0.2, "plain"),
+    ]
+    path = tmp_path / "table.csv"
+    harness._write_csv(path, header, rows)
+    dict_rows = [{k: v for k, v in zip(header, row) if v is not None} for row in rows]
+    assert path.read_bytes() == dictwriter_csv(header, dict_rows).encode("utf-8")
+
+
+@pytest.mark.parametrize("breakage", ["not_an_object", "text_in_loss", "partial_metrics"])
+def test_cli_malformed_record_exits_2(tmp_path, capsys, breakage):
+    # valid JSON that does not decode to a run record is a data error for
+    # every command that reads records, never a traceback
+    d = fake_record("erm", 0, "mse", dict.fromkeys(["utility", "wu", "mud", "tud", "var"], 0.5)
+                    ).to_json_dict()
+    if breakage == "not_an_object":
+        d = []
+    elif breakage == "text_in_loss":
+        d["per_epoch_loss"] = ["x"]
+    else:
+        d["metrics"]["overall"] = {"utility": 0.5}
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(d))
+    for argv in (["compare", "--runs", str(path)],
+                 ["rank", "--runs", str(path), str(path)],
+                 ["curve", "--run", str(path), "--out", str(tmp_path / "curve.csv")]):
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: {path} is not a run record: ")
+
+
 # -- traces and curves ------------------------------------------------------
 
 
@@ -699,6 +792,12 @@ def test_cli_train_bad_config_exits_2(tmp_path, capsys):
     (None, "epochs", float("inf")),
     # a negative cap would make lambda2 negative on every step
     (None, "lambda2_cap", -1.0),
+    # an integer key takes a whole number only; it would otherwise truncate
+    (None, "epochs", 2.7),
+    (None, "batch_size", 64.9),
+    (None, "epochs", True),
+    (None, "seeds", [0.5, 1.2]),
+    ("dataset", "n", 1500.9),
 ])
 def test_cli_train_badly_typed_value_exits_2(tmp_path, capsys, section, key, value):
     d = tiny_config()
