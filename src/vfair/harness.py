@@ -145,6 +145,14 @@ def _whole(value) -> int:
     return int(value)
 
 
+def _seed(value) -> int:
+    """A seed key's value: a whole number >= 0, as numpy's generators take."""
+    seed = _whole(value)
+    if seed < 0:
+        raise ValueError(value)
+    return seed
+
+
 # config key -> converter, one table per section; each key of the top-level,
 # model and dataset tables sets the ExperimentConfig field of its name (the
 # dataset's "seed" sets data_seed).  An absent or null key keeps the field's
@@ -154,10 +162,10 @@ def _whole(value) -> int:
 _TOP_LEVEL_KEYS = {
     "methods": lambda v: tuple(str(m) for m in v), "optimizer": str, "step_size": float,
     "batch_size": _whole, "epochs": _whole, "decay": float, "lambda2_cap": float,
-    "dro_alpha_min": float, "seeds": lambda v: tuple(_whole(x) for x in v),
+    "dro_alpha_min": float, "seeds": lambda v: tuple(_seed(x) for x in v),
     "epoch_selection": str, "utility": str, "erm_reference_loss": float,
 }
-_DATASET_KEYS = {"seed": _whole, "test_fraction": float, "split_seed": _whole}
+_DATASET_KEYS = {"seed": _seed, "test_fraction": float, "split_seed": _seed}
 _MODEL_KEYS = {"hidden_dims": lambda v: tuple(_whole(h) for h in v), "activation": str}
 _LIST_KEYS = {"methods", "seeds", "hidden_dims", "features", "sensitive"}
 # the synthetic generator's keys, all required but "task"

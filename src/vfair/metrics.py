@@ -244,9 +244,9 @@ MAX_EXPECTED_DRAWS = 1000
 
 def _too_many_draws(n: int, k: int) -> bool:
     """Whether k^n / (number of surjections of n onto k) > MAX_EXPECTED_DRAWS."""
-    # union bound: P(some group empty) <= k (1 - 1/k)^n; at most 1/2 means
-    # at most 2 expected draws, without the big-integer sum below
-    if math.log(k) + n * math.log1p(-1.0 / k) <= math.log(0.5):
+    # one group is always hit; union bound: P(some group empty) <= k (1 - 1/k)^n,
+    # and at most 1/2 means at most 2 expected draws, without the sum below
+    if k == 1 or math.log(k) + n * math.log1p(-1.0 / k) <= math.log(0.5):
         return False
     # inclusion-exclusion on Python ints: exact where floats would cancel
     surjections = sum((-1) ** j * math.comb(k, j) * (k - j) ** n for j in range(k + 1))
@@ -293,6 +293,8 @@ def random_partition_rank(
         raise ConfigError("ranking needs at least two methods")
     if trials < 1:
         raise ConfigError("trials must be >= 1")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     targets = np.asarray(targets)
     n = len(targets)
     preds = {m: np.asarray(per_method_predictions[m]) for m in methods}

@@ -5,7 +5,9 @@ the parameter gradient of (1/b) * sum_i w_i * loss_i with the weight
 vector treated as constants.  The plain mean gradient, the spread
 (std/variance/pairwise) gradients and the robust baseline all reduce to
 calls of this primitive with different weights, so the backprop code
-below is the only place derivatives are taken.
+below is the only place derivatives are taken.  The forward pass keeps
+no pre-activations (each activation is applied in place), so the
+backward takes each activation's derivative from the layer's output.
 
 Whole-split evaluation (``forward``) runs the same forward pass over
 fixed FORWARD_BLOCK_ROWS-row blocks, so its peak memory scales with the
@@ -149,35 +151,35 @@ def init_params(spec: ModelSpec, seed: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _activate(name: str, z: np.ndarray) -> np.ndarray:
+def _activate(name: str, h: np.ndarray) -> None:
+    """Apply the hidden activation to the pre-activations ``h`` in place."""
     if name == "relu":
-        return np.maximum(z, 0.0)
-    if name == "sigmoid":
-        return expit(z)
-    return z
+        np.maximum(h, 0.0, out=h)
+    elif name == "sigmoid":
+        expit(h, out=h)
 
 
-def _activate_grad(name: str, z: np.ndarray):
-    """d activation / dz, for `delta *=`: ReLU's is the bool mask z > 0."""
+def _activate_grad(name: str, a: np.ndarray):
+    """d activation / dz from the activation's output ``a``, for `delta *=`:
+    ReLU's is the bool mask a > 0 (the mask z > 0), sigmoid's a * (1 - a)."""
     if name == "relu":
-        return z > 0.0
+        return a > 0.0
     if name == "sigmoid":
-        s = expit(z)
-        return s * (1.0 - s)
+        return a * (1.0 - a)
     return 1.0
 
 
 class ForwardCache(NamedTuple):
     """One forward pass kept for backprop."""
     layers: list          # (W, b) views of the params, from ``unpack``
-    inputs: list          # a_{l-1}: input to layer l
-    preacts: list         # z_l
+    inputs: list          # a_{l-1}: input to layer l, the activated output of layer l - 1
     outputs: np.ndarray   # [b, output_dim]
 
 
 def forward_cache(spec: ModelSpec, params: np.ndarray, batch: Batch,
                   layers: list | None = None) -> ForwardCache:
-    """Forward pass keeping layer inputs and pre-activations for backprop.
+    """Forward pass keeping each layer's input for backprop.  Each hidden
+    activation is applied in place to its layer's fresh matmul output.
     ``layers``, the ``unpack`` views of ``params``, saves unpacking them."""
     if batch.features.shape[1] != spec.input_dim:
         raise DataError(
@@ -186,16 +188,15 @@ def forward_cache(spec: ModelSpec, params: np.ndarray, batch: Batch,
     if layers is None:
         layers = unpack(spec, params)
     inputs = []
-    preacts = []
     h = batch.features
     last = len(layers) - 1
     for idx, (w, b) in enumerate(layers):
         inputs.append(h)
-        z = h @ w
-        z += b
-        preacts.append(z)
-        h = z if idx == last else _activate(spec.activation, z)
-    return ForwardCache(layers, inputs, preacts, h)
+        h = h @ w
+        h += b
+        if idx < last:
+            _activate(spec.activation, h)
+    return ForwardCache(layers, inputs, h)
 
 
 # rows per ``forward_cache`` call when ``forward`` evaluates a whole split
@@ -293,37 +294,48 @@ def _loss_output_grad(spec: ModelSpec, outputs: np.ndarray, targets: np.ndarray)
     return grad
 
 
-def weighted_gradient(spec: ModelSpec, params: np.ndarray, batch: Batch, weights: np.ndarray,
-                      cache: ForwardCache | None = None) -> np.ndarray:
+def weighted_gradient(spec: ModelSpec, params: np.ndarray, batch: Batch,
+                      weights: np.ndarray | None, cache: ForwardCache | None = None,
+                      mean: bool = False) -> np.ndarray:
     """Gradient of (1/b) * sum_i weights_i * loss_i, weights held constant.
 
     ``weights`` is one vector [b] (returns a flat gradient [P] in the
     layout of ``params``) or a stack [k, b] (returns [k, P], one gradient
-    per row).  Backprop is linear in each example's output delta, so one
-    unweighted delta [b, d] per layer serves every row; row w enters only
-    the layer's products a^T (w * delta) and w . delta.  ``cache``, from
-    ``forward_cache`` on the same params and batch, saves the forward pass
-    and the unpacking.  ``weights`` is a float array, not checked: callers
-    build it from losses ``per_example_losses`` found finite, and a weight
-    that overflows shows at the next loss check.
+    per row).  ``mean=True`` puts the plain mean-loss gradient (weights
+    1) first as row 0, giving [1 + k, P]; ``weights`` None asks for it
+    alone, as [P].  Backprop is linear in each example's output delta, so
+    one unweighted delta [b, d] per layer serves every row; row w enters
+    only the layer's products a^T (w * delta) and w . delta, and the mean
+    row's weight product is a^T delta, never multiplied by ones.
+    ``cache``, from ``forward_cache`` on the same params and batch, saves
+    the forward pass and the unpacking.  ``weights`` is a float array, not
+    checked: callers build it from losses ``per_example_losses`` found
+    finite, and a weight that overflows shows at the next loss check.
     """
     if cache is None:
         cache = forward_cache(spec, params, batch)
 
-    rows = weights if weights.ndim == 2 else weights[None]
+    lead = int(mean or weights is None)  # 1 when row 0 is the mean gradient
+    rows = np.empty((0, len(batch))) if weights is None else weights.reshape(-1, len(batch))
     k = rows.shape[0]
     per_example = rows[:, :, None]
-    grad = np.empty((k, parameter_count(spec)))
+    # the bias products stay BLAS products rows @ delta, the mean's ones row included
+    bias_rows = np.concatenate((np.ones((1, len(batch))), rows)) if lead else rows
+    grad = np.empty((lead + k, parameter_count(spec)))
     delta = _loss_output_grad(spec, cache.outputs, batch.targets)
     delta *= 1.0 / len(batch)
     for l in range(len(spec.layout) - 1, -1, -1):
-        ws, _, bs = spec.layout[l]
-        grad[:, ws] = (cache.inputs[l].T @ (per_example * delta)).reshape(k, -1)
-        grad[:, bs] = rows @ delta
+        ws, shape, bs = spec.layout[l]
+        a_t = cache.inputs[l].T
+        if lead:
+            np.matmul(a_t, delta, out=grad[0, ws].reshape(shape))
+        if k:
+            np.matmul(a_t, per_example * delta, out=grad[lead:, ws].reshape(k, *shape))
+        grad[:, bs] = bias_rows @ delta
         if l > 0:
             delta = delta @ cache.layers[l][0].T
-            delta *= _activate_grad(spec.activation, cache.preacts[l - 1])
-    return grad if weights.ndim == 2 else grad[0]
+            delta *= _activate_grad(spec.activation, cache.inputs[l])
+    return grad if len(grad) > 1 or weights is not None and weights.ndim == 2 else grad[0]
 
 
 # ---------------------------------------------------------------------------

@@ -153,7 +153,7 @@ def grad_mu(spec: ModelSpec, params: np.ndarray, batch: Batch,
     """Gradient of the batch mean loss (uniform weights).  ``layers``, the
     ``unpack`` views of ``params``, saves unpacking them."""
     cache = forward_cache(spec, params, batch, layers)
-    return weighted_gradient(spec, params, batch, np.ones(len(batch)), cache)
+    return weighted_gradient(spec, params, batch, None, cache)
 
 
 # ---------------------------------------------------------------------------
@@ -195,10 +195,10 @@ def vfair_direction(
     Order of operations per batch: losses -> refresh running mean ->
     sigma around it -> both gradients -> lam1, lam2 -> combined
     direction.  One forward pass feeds the losses and a single stacked
-    backward pass with weight rows [1, sw], which yields g_mu and g_sec
-    together.  Returns (direction, advanced state, trace row); the row's
-    keys are step-trace column names.  ``layers``, the ``unpack`` views of
-    ``params``, saves unpacking them.
+    backward pass over the spread weights sw, with the mean row first,
+    which yields g_mu and g_sec together.  Returns (direction, advanced
+    state, trace row); the row's keys are step-trace column names.
+    ``layers``, the ``unpack`` views of ``params``, saves unpacking them.
     """
     cache = forward_cache(spec, params, batch, layers)
     losses = per_example_losses(spec, cache.outputs, batch.targets)
@@ -206,11 +206,7 @@ def vfair_direction(
     sigma = batch_sigma(losses, mu)
 
     sw, lam2 = _secondary(objective, losses, mu, sigma, state.lambda2_cap)
-    weights = np.empty((2, len(losses)))
-    weights[0] = 1.0
-    weights[1] = sw
-
-    g_mu, g_sec = weighted_gradient(spec, params, batch, weights, cache)
+    g_mu, g_sec = weighted_gradient(spec, params, batch, sw, cache, mean=True)
 
     norm_sq = float(g_mu @ g_mu)
     dot = float(g_mu @ g_sec)

@@ -10,11 +10,12 @@ import io
 
 import numpy as np
 from scipy import stats
+from scipy.special import expit
 
 from vfair.baselines import DroConfig
 from vfair.errors import ConfigError, DataError
 from vfair.metrics import RANK_METRICS, GroupPartition, group_utilities, higher_is_better
-from vfair.nnet import Batch, ModelSpec, forward, per_example_losses
+from vfair.nnet import Batch, ModelSpec, _loss_output_grad, forward, per_example_losses, unpack
 
 
 def all_set_partitions(n):
@@ -164,3 +165,51 @@ def directional_derivative_fd(
         return float(np.mean(weights * losses))
 
     return (value(params + h * direction) - value(params - h * direction)) / (2.0 * h)
+
+
+def reference_forward(spec: ModelSpec, params: np.ndarray, batch: Batch):
+    """(layer inputs, pre-activations, outputs) of one pass that keeps every
+    pre-activation z and writes each activation to a new array: the bit
+    oracle of `nnet.forward_cache`, which activates in place."""
+    layers = unpack(spec, params)
+    inputs, preacts = [], []
+    h = batch.features
+    for idx, (w, b) in enumerate(layers):
+        inputs.append(h)
+        z = h @ w
+        z += b
+        preacts.append(z)
+        if idx == len(layers) - 1 or spec.activation == "identity":
+            h = z
+        elif spec.activation == "relu":
+            h = np.maximum(z, 0.0)
+        else:
+            h = expit(z)
+    return inputs, preacts, h
+
+
+def reference_weighted_gradient(spec: ModelSpec, params: np.ndarray, batch: Batch,
+                                weights: np.ndarray) -> np.ndarray:
+    """`nnet.weighted_gradient` with every weight row multiplied into the
+    delta, a row of ones included, and each activation's derivative taken
+    from its pre-activation z: the bit oracle of the backward pass."""
+    layers = unpack(spec, params)
+    inputs, preacts, outputs = reference_forward(spec, params, batch)
+    rows = weights if weights.ndim == 2 else weights[None]
+    k = len(rows)
+    grad = np.empty((k, len(params)))
+    delta = _loss_output_grad(spec, outputs, batch.targets)
+    delta *= 1.0 / len(batch)
+    for l in range(len(layers) - 1, -1, -1):
+        ws, _, bs = spec.layout[l]
+        grad[:, ws] = (inputs[l].T @ (rows[:, :, None] * delta)).reshape(k, -1)
+        grad[:, bs] = rows @ delta
+        if l > 0:
+            delta = delta @ layers[l][0].T
+            z = preacts[l - 1]
+            if spec.activation == "relu":
+                delta *= z > 0.0
+            elif spec.activation == "sigmoid":
+                s = expit(z)
+                delta *= s * (1.0 - s)
+    return grad if weights.ndim == 2 else grad[0]

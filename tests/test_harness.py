@@ -798,6 +798,10 @@ def test_cli_train_bad_config_exits_2(tmp_path, capsys):
     (None, "epochs", True),
     (None, "seeds", [0.5, 1.2]),
     ("dataset", "n", 1500.9),
+    # numpy's generators take no negative seed
+    (None, "seeds", [-1]),
+    ("dataset", "seed", -1),
+    ("dataset", "split_seed", -2),
 ])
 def test_cli_train_badly_typed_value_exits_2(tmp_path, capsys, section, key, value):
     d = tiny_config()

@@ -289,6 +289,12 @@ def test_random_partition_covers_all_groups():
         random_partition(rng, n=3, k=4)
 
 
+def test_random_partition_one_group():
+    # one group is always hit: no draw count to bound
+    part = random_partition(np.random.default_rng(0), 7, 1)
+    assert part.k == 1 and np.array_equal(part.group_of, np.zeros(7))
+
+
 def test_random_partition_refuses_hopeless_split_without_drawing():
     # every group hit by 20 uniform draws over 20 groups: p = 20!/20^20,
     # about 4e7 expected draws
@@ -461,11 +467,8 @@ def test_significance_needs_two_per_side():
         significance_test([1.0], [1.0, 2.0])
 
 
-def test_rank_table_csv(tmp_path, capsys):
-    # `vfair rank --out` writes a header and one row per run, each rank
-    # to 6 significant digits, with CSV's CRLF line ends
-    targets = np.zeros(20)
-    pm = {"a_seed0": np.full(20, 0.1), "b_seed0": np.full(20, 0.2)}
+def saved_runs(tmp_path, pm, targets):
+    """Paths of saved records, one per `method_seed0` -> predictions entry."""
     paths = []
     for name, preds in pm.items():
         rec = RunRecord(
@@ -475,6 +478,15 @@ def test_rank_table_csv(tmp_path, capsys):
         )
         paths.append(str(tmp_path / f"{name}.json"))
         rec.save(paths[-1])
+    return paths
+
+
+def test_rank_table_csv(tmp_path, capsys):
+    # `vfair rank --out` writes a header and one row per run, each rank
+    # to 6 significant digits, with CSV's CRLF line ends
+    targets = np.zeros(20)
+    pm = {"a_seed0": np.full(20, 0.1), "b_seed0": np.full(20, 0.2)}
+    paths = saved_runs(tmp_path, pm, targets)
     out = tmp_path / "rank.csv"
     argv = ["rank", "--runs", *paths, "--k", "2", "--trials", "5", "--seed", "3", "--out", str(out)]
     assert cli_main(argv) == 0
@@ -486,3 +498,16 @@ def test_rank_table_csv(tmp_path, capsys):
     assert out.read_bytes() == expected.encode()
     assert [p.name for p in tmp_path.iterdir() if p.name.startswith(".")] == []
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("option, code", [(("--k", "1"), 0), (("--seed", "-1"), 2)],
+                         ids=["k_1", "negative_seed"])
+def test_cli_rank_one_group_runs_and_negative_seed_exits_2(tmp_path, capsys, option, code):
+    pm = {"a_seed0": np.full(20, 0.1), "b_seed0": np.full(20, 0.2)}
+    paths = saved_runs(tmp_path, pm, np.zeros(20))
+    assert cli_main(["rank", "--runs", *paths, "--trials", "3", *option]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert len(err.splitlines()) == 1 and err.startswith("error: ") and "seed" in err
+    else:
+        assert err == ""

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import directional_derivative_fd
+from helpers import directional_derivative_fd, reference_forward, reference_weighted_gradient
 from vfair.errors import ConfigError, DataError
 from vfair.nnet import (
     ACTIVATIONS,
@@ -320,6 +320,51 @@ def test_weighted_gradient_weight_shapes():
     batch = make_batch([[1.0], [2.0]], [0.0, 1.0])
     params = np.array([0.3, -0.2])
     assert weighted_gradient(spec, params, batch, np.ones((1, 2))).shape == (1, 2)
+    # the mean row alone is flat; prepended, it makes a stack
+    assert weighted_gradient(spec, params, batch, None).shape == (2,)
+    assert weighted_gradient(spec, params, batch, np.ones(2), mean=True).shape == (2, 2)
+    assert weighted_gradient(spec, params, batch, np.ones((3, 2)), mean=True).shape == (4, 2)
+
+
+@pytest.mark.parametrize("hidden", [(6, 3), ()])
+@pytest.mark.parametrize("activation", ACTIVATIONS)
+@pytest.mark.parametrize("task", TASKS)
+def test_forward_and_backward_bit_equal_to_reference(task, activation, hidden):
+    # in-place activations, derivatives from layer outputs and a mean row
+    # never multiplied by ones change no bit against the reference pass
+    rng = np.random.default_rng(11)
+    spec = ModelSpec(input_dim=5, hidden_dims=hidden, output_dim=3 if task == "multiclass_ce" else 1,
+                     task=task, activation=activation)
+    params = init_params(spec, seed=3)
+    n = B + 40
+    if task == "regression_mse":
+        targets = rng.normal(size=n)
+    else:
+        targets = rng.integers(0, spec.output_dim if task == "multiclass_ce" else 2, size=n)
+    split = Batch(features=rng.normal(size=(n, 5)) * 2.0, targets=targets.astype(float))
+    frozen = split.features.copy()
+    # the whole split runs in blocks, so its reference is one pass per block
+    blocks = [reference_forward(spec, params, split.subset(slice(s, s + B)))[2] for s in (0, B)]
+    assert np.array_equal(forward(spec, params, split), np.concatenate(blocks))
+    # a full minibatch and a short last one, as slices of one gathered epoch
+    for batch in (split.subset(slice(0, 32)), split.subset(slice(n - 7, n))):
+        b = len(batch)
+        cache = forward_cache(spec, params, batch)
+        assert np.array_equal(cache.outputs, reference_forward(spec, params, batch)[2])
+        w = rng.uniform(-1.0, 2.0, size=b)
+        stack = rng.uniform(-1.0, 2.0, size=(3, b))
+        ones = np.ones(b)
+        cases = [
+            (weighted_gradient(spec, params, batch, w, cache), w),
+            (weighted_gradient(spec, params, batch, stack, cache), stack),
+            (weighted_gradient(spec, params, batch, None, cache), ones),
+            (weighted_gradient(spec, params, batch, w, cache, mean=True), np.stack([ones, w])),
+            (weighted_gradient(spec, params, batch, stack, cache, mean=True), np.vstack([ones, stack])),
+            (weighted_gradient(spec, params, batch, w), w),
+        ]
+        for got, weights in cases:
+            assert np.array_equal(got, reference_weighted_gradient(spec, params, batch, weights))
+    assert np.array_equal(split.features, frozen)
 
 
 def test_fd_objective_validation():
