@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .nnet import Batch, ModelSpec, forward_cache, per_example_losses, weighted_gradient
+from .nnet import Batch, ModelSpec, Workspace, forward_cache, per_example_losses, weighted_gradient
 
 
 @dataclass(frozen=True)
@@ -80,16 +80,16 @@ def dro_eta(losses: np.ndarray, cfg: DroConfig) -> float:
 
 def dro_direction(
     spec: ModelSpec, params: np.ndarray, batch: Batch, cfg: DroConfig,
-    layers: list | None = None,
+    ws: Workspace | None = None,
 ) -> tuple[np.ndarray, float]:
     """Gradient of the eta-minimized dual objective, plus eta* itself.
 
     Weights (l_i - eta*)_+ vanish for every example at or below eta*
     (zero subgradient at the kink); if that kills the whole batch the
-    returned direction is exactly zero.  ``layers``, the ``unpack`` views
-    of ``params``, saves unpacking them.
+    returned direction is exactly zero.  ``ws`` is as for
+    ``nnet.forward_cache``.
     """
-    cache = forward_cache(spec, params, batch, layers)
+    cache = forward_cache(spec, params, batch, ws)
     losses = per_example_losses(spec, cache.outputs, batch.targets)
     eta = dro_eta(losses, cfg)
     pos = np.maximum(losses - eta, 0.0)

@@ -44,6 +44,7 @@ from .metrics import (
 from .nnet import (
     Batch,
     ModelSpec,
+    Workspace,
     _check_targets,
     forward,
     init_params,
@@ -123,6 +124,8 @@ class ExperimentConfig:
         # the update's and DRO's settings are checked by their own types
         UpdateState(decay=self.decay, step_size=self.step_size, lambda2_cap=self.lambda2_cap)
         DroConfig(alpha_min=self.dro_alpha_min)
+        if not self.methods:
+            raise ConfigError("at least one method is required")
         if not self.seeds:
             raise ConfigError("at least one seed is required")
         if len(set(self.seeds)) != len(self.seeds):
@@ -307,8 +310,9 @@ class Sgd:
     def __init__(self, step_size: float):
         self.step_size = step_size
 
-    def step(self, params: np.ndarray, grad: np.ndarray) -> np.ndarray:
-        return params - self.step_size * grad
+    def step(self, params: np.ndarray, grad: np.ndarray) -> None:
+        """params -= step_size * grad, in place."""
+        params -= self.step_size * grad
 
 
 class Adagrad:
@@ -318,10 +322,11 @@ class Adagrad:
         self.step_size = step_size
         self.accum = np.zeros(dim)
 
-    def step(self, params: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    def step(self, params: np.ndarray, grad: np.ndarray) -> None:
+        """Accumulate grad^2, then update params in place."""
         self.accum += grad * grad
         # 1e-10 keeps a coordinate whose gradients have all been zero finite
-        return params - self.step_size * grad / (np.sqrt(self.accum) + 1e-10)
+        params -= self.step_size * grad / (np.sqrt(self.accum) + 1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -452,12 +457,12 @@ def _train_one(cfg: ExperimentConfig, spec: ModelSpec, train: Dataset, method: s
     wins ties).  The trace maps "step" and the columns the method fills
     to one value per step.
 
-    The run's workspace is built once: (W, b) views of the parameters,
-    which every update overwrites in place, and one [steps, columns]
-    array of trace values.
+    The run's workspaces are built once: an ``nnet.Workspace`` over the
+    parameters, which every update overwrites in place, and one
+    [steps, columns] array of trace values.
     """
     params = init_params(spec, seed)
-    layers = unpack(spec, params)
+    ws = Workspace(spec, unpack(spec, params))
     optimizer = Sgd(cfg.step_size) if cfg.optimizer == "sgd" else Adagrad(cfg.step_size, len(params))
     state = UpdateState(decay=cfg.decay, lambda2_cap=cfg.lambda2_cap)
     dro_cfg = DroConfig(alpha_min=cfg.dro_alpha_min)
@@ -478,19 +483,16 @@ def _train_one(cfg: ExperimentConfig, spec: ModelSpec, train: Dataset, method: s
             for start in range(0, train.n, cfg.batch_size):
                 batch = shuffled.subset(slice(start, start + cfg.batch_size))
                 if method == "erm":
-                    grad = grad_mu(spec, params, batch, layers)
+                    grad = grad_mu(spec, params, batch, ws)
                 elif method == "dro":
-                    grad, eta = dro_direction(spec, params, batch, dro_cfg, layers)
+                    grad, eta = dro_direction(spec, params, batch, dro_cfg, ws)
                     values[step, 0] = eta
                 else:
-                    grad, state, row = vfair_direction(
-                        state, spec, params, batch, objective, layers
-                    )
+                    grad, state, row = vfair_direction(state, spec, params, batch, objective, ws)
                     values[step] = tuple(row.values())
-                # the optimizers stay pure; the copy keeps `layers` viewing `params`
-                params[...] = optimizer.step(params, grad)
+                optimizer.step(params, grad)
                 step += 1
-            losses = per_example_losses(spec, forward(spec, params, full, layers), full.targets)
+            losses = per_example_losses(spec, forward(spec, params, full, ws), full.targets)
             loss = float(losses.mean())
             per_epoch_loss.append(loss)
             if reference is None or epoch == 0 or (

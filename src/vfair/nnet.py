@@ -9,6 +9,12 @@ below is the only place derivatives are taken.  The forward pass keeps
 no pre-activations (each activation is applied in place), so the
 backward takes each activation's derivative from the layer's output.
 
+A ``Workspace`` holds a parameter vector's (W, b) views and, per backward
+shape, the flat gradient, its per-layer views and the backward's work
+arrays.  A training run builds one for all its steps; a call without one
+builds a fresh one.  A gradient returned through a workspace is a view of
+its buffer, valid until the next same-shape call through that workspace.
+
 Whole-split evaluation (``forward``) runs the same forward pass over
 fixed FORWARD_BLOCK_ROWS-row blocks, so its peak memory scales with the
 block rather than the split; its outputs agree with a one-pass forward
@@ -169,34 +175,57 @@ def _activate_grad(name: str, a: np.ndarray):
     return 1.0
 
 
+class Workspace:
+    """The (W, b) views of one parameter vector, which see every in-place
+    update of it, and the buffers of each backward shape seen so far."""
+
+    def __init__(self, spec: ModelSpec, layers: list):
+        self.spec = spec
+        self.layers = layers  # from ``unpack``
+        self._buffers = {}    # (b, lead, k) -> what ``buffers`` returns
+
+    def buffers(self, b: int, lead: int, k: int):
+        """(flat gradient [lead + k, P], bias rows [lead + k, b] whose mean row
+        is ones, and per layer (mean-row W view, [k] row W views, bias view,
+        weighted delta [k, b, d_out])) for ``weighted_gradient``."""
+        bufs = self._buffers.get((b, lead, k))
+        if bufs is None:
+            grad = np.empty((lead + k, parameter_count(self.spec)))
+            views = [(grad[0, ws].reshape(shape), grad[lead:, ws].reshape(k, *shape),
+                      grad[:, bs], np.empty((k, b, shape[1])))
+                     for ws, shape, bs in self.spec.layout]
+            bufs = self._buffers[(b, lead, k)] = grad, np.ones((lead + k, b)), views
+        return bufs
+
+
 class ForwardCache(NamedTuple):
     """One forward pass kept for backprop."""
-    layers: list          # (W, b) views of the params, from ``unpack``
+    ws: Workspace         # the workspace the pass ran through
     inputs: list          # a_{l-1}: input to layer l, the activated output of layer l - 1
     outputs: np.ndarray   # [b, output_dim]
 
 
 def forward_cache(spec: ModelSpec, params: np.ndarray, batch: Batch,
-                  layers: list | None = None) -> ForwardCache:
+                  ws: Workspace | None = None) -> ForwardCache:
     """Forward pass keeping each layer's input for backprop.  Each hidden
     activation is applied in place to its layer's fresh matmul output.
-    ``layers``, the ``unpack`` views of ``params``, saves unpacking them."""
+    ``ws``, a workspace over ``params``, saves unpacking them."""
     if batch.features.shape[1] != spec.input_dim:
         raise DataError(
             f"batch has {batch.features.shape[1]} features, spec expects {spec.input_dim}"
         )
-    if layers is None:
-        layers = unpack(spec, params)
+    if ws is None:
+        ws = Workspace(spec, unpack(spec, params))
     inputs = []
     h = batch.features
-    last = len(layers) - 1
-    for idx, (w, b) in enumerate(layers):
+    last = len(ws.layers) - 1
+    for idx, (w, b) in enumerate(ws.layers):
         inputs.append(h)
         h = h @ w
         h += b
         if idx < last:
             _activate(spec.activation, h)
-    return ForwardCache(layers, inputs, h)
+    return ForwardCache(ws, inputs, h)
 
 
 # rows per ``forward_cache`` call when ``forward`` evaluates a whole split
@@ -204,7 +233,7 @@ FORWARD_BLOCK_ROWS = 2048
 
 
 def forward(spec: ModelSpec, params: np.ndarray, batch: Batch,
-            layers: list | None = None) -> np.ndarray:
+            ws: Workspace | None = None) -> np.ndarray:
     """Network outputs [b, output_dim]; classification tasks return logits.
 
     Runs ``forward_cache`` over consecutive FORWARD_BLOCK_ROWS-row views
@@ -212,16 +241,16 @@ def forward(spec: ModelSpec, params: np.ndarray, batch: Batch,
     batch of at most one block is the one-pass forward bit for bit; on
     longer ones, BLAS may pick another kernel for a block's shape, so
     outputs can differ from one pass in the last ulps.  The block size
-    is fixed, so outputs are deterministic.  ``layers`` is as for
+    is fixed, so outputs are deterministic.  ``ws`` is as for
     ``forward_cache``.
     """
-    if layers is None:
-        layers = unpack(spec, params)
+    if ws is None:
+        ws = Workspace(spec, unpack(spec, params))
     n = len(batch)
     outputs = np.empty((n, spec.output_dim))
     for start in range(0, n, FORWARD_BLOCK_ROWS):
         block = slice(start, start + FORWARD_BLOCK_ROWS)
-        outputs[block] = forward_cache(spec, params, batch.subset(block), layers).outputs
+        outputs[block] = forward_cache(spec, params, batch.subset(block), ws).outputs
     return outputs
 
 
@@ -308,32 +337,35 @@ def weighted_gradient(spec: ModelSpec, params: np.ndarray, batch: Batch,
     only the layer's products a^T (w * delta) and w . delta, and the mean
     row's weight product is a^T delta, never multiplied by ones.
     ``cache``, from ``forward_cache`` on the same params and batch, saves
-    the forward pass and the unpacking.  ``weights`` is a float array, not
-    checked: callers build it from losses ``per_example_losses`` found
-    finite, and a weight that overflows shows at the next loss check.
+    the forward pass; the result is written into its workspace's buffers.
+    ``weights`` is a float array, not checked: callers build it from
+    losses ``per_example_losses`` found finite, and a weight that
+    overflows shows at the next loss check.
     """
     if cache is None:
         cache = forward_cache(spec, params, batch)
 
+    b = len(batch)
     lead = int(mean or weights is None)  # 1 when row 0 is the mean gradient
-    rows = np.empty((0, len(batch))) if weights is None else weights.reshape(-1, len(batch))
-    k = rows.shape[0]
-    per_example = rows[:, :, None]
-    # the bias products stay BLAS products rows @ delta, the mean's ones row included
-    bias_rows = np.concatenate((np.ones((1, len(batch))), rows)) if lead else rows
-    grad = np.empty((lead + k, parameter_count(spec)))
+    rows = None if weights is None else weights.reshape(-1, b)
+    k = 0 if rows is None else len(rows)
+    grad, bias_rows, views = cache.ws.buffers(b, lead, k)
+    if k:
+        bias_rows[lead:] = rows
+        per_example = rows[:, :, None]
     delta = _loss_output_grad(spec, cache.outputs, batch.targets)
-    delta *= 1.0 / len(batch)
-    for l in range(len(spec.layout) - 1, -1, -1):
-        ws, shape, bs = spec.layout[l]
+    delta *= 1.0 / b
+    for l in range(len(views) - 1, -1, -1):
+        mean_w, rows_w, bias, weighted = views[l]
         a_t = cache.inputs[l].T
         if lead:
-            np.matmul(a_t, delta, out=grad[0, ws].reshape(shape))
+            np.matmul(a_t, delta, out=mean_w)
         if k:
-            np.matmul(a_t, per_example * delta, out=grad[lead:, ws].reshape(k, *shape))
-        grad[:, bs] = bias_rows @ delta
+            np.matmul(a_t, np.multiply(per_example, delta, out=weighted), out=rows_w)
+        # the bias products stay BLAS products rows @ delta, the mean's ones row included
+        np.matmul(bias_rows, delta, out=bias)
         if l > 0:
-            delta = delta @ cache.layers[l][0].T
+            delta = delta @ cache.ws.layers[l][0].T
             delta *= _activate_grad(spec.activation, cache.inputs[l])
     return grad if len(grad) > 1 or weights is not None and weights.ndim == 2 else grad[0]
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .nnet import Batch, ModelSpec, forward_cache, per_example_losses, weighted_gradient
+from .nnet import Batch, ModelSpec, Workspace, forward_cache, per_example_losses, weighted_gradient
 
 OBJECTIVES = ("std_dev", "variance", "pairwise")
 
@@ -149,10 +149,11 @@ def pairwise_coefficients(losses: np.ndarray) -> np.ndarray:
 
 
 def grad_mu(spec: ModelSpec, params: np.ndarray, batch: Batch,
-            layers: list | None = None) -> np.ndarray:
-    """Gradient of the batch mean loss (uniform weights).  ``layers``, the
-    ``unpack`` views of ``params``, saves unpacking them."""
-    cache = forward_cache(spec, params, batch, layers)
+            ws: Workspace | None = None) -> np.ndarray:
+    """Gradient of the batch mean loss (uniform weights).  ``ws``, a
+    workspace over ``params``, is as for ``nnet.forward_cache``; the
+    gradient is then a view of its buffer."""
+    cache = forward_cache(spec, params, batch, ws)
     return weighted_gradient(spec, params, batch, None, cache)
 
 
@@ -188,7 +189,7 @@ def vfair_direction(
     params: np.ndarray,
     batch: Batch,
     objective: str = "std_dev",
-    layers: list | None = None,
+    ws: Workspace | None = None,
 ) -> tuple[np.ndarray, UpdateState, dict]:
     """One update direction lam * g_mu + g_sec (not yet applied).
 
@@ -198,9 +199,9 @@ def vfair_direction(
     backward pass over the spread weights sw, with the mean row first,
     which yields g_mu and g_sec together.  Returns (direction, advanced
     state, trace row); the row's keys are step-trace column names.
-    ``layers``, the ``unpack`` views of ``params``, saves unpacking them.
+    ``ws`` is as for ``nnet.forward_cache``.
     """
-    cache = forward_cache(spec, params, batch, layers)
+    cache = forward_cache(spec, params, batch, ws)
     losses = per_example_losses(spec, cache.outputs, batch.targets)
     mu = ema_update(state.ema_mean, losses, state.decay)
     sigma = batch_sigma(losses, mu)

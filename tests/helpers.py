@@ -12,10 +12,13 @@ import numpy as np
 from scipy import stats
 from scipy.special import expit
 
-from vfair.baselines import DroConfig
-from vfair.errors import ConfigError, DataError
+from vfair.baselines import DroConfig, dro_direction
+from vfair.errors import ConfigError, DataError, NumericError
 from vfair.metrics import RANK_METRICS, GroupPartition, group_utilities, higher_is_better
-from vfair.nnet import Batch, ModelSpec, _loss_output_grad, forward, per_example_losses, unpack
+from vfair.nnet import (
+    Batch, ModelSpec, _loss_output_grad, forward, init_params, per_example_losses, unpack,
+)
+from vfair.update import UpdateState, grad_mu, vfair_direction
 
 
 def all_set_partitions(n):
@@ -213,3 +216,53 @@ def reference_weighted_gradient(spec: ModelSpec, params: np.ndarray, batch: Batc
                 s = expit(z)
                 delta *= s * (1.0 - s)
     return grad if weights.ndim == 2 else grad[0]
+
+
+def reference_train(cfg, spec: ModelSpec, train, method: str, seed: int, reference=None):
+    """(selected params, selected epoch, per-epoch loss, trace) of one run,
+    as `harness._train_one` returns them, from steps that share nothing:
+    each calls `grad_mu`, `vfair_direction` or `dro_direction` without a
+    workspace, and the optimizers are the plain `params - step * grad`
+    forms.  A breakdown raises the NumericError `_train_one` raises.  The
+    bit oracle of the training path."""
+    objective = {"vfair_std": "std_dev", "vfair_var": "variance",
+                 "vfair_pairwise": "pairwise"}.get(method)
+    params = init_params(spec, seed)
+    accum = np.zeros_like(params)
+    state = UpdateState(decay=cfg.decay, lambda2_cap=cfg.lambda2_cap)
+    dro_cfg = DroConfig(alpha_min=cfg.dro_alpha_min)
+    rng = np.random.default_rng(seed)
+    full = Batch(train.features, train.targets)
+    rows, per_epoch_loss, best, best_epoch, step = [], [], None, 0, 0
+    try:
+        for epoch in range(cfg.epochs):
+            shuffled = full.subset(rng.permutation(train.n))
+            for start in range(0, train.n, cfg.batch_size):
+                batch = shuffled.subset(slice(start, start + cfg.batch_size))
+                if method == "erm":
+                    grad = grad_mu(spec, params, batch)
+                elif method == "dro":
+                    grad, eta = dro_direction(spec, params, batch, dro_cfg)
+                    rows.append({"eta": eta})
+                else:
+                    grad, state, row = vfair_direction(state, spec, params, batch, objective)
+                    rows.append(row)
+                if cfg.optimizer == "sgd":
+                    params = params - cfg.step_size * grad
+                else:
+                    accum = accum + grad * grad
+                    params = params - cfg.step_size * grad / (np.sqrt(accum) + 1e-10)
+                step += 1
+            losses = per_example_losses(spec, forward(spec, params, full), full.targets)
+            per_epoch_loss.append(float(losses.mean()))
+            if reference is None or epoch == 0 or (
+                abs(per_epoch_loss[-1] - reference) < abs(per_epoch_loss[best_epoch] - reference)
+            ):
+                best, best_epoch = params, epoch
+    except NumericError as exc:
+        raise NumericError(f"{method} seed={seed} epoch={epoch} step={step}: {exc}") from exc
+    trace = {}
+    if rows:
+        trace = {"step": np.arange(len(rows))}
+        trace |= {c: np.array([r[c] for r in rows]) for c in rows[0]}
+    return best, best_epoch, per_epoch_loss, trace

@@ -36,8 +36,8 @@ def test_erm_step_hand_value():
     # w=1, b=0 on (x=1, y=0): gradient (2, 2); step 0.1 lands at (0.8, -0.2)
     spec, batch = linear_regression_batch()
     params = np.array([1.0, 0.0])
-    stepped = Sgd(0.1).step(params, grad_mu(spec, params, batch))
-    np.testing.assert_allclose(stepped, [0.8, -0.2])
+    Sgd(0.1).step(params, grad_mu(spec, params, batch))
+    np.testing.assert_allclose(params, [0.8, -0.2])
 
 
 def test_erm_step_requires_positive_step_size():

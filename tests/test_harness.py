@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from helpers import count_calls, dictwriter_csv
+from helpers import count_calls, dictwriter_csv, reference_train
 from vfair import harness, nnet
 from vfair.cli import main as cli_main
 from vfair.errors import ConfigError, DataError, NumericError
@@ -221,25 +221,43 @@ def test_a_utility_the_task_cannot_take_is_refused_before_training(tmp_path, cap
     assert len(err.splitlines()) == 1 and err.startswith("error: utility 'f1'")
 
 
+@pytest.mark.parametrize("key", ["methods", "seeds"])
+def test_a_config_with_no_runs_is_refused_before_training(tmp_path, capsys, monkeypatch, key):
+    # an empty list would build the data and the output directory first,
+    # and only then find nothing to aggregate
+    with pytest.raises(ConfigError, match=f"at least one {key[:-1]}"):
+        config_from_dict(tiny_config(**{key: []}))
+    counts = {}
+    count_calls(monkeypatch, counts, "train", harness._train_one, harness)
+    out = tmp_path / "o"
+    code = cli_main(["train", "--config", str(write_config(tmp_path, tiny_config(**{key: []}))),
+                     "--out", str(out)])
+    assert code == 2 and counts == {"train": 0}
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: at least one {key[:-1]}")
+
+
 # -- optimizers -------------------------------------------------------------
 
 
 def test_sgd_step_is_plain_descent():
     opt = Sgd(0.5)
-    out = opt.step(np.array([1.0, -2.0]), np.array([4.0, 2.0]))
-    np.testing.assert_allclose(out, [-1.0, -3.0])
+    params = np.array([1.0, -2.0])
+    assert opt.step(params, np.array([4.0, 2.0])) is None  # updates in place
+    np.testing.assert_allclose(params, [-1.0, -3.0])
 
 
 def test_adagrad_matches_hand_accumulator():
     opt = Adagrad(0.1, dim=2)
     p = np.array([0.0, 0.0])
     g1 = np.array([3.0, 4.0])
-    p = opt.step(p, g1)
+    opt.step(p, g1)
     np.testing.assert_allclose(p, -0.1 * g1 / (np.array([3.0, 4.0]) + 1e-10))
     g2 = np.array([1.0, -2.0])
     accum = g1**2 + g2**2
     expect = p - 0.1 * g2 / (np.sqrt(accum) + 1e-10)
-    p = opt.step(p, g2)
+    opt.step(p, g2)
     np.testing.assert_allclose(p, expect)
 
 
@@ -248,9 +266,9 @@ def test_adagrad_steps_shrink_under_constant_gradient():
     p = np.array([5.0])
     deltas = []
     for _ in range(6):
-        nxt = opt.step(p, np.array([2.0]))
-        deltas.append(abs(float(nxt[0] - p[0])))
-        p = nxt
+        before = float(p[0])
+        opt.step(p, np.array([2.0]))
+        deltas.append(abs(float(p[0]) - before))
     assert all(a > b for a, b in zip(deltas, deltas[1:]))
 
 
@@ -300,7 +318,7 @@ def test_minibatches_are_consecutive_slices_of_each_epoch_permutation(monkeypatc
     spec = build_model_spec(cfg, train)
     fed = []
 
-    def recording_grad_mu(spec, params, batch, layers=None):
+    def recording_grad_mu(spec, params, batch, ws=None):
         fed.append((batch.features.copy(), batch.targets.copy()))
         return np.zeros_like(params)
 
@@ -332,6 +350,36 @@ def test_a_run_unpacks_and_checks_targets_once(monkeypatch, method, epochs):
     _, _, per_epoch_loss, _ = harness._train_one(cfg, spec, train, method, 0)
     assert len(per_epoch_loss) == epochs
     assert counts == {"unpack": 1, "check": 1}
+
+
+@pytest.mark.parametrize("batch_size", [40, 48, 150], ids=["divides_n", "tail", "exceeds_n"])
+@pytest.mark.parametrize("optimizer", OPTIMIZERS)
+@pytest.mark.parametrize("method", METHODS)
+def test_training_is_bit_equal_to_steps_without_a_workspace(method, optimizer, batch_size):
+    # one workspace per run, gradients written into its buffers and
+    # in-place optimizer updates change no bit against steps that share nothing
+    cfg = config_from_dict(tiny_config(methods=[method], optimizer=optimizer,
+                                       batch_size=batch_size))
+    train, _ = build_datasets(cfg)
+    assert train.n == 120
+    spec = build_model_spec(cfg, train)
+    with np.errstate(over="ignore", invalid="ignore"):  # as run_experiment trains
+        try:
+            first = reference_train(cfg, spec, train, method, 3)
+        except NumericError as exc:
+            # vfair_var diverges at this step size: both break at the same step
+            with pytest.raises(NumericError, match=re.escape(str(exc))):
+                harness._train_one(cfg, spec, train, method, 3)
+            return
+        # selecting epoch 0 checks the kept parameters are a copy, not the live ones
+        want = reference_train(cfg, spec, train, method, 3, first[2][0])
+        got = harness._train_one(cfg, spec, train, method, 3, first[2][0])
+    assert got[1] == want[1] == 0
+    assert np.array_equal(got[0], want[0])
+    assert got[2] == want[2]
+    assert list(got[3]) == list(want[3])
+    for column, values in want[3].items():
+        assert np.array_equal(got[3][column], values), column
 
 
 def test_each_split_checks_its_targets_where_it_enters():

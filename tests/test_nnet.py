@@ -13,6 +13,7 @@ from vfair.nnet import (
     TASKS,
     Batch,
     ModelSpec,
+    Workspace,
     _check_targets,
     forward,
     forward_cache,
@@ -365,6 +366,37 @@ def test_forward_and_backward_bit_equal_to_reference(task, activation, hidden):
         for got, weights in cases:
             assert np.array_equal(got, reference_weighted_gradient(spec, params, batch, weights))
     assert np.array_equal(split.features, frozen)
+
+
+def test_gradients_share_a_buffer_only_through_one_workspace_and_shape():
+    # a call without a workspace returns fresh arrays; through one, each
+    # same-shape call writes the same buffer, and a tail batch has its own
+    rng = np.random.default_rng(2)
+    spec = ModelSpec(input_dim=3, hidden_dims=(4,), output_dim=1, task="regression_mse")
+    params = init_params(spec, seed=0)
+    split = Batch(features=rng.normal(size=(20, 3)), targets=rng.normal(size=20))
+    batches = [split.subset(slice(s, s + 8)) for s in (0, 8, 16)]  # the last has 4 rows
+    w = rng.uniform(0.0, 1.0, size=8)
+    assert not np.shares_memory(weighted_gradient(spec, params, batches[0], w),
+                                weighted_gradient(spec, params, batches[0], w))
+    assert not np.shares_memory(weighted_gradient(spec, params, batches[0], None),
+                                weighted_gradient(spec, params, batches[0], None))
+
+    ws = Workspace(spec, unpack(spec, params))
+    got = []
+    for batch in batches:
+        weights = w[: len(batch)]
+        cache = forward_cache(spec, params, batch, ws)
+        got.append(weighted_gradient(spec, params, batch, weights, cache, mean=True))
+        # the buffer holds this call's gradient, bit for bit the fresh one
+        fresh = weighted_gradient(spec, params, batch, weights, mean=True)
+        assert np.array_equal(got[-1], fresh) and not np.shares_memory(got[-1], fresh)
+    assert np.shares_memory(got[0], got[1])
+    assert not np.shares_memory(got[0], got[2])
+    # another row count is another shape, with its own buffer
+    mean_only = weighted_gradient(spec, params, batches[0], None,
+                                  forward_cache(spec, params, batches[0], ws))
+    assert not np.shares_memory(mean_only, got[0]) and not np.shares_memory(mean_only, got[2])
 
 
 def test_fd_objective_validation():
