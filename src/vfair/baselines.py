@@ -22,7 +22,7 @@ the batch size have to be chosen together.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,15 +33,19 @@ from .nnet import Batch, ModelSpec, Workspace, forward_cache, per_example_losses
 @dataclass(frozen=True)
 class DroConfig:
     alpha_min: float = 0.2
+    # derived, not passed: C = sqrt(2 * (1/alpha_min - 1)^2 + 1)
+    scale: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 < self.alpha_min < 1.0:
             raise ConfigError("alpha_min must be in (0, 1)")
-
-    @property
-    def scale(self) -> float:
-        """C = sqrt(2 * (1/alpha_min - 1)^2 + 1)."""
-        return math.sqrt(2.0 * (1.0 / self.alpha_min - 1.0) ** 2 + 1.0)
+        try:  # a float's ** 2 raises on overflow; its * and sqrt give inf instead
+            scale = math.sqrt(2.0 * (1.0 / self.alpha_min - 1.0) ** 2 + 1.0)
+            if not math.isfinite(scale**2):  # C^2, as dro_eta takes it
+                raise OverflowError
+        except OverflowError:
+            raise ConfigError(f"alpha_min {self.alpha_min!r} is too small: C^2 overflows") from None
+        object.__setattr__(self, "scale", scale)
 
 
 def dro_eta(losses: np.ndarray, cfg: DroConfig) -> float:

@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .nnet import TASKS, Batch
+from .nnet import TASKS, Batch, _check_targets
 
 logger = logging.getLogger(__name__)
 
@@ -95,23 +95,16 @@ def take_batch(dataset: Dataset, indices) -> Batch:
 
 
 def _parse_label(raw_labels: list, numbers: list, task: str) -> np.ndarray:
-    """Labels as float targets.  `numbers` holds each raw label as parsed,
-    None where it is not a number; if any is None, classification labels
-    are mapped onto sorted distinct levels."""
+    """Labels as float targets, checked for the task.  `numbers` holds each
+    raw label as parsed, None where it is not a number; if any is None,
+    classification labels are mapped onto sorted distinct levels."""
     if None not in numbers:
         vals = np.array(numbers, dtype=np.float64)
     elif task == "regression_mse":
         raise DataError("regression labels must be numeric")
     else:
-        levels = sorted(set(raw_labels))
-        lookup = {lv: i for i, lv in enumerate(levels)}
-        vals = np.array([lookup[v] for v in raw_labels], dtype=np.float64)
-    if task in ("binary_bce", "logistic_regression_mse"):
-        if not np.all((vals == 0.0) | (vals == 1.0)):
-            raise DataError(f"{task} labels must encode to exactly {{0, 1}}")
-    if task == "multiclass_ce":
-        if np.any(vals != np.round(vals)) or vals.min() < 0:
-            raise DataError("multiclass labels must be non-negative integers")
+        vals = np.unique(raw_labels, return_inverse=True)[1].astype(np.float64)
+    _check_targets(task, vals)
     return vals
 
 
@@ -176,11 +169,10 @@ def load_csv(path, schema: DatasetSchema) -> Dataset:
             blocks.append(values[:, len(numeric), None])  # numeric column number len(numeric)
             numeric.append(offset)
         else:
-            raw = [r[name] for r in kept_raw]
-            levels = sorted(set(raw))
-            lookup = {lv: i for i, lv in enumerate(levels)}
-            hot = np.zeros((len(raw), len(levels)), dtype=np.float64)
-            hot[np.arange(len(raw)), [lookup[v] for v in raw]] = 1.0
+            # one-hot over sorted levels: zeros plus a scatter, never a [levels, levels] eye
+            levels, codes = np.unique([r[name] for r in kept_raw], return_inverse=True)
+            hot = np.zeros((len(codes), len(levels)))
+            hot[np.arange(len(codes)), codes] = 1.0
             blocks.append(hot)
         offset += blocks[-1].shape[1]
 

@@ -132,6 +132,8 @@ class ExperimentConfig:
             raise ConfigError("duplicate seeds in config")
         # the task is known here, so a utility it cannot take is refused before any run
         resolve_utility(self.utility, (self.synthetic or self.schema).task)
+        if self.erm_reference_loss is not None and self.erm_reference_loss < 0.0:
+            raise ConfigError("erm_reference_loss must be >= 0, as every loss is")
         if (self.epoch_selection == "harmless" and "erm" not in self.methods
                 and self.erm_reference_loss is None):
             raise ConfigError(
@@ -274,14 +276,10 @@ def build_datasets(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
 
 
 def build_model_spec(cfg: ExperimentConfig, train: Dataset) -> ModelSpec:
-    if train.task == "multiclass_ce":
-        out = int(train.targets.max()) + 1
-    else:
-        out = 1
     return ModelSpec(
         input_dim=train.feature_dim,
         hidden_dims=cfg.hidden_dims,
-        output_dim=out,
+        output_dim=int(train.targets.max()) + 1 if train.task == "multiclass_ce" else 1,
         task=train.task,
         activation=cfg.activation,
     )
@@ -445,7 +443,7 @@ def _split_batch(spec: ModelSpec, dataset: Dataset) -> Batch:
     """A whole split as one batch, its rows and targets checked once here:
     the steps and losses computed on its rows do not check them again."""
     full = Batch(dataset.features, dataset.targets)  # copies no valid float64 array
-    _check_targets(spec, full.targets)
+    _check_targets(spec.task, full.targets, spec.output_dim)
     return full
 
 

@@ -2,12 +2,12 @@
 
 Everything trains through one primitive: ``weighted_gradient`` computes
 the parameter gradient of (1/b) * sum_i w_i * loss_i with the weight
-vector treated as constants.  The plain mean gradient, the spread
-(std/variance/pairwise) gradients and the robust baseline all reduce to
-calls of this primitive with different weights, so the backprop code
-below is the only place derivatives are taken.  The forward pass keeps
-no pre-activations (each activation is applied in place), so the
-backward takes each activation's derivative from the layer's output.
+vector treated as constants.  ERM, the robust baseline and the spread
+update pass its three weight forms (none, one vector, one vector with the
+mean gradient first), so the backprop code below is the only place
+derivatives are taken.  The forward pass keeps no pre-activations (each
+activation is applied in place), so the backward takes each activation's
+derivative from the layer's output.
 
 A ``Workspace`` holds a parameter vector's (W, b) views and, per backward
 shape, the flat gradient, its per-layer views and the backward's work
@@ -40,6 +40,8 @@ from .errors import ConfigError, DataError, NumericError
 
 TASKS = ("regression_mse", "binary_bce", "multiclass_ce", "logistic_regression_mse")
 ACTIVATIONS = ("relu", "sigmoid", "identity")
+# the most parameters a ModelSpec takes (128 MiB per float64 vector; a run holds several)
+MAX_PARAMETERS = 1 << 24
 
 
 # ---------------------------------------------------------------------------
@@ -84,6 +86,9 @@ class ModelSpec:
             w_end = offset + d_in * d_out
             layout.append((slice(offset, w_end), (d_in, d_out), slice(w_end, w_end + d_out)))
             offset = w_end + d_out
+        if offset > MAX_PARAMETERS:
+            raise ConfigError(f"layer sizes {dims} make {offset} parameters, above "
+                              f"MAX_PARAMETERS = {MAX_PARAMETERS}: lower model.hidden_dims")
         object.__setattr__(self, "layout", tuple(layout))
 
 
@@ -186,13 +191,14 @@ class Workspace:
 
     def buffers(self, b: int, lead: int, k: int):
         """(flat gradient [lead + k, P], bias rows [lead + k, b] whose mean row
-        is ones, and per layer (mean-row W view, [k] row W views, bias view,
-        weighted delta [k, b, d_out])) for ``weighted_gradient``."""
+        is ones, and per layer (mean-row W view, weighted-row W view, bias
+        view, weighted delta [b, d_out])) for ``weighted_gradient``: ``lead``
+        is 1 with a mean row first, ``k`` 1 with a weighted row last."""
         bufs = self._buffers.get((b, lead, k))
         if bufs is None:
             grad = np.empty((lead + k, parameter_count(self.spec)))
-            views = [(grad[0, ws].reshape(shape), grad[lead:, ws].reshape(k, *shape),
-                      grad[:, bs], np.empty((k, b, shape[1])))
+            views = [(grad[0, ws].reshape(shape), grad[-1, ws].reshape(shape),
+                      grad[:, bs], np.empty((b, shape[1])))
                      for ws, shape, bs in self.spec.layout]
             bufs = self._buffers[(b, lead, k)] = grad, np.ones((lead + k, b)), views
         return bufs
@@ -254,20 +260,20 @@ def forward(spec: ModelSpec, params: np.ndarray, batch: Batch,
     return outputs
 
 
-def _check_targets(spec: ModelSpec, targets: np.ndarray) -> None:
-    """Refuse targets the task cannot take.  Run once per split, where it
-    enters training or evaluation; the losses and gradients do not re-check."""
-    if spec.task == "multiclass_ce":
-        idx = targets.astype(np.int64)
-        if np.any(idx != targets):
-            raise DataError("multiclass targets must be integer class indices")
-        if idx.min() < 0 or idx.max() >= spec.output_dim:
-            raise DataError(
-                f"class index out of range [0, {spec.output_dim}) in targets"
-            )
-    elif spec.task in ("binary_bce", "logistic_regression_mse"):
+def _check_targets(task: str, targets: np.ndarray, classes: int | None = None) -> None:
+    """Refuse labels the task cannot take: 0 or 1 for the sigmoid tasks, and
+    class indices in [0, classes) for multiclass_ce (any integer >= 0 without
+    ``classes``).  The one label check: ``data`` runs it on the labels it
+    encodes, each split where it enters training or evaluation."""
+    if task == "multiclass_ce":
+        if np.any(targets != np.floor(targets)):
+            raise DataError("multiclass labels must be integer class indices")
+        top = math.inf if classes is None else classes
+        if targets.min() < 0 or targets.max() >= top:
+            raise DataError(f"multiclass labels: class index out of range [0, {top})")
+    elif task in ("binary_bce", "logistic_regression_mse"):
         if not np.all((targets == 0.0) | (targets == 1.0)):
-            raise DataError(f"{spec.task} targets must be 0 or 1")
+            raise DataError(f"{task} labels must be 0 or 1")
 
 
 def per_example_losses(spec: ModelSpec, predictions: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -328,14 +334,13 @@ def weighted_gradient(spec: ModelSpec, params: np.ndarray, batch: Batch,
                       mean: bool = False) -> np.ndarray:
     """Gradient of (1/b) * sum_i weights_i * loss_i, weights held constant.
 
-    ``weights`` is one vector [b] (returns a flat gradient [P] in the
-    layout of ``params``) or a stack [k, b] (returns [k, P], one gradient
-    per row).  ``mean=True`` puts the plain mean-loss gradient (weights
-    1) first as row 0, giving [1 + k, P]; ``weights`` None asks for it
-    alone, as [P].  Backprop is linear in each example's output delta, so
-    one unweighted delta [b, d] per layer serves every row; row w enters
-    only the layer's products a^T (w * delta) and w . delta, and the mean
-    row's weight product is a^T delta, never multiplied by ones.
+    ``weights`` is None for the plain mean-loss gradient (weights 1) as
+    [P], one vector [b] for its gradient as [P], or one vector [b] with
+    ``mean=True`` for both as [2, P], the mean-loss gradient first.
+    Backprop is linear in each example's output delta, so one unweighted
+    delta [b, d] per layer serves both rows; the weights enter only the
+    layer's products a^T (w * delta) and w . delta, and the mean row's
+    weight product is a^T delta, never multiplied by ones.
     ``cache``, from ``forward_cache`` on the same params and batch, saves
     the forward pass; the result is written into its workspace's buffers.
     ``weights`` is a float array, not checked: callers build it from
@@ -347,27 +352,26 @@ def weighted_gradient(spec: ModelSpec, params: np.ndarray, batch: Batch,
 
     b = len(batch)
     lead = int(mean or weights is None)  # 1 when row 0 is the mean gradient
-    rows = None if weights is None else weights.reshape(-1, b)
-    k = 0 if rows is None else len(rows)
+    k = int(weights is not None)  # 1 when the last row is the weighted one
     grad, bias_rows, views = cache.ws.buffers(b, lead, k)
     if k:
-        bias_rows[lead:] = rows
-        per_example = rows[:, :, None]
+        bias_rows[-1] = weights
+        per_example = weights[:, None]
     delta = _loss_output_grad(spec, cache.outputs, batch.targets)
     delta *= 1.0 / b
     for l in range(len(views) - 1, -1, -1):
-        mean_w, rows_w, bias, weighted = views[l]
+        mean_w, row_w, bias, weighted = views[l]
         a_t = cache.inputs[l].T
         if lead:
             np.matmul(a_t, delta, out=mean_w)
         if k:
-            np.matmul(a_t, np.multiply(per_example, delta, out=weighted), out=rows_w)
+            np.matmul(a_t, np.multiply(per_example, delta, out=weighted), out=row_w)
         # the bias products stay BLAS products rows @ delta, the mean's ones row included
         np.matmul(bias_rows, delta, out=bias)
         if l > 0:
             delta = delta @ cache.ws.layers[l][0].T
             delta *= _activate_grad(spec.activation, cache.inputs[l])
-    return grad if len(grad) > 1 or weights is not None and weights.ndim == 2 else grad[0]
+    return grad if len(grad) > 1 else grad[0]
 
 
 # ---------------------------------------------------------------------------

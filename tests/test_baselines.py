@@ -55,6 +55,14 @@ def test_erm_step_requires_positive_step_size():
 def test_dro_scale_formula():
     assert DroConfig(alpha_min=0.5).scale == pytest.approx(math.sqrt(3.0))
     assert DroConfig(alpha_min=0.2).scale == pytest.approx(math.sqrt(33.0))
+    # C is a field set once when the config is built, bit for bit the
+    # formula, with C^2 finite down to a tiny alpha_min
+    for alpha_min in (0.2, 0.5, 1e-150):
+        cfg = DroConfig(alpha_min=alpha_min)
+        assert cfg.scale == math.sqrt(2.0 * (1.0 / alpha_min - 1.0) ** 2 + 1.0)
+        assert math.isfinite(cfg.scale**2)
+    with pytest.raises(TypeError):
+        DroConfig(alpha_min=0.2, scale=1.0)  # derived, not passed
 
 
 def test_dro_config_validation():
@@ -62,6 +70,18 @@ def test_dro_config_validation():
         DroConfig(alpha_min=0.0)
     with pytest.raises(ConfigError):
         DroConfig(alpha_min=1.0)
+
+
+@pytest.mark.parametrize("alpha_min", [1e-300, 7e-155, 1e-154, 5e-324])
+def test_dro_config_refuses_an_alpha_min_whose_c_squared_overflows(alpha_min):
+    # C^2 = 2 (1/alpha_min - 1)^2 + 1 overflows either as a float's ** 2
+    # raising (1e-300, 7e-155) or as * and sqrt reaching inf (1e-154, 5e-324)
+    with pytest.raises(ConfigError, match="alpha_min"):
+        DroConfig(alpha_min=alpha_min)
+    dataset = {"kind": "synthetic", "n": 20, "group_ratio": 0.3, "feature_dim": 2,
+               "minority_shift": 1.0, "noise_std": 0.1}
+    with pytest.raises(ConfigError, match="alpha_min"):
+        config_from_dict({"dataset": dataset, "methods": ["dro"], "dro_alpha_min": alpha_min})
 
 
 def test_dro_eta_two_point_batch():

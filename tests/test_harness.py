@@ -850,6 +850,10 @@ def test_cli_train_bad_config_exits_2(tmp_path, capsys):
     (None, "seeds", [-1]),
     ("dataset", "seed", -1),
     ("dataset", "split_seed", -2),
+    # every loss is >= 0, so a negative reference cannot be a loss
+    (None, "erm_reference_loss", -1),
+    # refused by the parameter count, before any parameter is allocated
+    ("model", "hidden_dims", [1e9]),
 ])
 def test_cli_train_badly_typed_value_exits_2(tmp_path, capsys, section, key, value):
     d = tiny_config()
@@ -990,3 +994,131 @@ def test_dro_degenerate_batch_is_logged(caplog, batch_size, warned):
         assert "batch_size 32" in hits[0].getMessage() and "33" in hits[0].getMessage()
     else:
         assert not hits
+
+
+# One edge value per config key, applied alone to a 2-epoch, n = 300,
+# one-seed copy of the README config: (section, key, value, exit code).
+# Every value either trains (0), is refused with one line (2) or breaks
+# down numerically with one line (3); none escapes as a traceback.
+EDGE_VALUES = [
+    (None, "methods", ["erm"], 0),
+    (None, "methods", ["vfair_var"], 2),  # harmless selection without erm
+    (None, "methods", ["sgd"], 2),
+    (None, "methods", ["erm", "erm"], 2),
+    (None, "optimizer", "adagrad", 0),
+    (None, "optimizer", "ADAM", 2),
+    (None, "step_size", 1e-300, 0),
+    (None, "step_size", 1e6, 3),
+    (None, "step_size", -0.01, 2),
+    (None, "step_size", 0, 2),
+    (None, "batch_size", 1, 3),  # vfair_var diverges
+    (None, "batch_size", 1e9, 0),
+    (None, "batch_size", 0, 2),
+    (None, "epochs", 1, 0),
+    (None, "epochs", 0, 2),
+    (None, "decay", 0.0, 0),
+    (None, "decay", 0.999999, 0),
+    (None, "decay", 1.0, 2),
+    (None, "lambda2_cap", 0.0, 0),
+    (None, "lambda2_cap", 1e300, 0),
+    (None, "dro_alpha_min", 0.999999, 0),
+    (None, "dro_alpha_min", 1e-150, 0),
+    (None, "dro_alpha_min", 1e-300, 2),
+    (None, "dro_alpha_min", 0.0, 2),
+    (None, "seeds", [2**64], 0),
+    (None, "seeds", [], 2),
+    (None, "epoch_selection", "final", 0),
+    (None, "epoch_selection", "best", 2),
+    (None, "utility", "mse", 0),
+    (None, "utility", "f1", 2),
+    (None, "erm_reference_loss", 0.0, 0),
+    (None, "erm_reference_loss", 1e300, 0),
+    (None, "erm_reference_loss", -1, 2),
+    ("model", "hidden_dims", [], 0),
+    ("model", "hidden_dims", [1], 0),
+    ("model", "hidden_dims", [0], 2),
+    ("model", "hidden_dims", [1e9], 2),
+    ("model", "activation", "sigmoid", 0),
+    ("model", "activation", "tanh", 2),
+    ("dataset", "kind", "parquet", 2),
+    ("dataset", "n", 2, 0),
+    ("dataset", "n", 1, 2),
+    ("dataset", "group_ratio", 1e-9, 2),
+    ("dataset", "group_ratio", 0.999, 2),
+    ("dataset", "feature_dim", 1, 0),
+    ("dataset", "feature_dim", 0, 2),
+    ("dataset", "minority_shift", 1e300, 3),
+    ("dataset", "noise_std", 1e300, 3),
+    ("dataset", "noise_std", -1.0, 2),
+    ("dataset", "task", "logistic_regression_mse", 0),
+    ("dataset", "task", "multiclass_ce", 2),
+    ("dataset", "seed", 2**40, 0),
+    ("dataset", "test_fraction", 1e-9, 2),
+    ("dataset", "test_fraction", 0.999, 2),
+    ("dataset", "split_seed", 2**40, 0),
+]
+
+
+@pytest.mark.parametrize("section, key, value, code", EDGE_VALUES)
+def test_config_edge_values_train_or_exit_with_one_line(tmp_path, capsys, section, key, value,
+                                                        code):
+    d = readme_config(9, methods=list(METHODS), epochs=2, epoch_selection="harmless")
+    d["dataset"]["n"] = 300
+    (d[section] if section else d)[key] = value
+    got = cli_main(["train", "--config", str(write_config(tmp_path, d)),
+                    "--out", str(tmp_path / "o")])
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert (got, len(errors)) == (code, int(code != 0)), errors
+
+
+def multiclass_csv_config(tmp_path, labels):
+    """Every method, 2 seeds, 4 epochs on a CSV of one numeric feature, one
+    categorical feature, a sensitive column and the string `labels`; its
+    test rows are those `data.split` draws first at split seed 0."""
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=len(labels))
+    colors = np.array(["red", "green", "blue"])[rng.integers(0, 3, size=len(labels))]
+    rows = (f"{float(v)!r},{c},{'ab'[i % 2]},{y}\n" for i, (v, c, y) in enumerate(zip(x, colors, labels)))
+    path = tmp_path / "multi.csv"
+    path.write_text("x,color,group,label\n" + "".join(rows))
+    schema = {"features": [["x", "numeric"], ["color", "categorical"]], "label": "label",
+              "sensitive": ["group"], "task": "multiclass_ce"}
+    return {
+        "dataset": {"kind": "csv", "path": str(path), "schema": schema, "split_seed": 0},
+        "model": {"hidden_dims": [6]}, "methods": list(METHODS), "step_size": 0.1,
+        "batch_size": 64, "epochs": 4, "seeds": [0, 1], "epoch_selection": "harmless",
+    }
+
+
+def test_cli_trains_every_method_on_a_multiclass_csv(tmp_path, capsys):
+    labels = np.array(["low", "mid", "high"] * 20)
+    cfg_path = write_config(tmp_path, multiclass_csv_config(tmp_path, labels))
+    out = tmp_path / "o"
+    assert cli_main(["train", "--config", str(cfg_path), "--out", str(out)]) == 0
+    # string labels are class indices by sorted level: high 0, low 1, mid 2
+    test_rows = np.random.default_rng(0).permutation(60)[:18]
+    want = np.searchsorted(["high", "low", "mid"], labels[test_rows]).astype(float)
+    for method in METHODS:
+        for seed in (0, 1):
+            rec = RunRecord.load(out / "runs" / f"{method}_seed{seed}.json")
+            # 4 encoded inputs (x and three colour levels) -> 6 -> 3 classes
+            assert len(rec.params) == 4 * 6 + 6 + 6 * 3 + 3
+            assert rec.utility_kind == "accuracy" and set(rec.metrics) == {"overall", "group"}
+            assert np.array_equal(rec.test_targets, want)
+            assert set(rec.test_predictions) <= {0.0, 1.0, 2.0}
+            assert (out / "traces" / f"{method}_seed{seed}.csv").exists() == (method != "erm")
+    run = str(out / "runs" / "vfair_std_seed0.json")
+    assert cli_main(["curve", "--run", run, "--out", str(tmp_path / "curve.csv")]) == 0
+    capsys.readouterr()
+
+
+def test_cli_refuses_a_test_class_the_training_split_lacks(tmp_path, capsys):
+    # one test row holds "zebra", the last level (class 3): the model
+    # trained on classes 0-2 has no output for it
+    labels = np.array(["low", "mid", "high"] * 20, dtype=object)
+    labels[np.random.default_rng(0).permutation(60)[0]] = "zebra"
+    cfg_path = write_config(tmp_path, multiclass_csv_config(tmp_path, labels))
+    assert cli_main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and "out of range [0, 3)" in err

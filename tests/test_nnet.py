@@ -10,6 +10,7 @@ from vfair.errors import ConfigError, DataError
 from vfair.nnet import (
     ACTIVATIONS,
     FORWARD_BLOCK_ROWS,
+    MAX_PARAMETERS,
     TASKS,
     Batch,
     ModelSpec,
@@ -108,6 +109,14 @@ def test_spec_validation():
         ModelSpec(input_dim=1, hidden_dims=(), output_dim=1, task="multiclass_ce")
     with pytest.raises(ConfigError):
         ModelSpec(input_dim=1, hidden_dims=(0,), output_dim=1, task="regression_mse")
+    # the parameter count comes from the layout alone: nothing is allocated
+    spec = ModelSpec(input_dim=MAX_PARAMETERS - 1, hidden_dims=(), output_dim=1,
+                     task="regression_mse")
+    assert parameter_count(spec) == MAX_PARAMETERS
+    with pytest.raises(ConfigError, match="model.hidden_dims"):
+        ModelSpec(input_dim=MAX_PARAMETERS, hidden_dims=(), output_dim=1, task="regression_mse")
+    with pytest.raises(ConfigError, match="model.hidden_dims"):
+        ModelSpec(input_dim=4, hidden_dims=(10**9,), output_dim=1, task="regression_mse")
 
 
 def test_batch_validation():
@@ -199,19 +208,25 @@ def test_multiclass_uniform_logits_log_k():
 
 
 def test_multiclass_rejects_out_of_range_class():
-    spec = linear_spec(task="multiclass_ce", output_dim=3)
     with pytest.raises(DataError, match="out of range"):
-        _check_targets(spec, np.array([3.0]))
+        _check_targets("multiclass_ce", np.array([3.0]), 3)
     with pytest.raises(DataError, match="integer"):
-        _check_targets(spec, np.array([1.5]))
-    _check_targets(spec, np.array([0.0, 2.0]))
+        _check_targets("multiclass_ce", np.array([1.5]), 3)
+    _check_targets("multiclass_ce", np.array([0.0, 2.0]), 3)
+    # without a class count, as data loading checks, any index >= 0 passes
+    _check_targets("multiclass_ce", np.array([0.0, 1e20]))
+    with pytest.raises(DataError, match="out of range"):
+        _check_targets("multiclass_ce", np.array([-1.0, 2.0]))
+    with pytest.raises(DataError, match="integer"):
+        _check_targets("multiclass_ce", np.array([0.0, 2.5]))
 
 
 def test_binary_targets_validated():
-    spec = linear_spec(task="logistic_regression_mse")
-    with pytest.raises(DataError):
-        _check_targets(spec, np.array([0.5]))
-    _check_targets(spec, np.array([0.0, 1.0]))
+    for task in ("binary_bce", "logistic_regression_mse"):
+        with pytest.raises(DataError, match="labels must be 0 or 1"):
+            _check_targets(task, np.array([0.5]))
+        _check_targets(task, np.array([0.0, 1.0]))
+    _check_targets("regression_mse", np.array([0.5, -3.0]))
 
 
 def test_losses_nonnegative_random():
@@ -296,35 +311,39 @@ def test_weighted_gradient_fd_oracle_random_models():
 
 
 def test_weighted_gradient_stacked_rows_match_single_calls_and_fd():
-    # a [k, b] call shares one forward cache and one reverse pass; each of
-    # its rows must be the 1-d call with that row, and match finite differences
+    # the mean=True [2, P] call shares one forward cache and one reverse
+    # pass; its mean row must be the weights=None call, its weighted row
+    # the 1-d call, and each must match finite differences
     rng = np.random.default_rng(5)
     for _ in range(40):
         spec = random_spec(rng)
         batch = random_batch(rng, spec)
         params = init_params(spec, seed=int(rng.integers(1 << 30)))
-        rows = rng.uniform(-1.0, 2.0, size=(3, len(batch)))
-        stacked = weighted_gradient(spec, params, batch, rows, forward_cache(spec, params, batch))
-        assert stacked.shape == (3, len(params))
+        w = rng.uniform(-1.0, 2.0, size=len(batch))
+        stacked = weighted_gradient(spec, params, batch, w, forward_cache(spec, params, batch),
+                                    mean=True)
+        assert stacked.shape == (2, len(params))
         d = rng.normal(size=params.shape)
         d /= np.linalg.norm(d)
         tol = 1e-4 if spec.activation == "relu" else 1e-6
-        for row, grad in zip(rows, stacked):
-            single = weighted_gradient(spec, params, batch, row)
+        for weights, grad in zip((None, w), stacked):
+            single = weighted_gradient(spec, params, batch, weights)
             assert np.linalg.norm(grad - single) <= 1e-12 * np.linalg.norm(single)
-            fd = directional_derivative_fd(spec, params, batch, "weighted", d, weights=row)
+            objective = "mean" if weights is None else "weighted"
+            fd = directional_derivative_fd(spec, params, batch, objective, d, weights=weights)
             assert abs(fd - float(grad @ d)) <= tol * max(1.0, abs(fd))
 
 
 def test_weighted_gradient_weight_shapes():
+    # the three forms training passes: a mean row or a weighted row alone
+    # is flat; with mean=True the two make a [2, P] stack, mean first
     spec = linear_spec()
     batch = make_batch([[1.0], [2.0]], [0.0, 1.0])
     params = np.array([0.3, -0.2])
-    assert weighted_gradient(spec, params, batch, np.ones((1, 2))).shape == (1, 2)
-    # the mean row alone is flat; prepended, it makes a stack
     assert weighted_gradient(spec, params, batch, None).shape == (2,)
+    assert weighted_gradient(spec, params, batch, None, mean=True).shape == (2,)
+    assert weighted_gradient(spec, params, batch, np.ones(2)).shape == (2,)
     assert weighted_gradient(spec, params, batch, np.ones(2), mean=True).shape == (2, 2)
-    assert weighted_gradient(spec, params, batch, np.ones((3, 2)), mean=True).shape == (4, 2)
 
 
 @pytest.mark.parametrize("hidden", [(6, 3), ()])
@@ -353,14 +372,11 @@ def test_forward_and_backward_bit_equal_to_reference(task, activation, hidden):
         cache = forward_cache(spec, params, batch)
         assert np.array_equal(cache.outputs, reference_forward(spec, params, batch)[2])
         w = rng.uniform(-1.0, 2.0, size=b)
-        stack = rng.uniform(-1.0, 2.0, size=(3, b))
         ones = np.ones(b)
         cases = [
             (weighted_gradient(spec, params, batch, w, cache), w),
-            (weighted_gradient(spec, params, batch, stack, cache), stack),
             (weighted_gradient(spec, params, batch, None, cache), ones),
             (weighted_gradient(spec, params, batch, w, cache, mean=True), np.stack([ones, w])),
-            (weighted_gradient(spec, params, batch, stack, cache, mean=True), np.vstack([ones, stack])),
             (weighted_gradient(spec, params, batch, w), w),
         ]
         for got, weights in cases:
