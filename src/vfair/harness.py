@@ -546,6 +546,10 @@ def run_experiment(cfg: ExperimentConfig) -> list:
     """
     train, test = build_datasets(cfg)
     spec = build_model_spec(cfg, train)
+    try:  # before any run trains: a test class the training split lacks
+        _check_targets(spec.task, test.targets, spec.output_dim)
+    except DataError as exc:
+        raise DataError(f"test split: {exc}") from None
     c2 = DroConfig(alpha_min=cfg.dro_alpha_min).scale ** 2
     if "dro" in cfg.methods and cfg.batch_size <= c2:
         # dro_eta's C >= sqrt(b) case: eta* is the largest loss, the step zero

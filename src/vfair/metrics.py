@@ -15,7 +15,6 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import ConfigError, DataError
 
@@ -345,7 +344,9 @@ def _average_ranks(x: np.ndarray, axis: int) -> np.ndarray:
 
 def significance_test(a, b) -> float:
     """Two-sided Welch's t-test p-value between two metric samples, computed
-    step for step as scipy's `ttest_ind(a, b, equal_var=False)` computes it."""
+    step for step as scipy's `ttest_ind(a, b, equal_var=False)` computes it;
+    `stdtr` is imported here, so only a p-value loads ``scipy.special``."""
+    from scipy.special import stdtr
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if len(a) < 2 or len(b) < 2:
@@ -361,4 +362,4 @@ def significance_test(a, b) -> float:
         # a variance that underflows to 0 leaves df undefined; any df then works
         df = (vn1 + vn2) ** 2 / (vn1 ** 2 / (n1 - 1) + vn2 ** 2 / (n2 - 1))
         t = (a.mean() - b.mean()) / np.sqrt(vn1 + vn2)
-    return float(2 * special.stdtr(1.0 if np.isnan(df) else df, -abs(t)))
+    return float(2 * stdtr(1.0 if np.isnan(df) else df, -abs(t)))

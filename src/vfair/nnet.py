@@ -24,7 +24,7 @@ Parameters live in a single flat float64 vector.  The layout is a
 deterministic function of the model spec (layer by layer, weight matrix
 then bias), computed once as ``ModelSpec.layout``, which keeps gradient
 vectors, parameter vectors and finite-difference probes trivially
-interchangeable.
+interchangeable.  Only a sigmoid loads scipy, at its first ``_expit``.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import ConfigError, DataError, NumericError
 
@@ -162,12 +161,18 @@ def init_params(spec: ModelSpec, seed: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _expit(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """scipy's logistic ufunc, imported per call: only a sigmoid loads scipy."""
+    from scipy.special import expit
+    return expit(x, out=out)
+
+
 def _activate(name: str, h: np.ndarray) -> None:
     """Apply the hidden activation to the pre-activations ``h`` in place."""
     if name == "relu":
         np.maximum(h, 0.0, out=h)
     elif name == "sigmoid":
-        expit(h, out=h)
+        _expit(h, out=h)
 
 
 def _activate_grad(name: str, a: np.ndarray):
@@ -301,7 +306,7 @@ def per_example_losses(spec: ModelSpec, predictions: np.ndarray, targets: np.nda
         z = predictions[:, 0]
         losses = np.logaddexp(0.0, z) - targets * z
     elif spec.task == "logistic_regression_mse":
-        losses = (expit(predictions[:, 0]) - targets) ** 2
+        losses = (_expit(predictions[:, 0]) - targets) ** 2
     else:  # multiclass_ce
         z = predictions
         m = z.max(axis=1)
@@ -317,9 +322,9 @@ def _loss_output_grad(spec: ModelSpec, outputs: np.ndarray, targets: np.ndarray)
     if spec.task == "regression_mse":
         return 2.0 * (outputs - targets[:, None])
     if spec.task == "binary_bce":
-        return expit(outputs) - targets[:, None]
+        return _expit(outputs) - targets[:, None]
     if spec.task == "logistic_regression_mse":
-        p = expit(outputs)
+        p = _expit(outputs)
         return 2.0 * (p - targets[:, None]) * p * (1.0 - p)
     # multiclass_ce: softmax minus one-hot
     z = outputs - outputs.max(axis=1, keepdims=True)
@@ -386,7 +391,7 @@ def predicted_values(spec: ModelSpec, outputs: np.ndarray) -> np.ndarray:
     if spec.task == "regression_mse":
         return outputs[:, 0]
     if spec.task in ("binary_bce", "logistic_regression_mse"):
-        return expit(outputs[:, 0])
+        return _expit(outputs[:, 0])
     raise ConfigError("point predictions are undefined for multiclass_ce")
 
 

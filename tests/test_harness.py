@@ -1112,13 +1112,16 @@ def test_cli_trains_every_method_on_a_multiclass_csv(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_cli_refuses_a_test_class_the_training_split_lacks(tmp_path, capsys):
+def test_cli_refuses_a_test_class_the_training_split_lacks(tmp_path, capsys, monkeypatch):
     # one test row holds "zebra", the last level (class 3): the model
-    # trained on classes 0-2 has no output for it
+    # trained on classes 0-2 has no output for it, so no run trains
     labels = np.array(["low", "mid", "high"] * 20, dtype=object)
     labels[np.random.default_rng(0).permutation(60)[0]] = "zebra"
     cfg_path = write_config(tmp_path, multiclass_csv_config(tmp_path, labels))
+    counts = {}
+    count_calls(monkeypatch, counts, "train", harness._train_one, harness)
     assert cli_main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    assert counts == {"train": 0}
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
-    assert err.startswith("error: ") and "out of range [0, 3)" in err
+    assert err.startswith("error: test split: ") and "out of range [0, 3)" in err

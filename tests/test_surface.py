@@ -3,6 +3,7 @@ only the tests use, its command line imports nothing it does not need, and
 the README's library example runs as written."""
 
 import ast
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -10,9 +11,11 @@ from pathlib import Path
 import numpy as np
 
 import vfair
+from vfair.cli import main as cli_main
 from vfair.nnet import parameter_count
 
 SRC = Path(vfair.__file__).parent
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 # public names the package itself never calls, each with its caller
 ALLOWED = {
@@ -66,19 +69,80 @@ def test_every_public_definition_has_a_caller_in_the_package():
     assert checked > 10  # methods and properties are checked, not only module-level names
 
 
+def _fresh_python(code: str, *args) -> str:
+    """Stdout of `code` run by a fresh interpreter with `args` as argv[1:],
+    from the directory holding the package, so it imports without an install."""
+    out = subprocess.run([sys.executable, "-c", code, *map(str, args)], capture_output=True,
+                         text=True, check=True, cwd=SRC.parent)
+    return out.stdout.strip()
+
+
+def config_from_readme(**overrides) -> dict:
+    """The README's config, its top-level keys and dataset keys overridden."""
+    readme = README.read_text(encoding="utf-8")
+    d = json.loads(readme.split("## Config schema", 1)[1].split("```json\n", 1)[1].split("```")[0])
+    d["dataset"].update(overrides.pop("dataset", {}))
+    d.update(overrides)
+    return d
+
+
 def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy.stats costs most of a command's start-up; the package ranks and
-    # Welch-tests with numpy and scipy.special instead
-    code = "import sys, vfair.cli; print('scipy.stats' in sys.modules)"
-    # run from the directory holding the package, so it imports without an install
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
-                         cwd=SRC.parent)
-    assert out.stdout.strip() == "False"
+    # scipy costs most of a command's start-up; the package ranks with numpy
+    # and imports scipy.special only where a run calls it
+    code = "import sys, vfair.cli; print('scipy.stats' in sys.modules, 'scipy.special' in sys.modules)"
+    assert _fresh_python(code) == "False False"
+
+
+# train, rank and curve in one interpreter; prints the scipy modules loaded after each
+COLD_COMMANDS = """
+import sys
+from vfair.cli import main
+cfg, out = sys.argv[1:]
+runs = [f"{out}/runs/{m}_seed0.json" for m in ("erm", "vfair_std", "vfair_var", "vfair_pairwise", "dro")]
+commands = [
+    ["train", "--config", cfg, "--out", out],
+    ["rank", "--runs", *runs, "--k", "4", "--trials", "10", "--seed", "0", "--out", out + "/r.csv"],
+    ["curve", "--run", runs[1], "--out", out + "/c.csv"],
+]
+for argv in commands:
+    assert main(argv) == 0, argv
+    print("scipy after", argv[0], sorted(m for m in sys.modules if m.startswith("scipy")))
+"""
+
+
+def test_one_seed_regression_train_rank_and_curve_never_load_scipy(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config_from_readme(dataset={"n": 300}, epochs=2, seeds=[0])))
+    lines = _fresh_python(COLD_COMMANDS, cfg, tmp_path / "o").splitlines()
+    loaded = [line for line in lines if line.startswith("scipy after")]
+    assert loaded == ["scipy after train []", "scipy after rank []", "scipy after curve []"]
+
+
+def test_scipy_loaded_mid_run_writes_the_bits_of_scipy_loaded_first(tmp_path, capsys):
+    # a fresh interpreter loads scipy.special at its first sigmoid and at the
+    # first Welch p-value of aggregate; this process loaded it at import
+    import scipy.special  # noqa: F401
+
+    d = config_from_readme(dataset={"n": 300, "task": "binary_bce"}, epochs=2, seeds=[0, 1])
+    d["model"]["activation"] = "sigmoid"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(d))
+    code = ("import sys; from vfair.cli import main; assert 'scipy.special' not in sys.modules; "
+            "assert main(['train', '--config', sys.argv[1], '--out', sys.argv[2]]) == 0; "
+            "print('scipy.special' in sys.modules)")
+    *cold_stdout, loaded = _fresh_python(code, cfg, tmp_path / "cold").splitlines()
+    assert loaded == "True"
+    assert cli_main(["train", "--config", str(cfg), "--out", str(tmp_path / "warm")]) == 0
+    assert cold_stdout == capsys.readouterr().out.replace("warm", "cold").splitlines()
+    cold = sorted(p.relative_to(tmp_path / "cold") for p in (tmp_path / "cold").rglob("*.*"))
+    warm = sorted(p.relative_to(tmp_path / "warm") for p in (tmp_path / "warm").rglob("*.*"))
+    assert cold == warm and Path("aggregate.csv") in cold and len(cold) == 1 + 2 * 5 + 2 * 4
+    for rel in cold:
+        assert (tmp_path / "cold" / rel).read_bytes() == (tmp_path / "warm" / rel).read_bytes(), rel
 
 
 def test_readme_library_example_runs():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    section = readme.split("## Library use", 1)[1]
+    section = README.read_text(encoding="utf-8").split("## Library use", 1)[1]
     code = section.split("```python\n", 1)[1].split("```", 1)[0]
     scope = {}
     exec(compile(code, "README.md", "exec"), scope)
