@@ -27,7 +27,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .nnet import Batch, ModelSpec, Workspace, forward_cache, per_example_losses, weighted_gradient
+from .nnet import (Batch, ModelSpec, Workspace, forward_cache, parameter_count,
+                   per_example_losses, weighted_gradient)
 
 
 @dataclass(frozen=True)
@@ -83,22 +84,21 @@ def dro_eta(losses: np.ndarray, cfg: DroConfig) -> float:
 
 
 def dro_direction(
-    spec: ModelSpec, params: np.ndarray, batch: Batch, cfg: DroConfig,
-    ws: Workspace | None = None,
+    spec: ModelSpec, params: np.ndarray | Workspace, batch: Batch, cfg: DroConfig,
 ) -> tuple[np.ndarray, float]:
-    """Gradient of the eta-minimized dual objective, plus eta* itself.
+    """Gradient of the eta-minimized dual objective at ``params``, the vector
+    or a workspace over it, plus eta* itself.
 
     Weights (l_i - eta*)_+ vanish for every example at or below eta*
     (zero subgradient at the kink); if that kills the whole batch the
-    returned direction is exactly zero.  ``ws`` is as for
-    ``nnet.forward_cache``.
+    returned direction is exactly zero.
     """
-    cache = forward_cache(spec, params, batch, ws)
+    cache = forward_cache(spec, params, batch)
     losses = per_example_losses(spec, cache.outputs, batch.targets)
     eta = dro_eta(losses, cfg)
     pos = np.maximum(losses - eta, 0.0)
     denom = math.sqrt((pos**2).sum() / len(pos))
     if denom == 0.0:
-        return np.zeros_like(np.asarray(params, dtype=np.float64)), eta
+        return np.zeros(parameter_count(spec)), eta
     grad = (cfg.scale / denom) * weighted_gradient(spec, params, batch, pos, cache)
     return grad, eta

@@ -88,20 +88,22 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _load_runs(paths) -> list:
-    return [RunRecord.load(p) for p in paths]
+def _load_runs(args) -> list:
+    """The records of ``--runs``, refused unless they share one utility kind."""
+    records = [RunRecord.load(p) for p in args.runs]
+    if len({rec.utility_kind for rec in records}) > 1:
+        raise DataError(f"{args.command} needs runs sharing one utility kind")
+    return records
 
 
 def _cmd_rank(args) -> int:
-    records = _load_runs(args.runs)
+    records = _load_runs(args)
     targets = records[0].test_targets
     kind = records[0].utility_kind
     per_method = {}
     for rec in records:
         if not np.array_equal(rec.test_targets, targets):
             raise DataError("rank needs runs evaluated on the identical test split")
-        if rec.utility_kind != kind:
-            raise DataError("rank needs runs sharing one utility kind")
         name = f"{rec.method}_seed{rec.seed}"
         if name in per_method:
             raise DataError(f"duplicate run {name}")
@@ -136,8 +138,7 @@ def _cmd_curve(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    records = _load_runs(args.runs)
-    table = aggregate(records)
+    table = aggregate(_load_runs(args))
     if args.out:
         table.to_csv(args.out)
     for row in table.rows:

@@ -51,9 +51,8 @@ from .nnet import (
     per_example_losses,
     predicted_labels,
     predicted_values,
-    unpack,
 )
-from .update import UpdateState, grad_mu, vfair_direction
+from .update import TRACE_ROW, UpdateState, grad_mu, vfair_direction
 
 METHODS = ("erm", "vfair_std", "vfair_var", "vfair_pairwise", "dro")
 OPTIMIZERS = ("sgd", "adagrad")
@@ -63,13 +62,9 @@ logger = logging.getLogger(__name__)
 
 _VFAIR_OBJECTIVE = {"vfair_std": "std_dev", "vfair_var": "variance", "vfair_pairwise": "pairwise"}
 
-TRACE_COLUMNS = (
-    "step", "mu", "sigma", "lambda1", "lambda2", "lambda",
-    "grad_mu_norm", "grad_dot", "weights_min", "eta",
-)
-# the step-trace columns each method fills besides "step", in trace order
-# (a vfair step's row has these keys in this order); erm fills none
-_TRACE_FILLED = {"dro": ("eta",), **dict.fromkeys(_VFAIR_OBJECTIVE, TRACE_COLUMNS[1:-1])}
+TRACE_COLUMNS = ("step", *TRACE_ROW, "eta")
+# the step-trace columns each method fills besides "step", in trace order; erm fills none
+_TRACE_FILLED = {"dro": ("eta",), **dict.fromkeys(_VFAIR_OBJECTIVE, TRACE_ROW)}
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +455,7 @@ def _train_one(cfg: ExperimentConfig, spec: ModelSpec, train: Dataset, method: s
     [steps, columns] array of trace values.
     """
     params = init_params(spec, seed)
-    ws = Workspace(spec, unpack(spec, params))
+    ws = Workspace(spec, params)
     optimizer = Sgd(cfg.step_size) if cfg.optimizer == "sgd" else Adagrad(cfg.step_size, len(params))
     state = UpdateState(decay=cfg.decay, lambda2_cap=cfg.lambda2_cap)
     dro_cfg = DroConfig(alpha_min=cfg.dro_alpha_min)
@@ -481,16 +476,16 @@ def _train_one(cfg: ExperimentConfig, spec: ModelSpec, train: Dataset, method: s
             for start in range(0, train.n, cfg.batch_size):
                 batch = shuffled.subset(slice(start, start + cfg.batch_size))
                 if method == "erm":
-                    grad = grad_mu(spec, params, batch, ws)
+                    grad = grad_mu(spec, ws, batch)
                 elif method == "dro":
-                    grad, eta = dro_direction(spec, params, batch, dro_cfg, ws)
+                    grad, eta = dro_direction(spec, ws, batch, dro_cfg)
                     values[step, 0] = eta
                 else:
-                    grad, state, row = vfair_direction(state, spec, params, batch, objective, ws)
+                    grad, state, row = vfair_direction(state, spec, ws, batch, objective)
                     values[step] = tuple(row.values())
                 optimizer.step(params, grad)
                 step += 1
-            losses = per_example_losses(spec, forward(spec, params, full, ws), full.targets)
+            losses = per_example_losses(spec, forward(spec, ws, full), full.targets)
             loss = float(losses.mean())
             per_epoch_loss.append(loss)
             if reference is None or epoch == 0 or (

@@ -9,11 +9,13 @@ derivatives are taken.  The forward pass keeps no pre-activations (each
 activation is applied in place), so the backward takes each activation's
 derivative from the layer's output.
 
-A ``Workspace`` holds a parameter vector's (W, b) views and, per backward
-shape, the flat gradient, its per-layer views and the backward's work
-arrays.  A training run builds one for all its steps; a call without one
-builds a fresh one.  A gradient returned through a workspace is a view of
-its buffer, valid until the next same-shape call through that workspace.
+A ``Workspace`` stands for one parameter vector: it holds the vector's
+(W, b) views and, per backward shape, the flat gradient, its per-layer
+views and the backward's work arrays.  Every function taking ``params``
+takes the flat vector or a workspace over it; a training run builds one
+workspace for all its steps, and a call given the vector builds a fresh
+one.  A gradient returned through a workspace is a view of its buffer,
+valid until the next same-shape call through that workspace.
 
 Whole-split evaluation (``forward``) runs the same forward pass over
 fixed FORWARD_BLOCK_ROWS-row blocks, so its peak memory scales with the
@@ -186,13 +188,14 @@ def _activate_grad(name: str, a: np.ndarray):
 
 
 class Workspace:
-    """The (W, b) views of one parameter vector, which see every in-place
+    """One parameter vector, its (W, b) views, which see every in-place
     update of it, and the buffers of each backward shape seen so far."""
 
-    def __init__(self, spec: ModelSpec, layers: list):
+    def __init__(self, spec: ModelSpec, params: np.ndarray):
         self.spec = spec
-        self.layers = layers  # from ``unpack``
-        self._buffers = {}    # (b, lead, k) -> what ``buffers`` returns
+        self.params = params
+        self.layers = unpack(spec, params)
+        self._buffers = {}  # (b, lead, k) -> what ``buffers`` returns
 
     def buffers(self, b: int, lead: int, k: int):
         """(flat gradient [lead + k, P], bias rows [lead + k, b] whose mean row
@@ -209,6 +212,11 @@ class Workspace:
         return bufs
 
 
+def _workspace(spec: ModelSpec, params: np.ndarray | Workspace) -> Workspace:
+    """``params`` if it is a workspace, else a fresh one over the vector."""
+    return params if isinstance(params, Workspace) else Workspace(spec, params)
+
+
 class ForwardCache(NamedTuple):
     """One forward pass kept for backprop."""
     ws: Workspace         # the workspace the pass ran through
@@ -216,17 +224,15 @@ class ForwardCache(NamedTuple):
     outputs: np.ndarray   # [b, output_dim]
 
 
-def forward_cache(spec: ModelSpec, params: np.ndarray, batch: Batch,
-                  ws: Workspace | None = None) -> ForwardCache:
+def forward_cache(spec: ModelSpec, params: np.ndarray | Workspace,
+                  batch: Batch) -> ForwardCache:
     """Forward pass keeping each layer's input for backprop.  Each hidden
-    activation is applied in place to its layer's fresh matmul output.
-    ``ws``, a workspace over ``params``, saves unpacking them."""
+    activation is applied in place to its layer's fresh matmul output."""
     if batch.features.shape[1] != spec.input_dim:
         raise DataError(
             f"batch has {batch.features.shape[1]} features, spec expects {spec.input_dim}"
         )
-    if ws is None:
-        ws = Workspace(spec, unpack(spec, params))
+    ws = _workspace(spec, params)
     inputs = []
     h = batch.features
     last = len(ws.layers) - 1
@@ -243,8 +249,7 @@ def forward_cache(spec: ModelSpec, params: np.ndarray, batch: Batch,
 FORWARD_BLOCK_ROWS = 2048
 
 
-def forward(spec: ModelSpec, params: np.ndarray, batch: Batch,
-            ws: Workspace | None = None) -> np.ndarray:
+def forward(spec: ModelSpec, params: np.ndarray | Workspace, batch: Batch) -> np.ndarray:
     """Network outputs [b, output_dim]; classification tasks return logits.
 
     Runs ``forward_cache`` over consecutive FORWARD_BLOCK_ROWS-row views
@@ -252,16 +257,14 @@ def forward(spec: ModelSpec, params: np.ndarray, batch: Batch,
     batch of at most one block is the one-pass forward bit for bit; on
     longer ones, BLAS may pick another kernel for a block's shape, so
     outputs can differ from one pass in the last ulps.  The block size
-    is fixed, so outputs are deterministic.  ``ws`` is as for
-    ``forward_cache``.
+    is fixed, so outputs are deterministic.
     """
-    if ws is None:
-        ws = Workspace(spec, unpack(spec, params))
+    ws = _workspace(spec, params)
     n = len(batch)
     outputs = np.empty((n, spec.output_dim))
     for start in range(0, n, FORWARD_BLOCK_ROWS):
         block = slice(start, start + FORWARD_BLOCK_ROWS)
-        outputs[block] = forward_cache(spec, params, batch.subset(block), ws).outputs
+        outputs[block] = forward_cache(spec, ws, batch.subset(block)).outputs
     return outputs
 
 
@@ -334,7 +337,7 @@ def _loss_output_grad(spec: ModelSpec, outputs: np.ndarray, targets: np.ndarray)
     return grad
 
 
-def weighted_gradient(spec: ModelSpec, params: np.ndarray, batch: Batch,
+def weighted_gradient(spec: ModelSpec, params: np.ndarray | Workspace, batch: Batch,
                       weights: np.ndarray | None, cache: ForwardCache | None = None,
                       mean: bool = False) -> np.ndarray:
     """Gradient of (1/b) * sum_i weights_i * loss_i, weights held constant.

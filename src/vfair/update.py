@@ -23,8 +23,7 @@ per-example weight vector and in the closed form of lam2:
 The running mean mu is an exponential moving average across batches
 (bias left uncorrected, mu_0 = 0); sigma is computed per batch around
 that running mean.  Each step's mu, sigma, lambdas, gradient norms and
-smallest weight come back as a dict keyed by the step-trace columns, in
-their column order.
+smallest weight come back as a dict keyed by TRACE_ROW, in its order.
 """
 
 from __future__ import annotations
@@ -38,6 +37,10 @@ from .errors import ConfigError
 from .nnet import Batch, ModelSpec, Workspace, forward_cache, per_example_losses, weighted_gradient
 
 OBJECTIVES = ("std_dev", "variance", "pairwise")
+# the keys of a vfair_direction trace row, in order: step-trace column names
+TRACE_ROW = (
+    "mu", "sigma", "lambda1", "lambda2", "lambda", "grad_mu_norm", "grad_dot", "weights_min",
+)
 
 # below this squared norm the mean-loss gradient is treated as zero and
 # the projection term lam1 is skipped
@@ -66,13 +69,6 @@ class UpdateState:
             raise ConfigError("lambda2_cap must be >= 0")
         if self.ema_mean < 0.0:
             raise ConfigError("ema_mean cannot be negative for non-negative losses")
-
-    def _with_mean(self, mu: float) -> "UpdateState":
-        """This state with ema_mean = mu, copied without ``dataclasses.replace``,
-        which re-runs ``__post_init__`` every step; a mean of losses >= 0 is valid."""
-        new = object.__new__(UpdateState)
-        new.__dict__.update(self.__dict__, ema_mean=mu)
-        return new
 
 
 # ---------------------------------------------------------------------------
@@ -148,12 +144,10 @@ def pairwise_coefficients(losses: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def grad_mu(spec: ModelSpec, params: np.ndarray, batch: Batch,
-            ws: Workspace | None = None) -> np.ndarray:
-    """Gradient of the batch mean loss (uniform weights).  ``ws``, a
-    workspace over ``params``, is as for ``nnet.forward_cache``; the
-    gradient is then a view of its buffer."""
-    cache = forward_cache(spec, params, batch, ws)
+def grad_mu(spec: ModelSpec, params: np.ndarray | Workspace, batch: Batch) -> np.ndarray:
+    """Gradient of the batch mean loss (uniform weights) at ``params``, the
+    vector or a workspace over it."""
+    cache = forward_cache(spec, params, batch)
     return weighted_gradient(spec, params, batch, None, cache)
 
 
@@ -186,10 +180,9 @@ def _secondary(objective, losses, mu, sigma, cap):
 def vfair_direction(
     state: UpdateState,
     spec: ModelSpec,
-    params: np.ndarray,
+    params: np.ndarray | Workspace,
     batch: Batch,
     objective: str = "std_dev",
-    ws: Workspace | None = None,
 ) -> tuple[np.ndarray, UpdateState, dict]:
     """One update direction lam * g_mu + g_sec (not yet applied).
 
@@ -197,11 +190,11 @@ def vfair_direction(
     sigma around it -> both gradients -> lam1, lam2 -> combined
     direction.  One forward pass feeds the losses and a single stacked
     backward pass over the spread weights sw, with the mean row first,
-    which yields g_mu and g_sec together.  Returns (direction, advanced
-    state, trace row); the row's keys are step-trace column names.
-    ``ws`` is as for ``nnet.forward_cache``.
+    which yields g_mu and g_sec together.  ``params`` is the vector or a
+    workspace over it.  Returns (direction, advanced state, trace row),
+    the row keyed by TRACE_ROW.
     """
-    cache = forward_cache(spec, params, batch, ws)
+    cache = forward_cache(spec, params, batch)
     losses = per_example_losses(spec, cache.outputs, batch.targets)
     mu = ema_update(state.ema_mean, losses, state.decay)
     sigma = batch_sigma(losses, mu)
@@ -215,15 +208,7 @@ def vfair_direction(
     lam = max(lam1, lam2)
     direction = lam * g_mu + g_sec
 
-    row = {
-        "mu": mu,
-        "sigma": sigma,
-        "lambda1": lam1,
-        "lambda2": lam2,
-        "lambda": lam,
-        "grad_mu_norm": math.sqrt(norm_sq),
-        "grad_dot": dot,
-        # rounding is monotone, so min(lam + sw) == lam + min(sw)
-        "weights_min": lam + float(sw.min()),
-    }
-    return direction, state._with_mean(mu), row
+    # rounding is monotone, so weights_min = min(lam + sw) == lam + min(sw)
+    row = dict(zip(TRACE_ROW, (mu, sigma, lam1, lam2, lam, math.sqrt(norm_sq), dot,
+                               lam + float(sw.min()))))
+    return direction, UpdateState(mu, state.decay, state.step_size, state.lambda2_cap), row

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,7 +33,9 @@ from vfair.harness import (
 )
 from vfair.data import take_batch
 from vfair.metrics import MetricsReport
-from vfair.nnet import ModelSpec, forward, init_params, predicted_labels, predicted_values
+from vfair.nnet import (
+    ModelSpec, forward, init_params, parameter_count, predicted_labels, predicted_values,
+)
 
 
 def tiny_config(**overrides):
@@ -318,9 +321,9 @@ def test_minibatches_are_consecutive_slices_of_each_epoch_permutation(monkeypatc
     spec = build_model_spec(cfg, train)
     fed = []
 
-    def recording_grad_mu(spec, params, batch, ws=None):
+    def recording_grad_mu(spec, params, batch):
         fed.append((batch.features.copy(), batch.targets.copy()))
-        return np.zeros_like(params)
+        return np.zeros(parameter_count(spec))
 
     monkeypatch.setattr(harness, "grad_mu", recording_grad_mu)
     harness._train_one(cfg, spec, train, "erm", 4)
@@ -345,7 +348,7 @@ def test_a_run_unpacks_and_checks_targets_once(monkeypatch, method, epochs):
     train, _ = build_datasets(cfg)
     spec = build_model_spec(cfg, train)
     counts = {}
-    count_calls(monkeypatch, counts, "unpack", nnet.unpack, nnet, harness)
+    count_calls(monkeypatch, counts, "unpack", nnet.unpack, nnet)
     count_calls(monkeypatch, counts, "check", nnet._check_targets, nnet, harness)
     _, _, per_epoch_loss, _ = harness._train_one(cfg, spec, train, method, 0)
     assert len(per_epoch_loss) == epochs
@@ -910,6 +913,106 @@ def test_cli_rank_rejects_mismatched_runs(tmp_path, capsys):
     ])
     assert code == 2
     assert "test split" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def saved_runs(tmp_path_factory):
+    """A function from "<dir>/<method>" to the path of its seed-0 record, of
+    1-epoch tiny runs: regression erm and vfair_std ("reg"), and binary_bce
+    erm on one test split scored by accuracy ("acc") and by mse ("mse")."""
+    root = tmp_path_factory.mktemp("runs")
+    binary = tiny_config(methods=["erm"], epochs=1)
+    binary["dataset"]["task"] = "binary_bce"
+    for name, d in [("reg", tiny_config(epochs=1)), ("acc", binary),
+                    ("mse", {**binary, "utility": "mse"})]:
+        (root / name).mkdir()
+        argv = ["train", "--config", str(write_config(root / name, d)), "--out", str(root / name)]
+        assert cli_main(argv) == 0
+
+    def path(run):
+        name, method = run.split("/")
+        return str(root / name / "runs" / f"{method}_seed0.json")
+    return path
+
+
+def edited_record(path, tmp_path, edit) -> str:
+    """A copy of the record at `path` under `tmp_path`, its dict changed by `edit`."""
+    d = json.loads(Path(path).read_text())
+    edit(d)
+    (tmp_path / "edited.json").write_text(json.dumps(d))
+    return str(tmp_path / "edited.json")
+
+
+def train_argv(tmp_path, config) -> list:
+    return ["train", "--config", str(write_config(tmp_path, config)), "--out", str(tmp_path / "o")]
+
+
+def csv_config(tmp_path, text, **schema) -> dict:
+    """A 1-epoch erm config over `text` as a CSV, the schema's "x" feature,
+    "y" label and regression task overridden by `schema` (None drops a key)."""
+    (tmp_path / "rows.csv").write_text(text)
+    schema = {"features": [["x", "numeric"]], "label": "y", "task": "regression_mse"} | schema
+    return {
+        "dataset": {"kind": "csv", "path": str(tmp_path / "rows.csv"),
+                    "schema": {k: v for k, v in schema.items() if v is not None}},
+        "methods": ["erm"], "epochs": 1,
+    }
+
+
+# (argv from the saved-run paths and tmp_path, fragment of the one error line)
+REFUSALS = {
+    "rank_two_utility_kinds": (lambda run, tmp: ["rank", "--runs", run("acc/erm"), run("mse/erm")],
+                               "rank needs runs sharing one utility kind"),
+    "compare_two_utility_kinds": (
+        lambda run, tmp: ["compare", "--runs", run("reg/erm"), run("reg/vfair_std"),
+                          run("acc/erm"), run("mse/erm")],
+        "compare needs runs sharing one utility kind"),
+    "rank_one_file_twice": (lambda run, tmp: ["rank", "--runs", run("reg/erm"), run("reg/erm")],
+                            "duplicate run erm_seed0"),
+    "rank_one_run": (lambda run, tmp: ["rank", "--runs", run("reg/erm")],
+                     "ranking needs at least two methods"),
+    "rank_no_trials": (
+        lambda run, tmp: ["rank", "--runs", run("reg/erm"), run("reg/vfair_std"), "--trials", "0"],
+        "trials must be >= 1"),
+    "rank_short_predictions": (
+        lambda run, tmp: ["rank", "--runs", run("reg/vfair_std"), edited_record(
+            run("reg/erm"), tmp, lambda d: d["test_predictions"].pop())],
+        "do not align with targets"),
+    "curve_no_config": (
+        lambda run, tmp: ["curve", "--out", str(tmp / "c.csv"), "--run", edited_record(
+            run("reg/erm"), tmp, lambda d: d.update(config={}))],
+        "has no embedded config"),
+    "curve_short_params": (
+        lambda run, tmp: ["curve", "--out", str(tmp / "c.csv"), "--run", edited_record(
+            run("reg/erm"), tmp, lambda d: d["params"].pop())],
+        "parameter vector has shape"),
+    "config_root_a_list": (lambda run, tmp: train_argv(tmp, [1]),
+                           "config root must be a JSON object"),
+    "synthetic_without_n": (
+        lambda run, tmp: train_argv(tmp, tiny_config(dataset={
+            k: v for k, v in tiny_config()["dataset"].items() if k != "n"})),
+        "synthetic dataset section is missing 'n'"),
+    "csv_schema_without_label": (
+        lambda run, tmp: train_argv(tmp, csv_config(tmp, "x,y\n1,2\n", label=None)),
+        "csv schema section is missing 'label'"),
+    "csv_task_ranking": (
+        lambda run, tmp: train_argv(tmp, csv_config(tmp, "x,y\n1,2\n", task="ranking")),
+        "unknown task 'ranking'"),
+    "csv_regression_text_labels": (
+        lambda run, tmp: train_argv(tmp, csv_config(tmp, "x,y\n1,a\n2,b\n3,c\n")),
+        "regression labels must be numeric"),
+    "csv_empty_file": (lambda run, tmp: train_argv(tmp, csv_config(tmp, "")), "empty file"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_cli_refusal_exits_2_with_one_line(saved_runs, tmp_path, capsys, case):
+    make_argv, fragment = REFUSALS[case]
+    argv = make_argv(saved_runs, tmp_path)
+    capsys.readouterr()
+    assert cli_main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and fragment in err[0], err
 
 
 def readme_config(dataset_seed, **overrides):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from helpers import directional_derivative_fd, reference_forward, reference_weighted_gradient
+from vfair.baselines import DroConfig, dro_direction
 from vfair.errors import ConfigError, DataError
 from vfair.nnet import (
     ACTIVATIONS,
@@ -26,6 +27,7 @@ from vfair.nnet import (
     unpack,
     weighted_gradient,
 )
+from vfair.update import OBJECTIVES, UpdateState, grad_mu, vfair_direction
 
 
 def linear_spec(task="regression_mse", input_dim=1, output_dim=1):
@@ -390,19 +392,21 @@ def test_gradients_share_a_buffer_only_through_one_workspace_and_shape():
     rng = np.random.default_rng(2)
     spec = ModelSpec(input_dim=3, hidden_dims=(4,), output_dim=1, task="regression_mse")
     params = init_params(spec, seed=0)
-    split = Batch(features=rng.normal(size=(20, 3)), targets=rng.normal(size=20))
-    batches = [split.subset(slice(s, s + 8)) for s in (0, 8, 16)]  # the last has 4 rows
+    n = FORWARD_BLOCK_ROWS + 5  # a whole-split forward runs two blocks
+    split = Batch(features=rng.normal(size=(n, 3)), targets=rng.normal(size=n))
+    batches = [split.subset(slice(s, s + 8)) for s in (0, 8, n - 4)]  # the last has 4 rows
     w = rng.uniform(0.0, 1.0, size=8)
     assert not np.shares_memory(weighted_gradient(spec, params, batches[0], w),
                                 weighted_gradient(spec, params, batches[0], w))
     assert not np.shares_memory(weighted_gradient(spec, params, batches[0], None),
                                 weighted_gradient(spec, params, batches[0], None))
 
-    ws = Workspace(spec, unpack(spec, params))
+    ws = Workspace(spec, params)
+    assert ws.params is params
     got = []
     for batch in batches:
         weights = w[: len(batch)]
-        cache = forward_cache(spec, params, batch, ws)
+        cache = forward_cache(spec, ws, batch)
         got.append(weighted_gradient(spec, params, batch, weights, cache, mean=True))
         # the buffer holds this call's gradient, bit for bit the fresh one
         fresh = weighted_gradient(spec, params, batch, weights, mean=True)
@@ -411,8 +415,37 @@ def test_gradients_share_a_buffer_only_through_one_workspace_and_shape():
     assert not np.shares_memory(got[0], got[2])
     # another row count is another shape, with its own buffer
     mean_only = weighted_gradient(spec, params, batches[0], None,
-                                  forward_cache(spec, params, batches[0], ws))
+                                  forward_cache(spec, ws, batches[0]))
     assert not np.shares_memory(mean_only, got[0]) and not np.shares_memory(mean_only, got[2])
+
+    # the workspace stands for its vector: every step function gives through
+    # it the bits it gives on the vector, also after an in-place update
+    batch = batches[0]
+    state = UpdateState(ema_mean=0.5)
+    calls = [
+        lambda p: forward_cache(spec, p, batch).outputs,
+        lambda p: forward(spec, p, batch),
+        lambda p: forward(spec, p, split),
+        lambda p: grad_mu(spec, p, batch),
+        *(lambda p, obj=obj: vfair_direction(state, spec, p, batch, obj) for obj in OBJECTIVES),
+        lambda p: dro_direction(spec, p, batch, DroConfig()),  # C^2 >= 8 rows: a zero step
+        lambda p: dro_direction(spec, p, batch, DroConfig(alpha_min=0.9)),
+        lambda p: weighted_gradient(spec, p, batch, None),
+        lambda p: weighted_gradient(spec, p, batch, w),
+        lambda p: weighted_gradient(spec, p, batch, w, mean=True),
+    ]
+
+    def same(a, b):
+        if isinstance(a, tuple):
+            return len(a) == len(b) and all(map(same, a, b))
+        return np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+
+    for _ in range(2):
+        for call in calls:
+            assert same(call(params), call(ws))
+        params -= 0.1 * grad_mu(spec, params, batch)  # in place, so ws sees it
+    assert not dro_direction(spec, ws, batch, DroConfig())[0].any()
+    assert dro_direction(spec, ws, batch, DroConfig(alpha_min=0.9))[0].any()
 
 
 def test_fd_objective_validation():
