@@ -100,5 +100,5 @@ def dro_direction(
     denom = math.sqrt((pos**2).sum() / len(pos))
     if denom == 0.0:
         return np.zeros(parameter_count(spec)), eta
-    grad = (cfg.scale / denom) * weighted_gradient(spec, params, batch, pos, cache)
+    grad = (cfg.scale / denom) * weighted_gradient(spec, cache, batch, pos)
     return grad, eta

@@ -89,10 +89,14 @@ def _cmd_train(args) -> int:
 
 
 def _load_runs(args) -> list:
-    """The records of ``--runs``, refused unless they share one utility kind."""
+    """The records of ``--runs``; refused unless of one utility kind, each file once."""
     records = [RunRecord.load(p) for p in args.runs]
     if len({rec.utility_kind for rec in records}) > 1:
         raise DataError(f"{args.command} needs runs sharing one utility kind")
+    paths = [Path(p).resolve() for p in args.runs]
+    for i, rec in enumerate(records):
+        if paths[i] in paths[:i]:
+            raise DataError(f"duplicate run {rec.method}_seed{rec.seed}")
     return records
 
 
@@ -142,12 +146,9 @@ def _cmd_compare(args) -> int:
     if args.out:
         table.to_csv(args.out)
     for row in table.rows:
-        util = row["utility_mean"]
-        var = row["var_mean"]
-        mud = row["mud_mean"]
         print(
-            f"{row['partition']}/{row['method']}: n={row['n_runs']} "
-            f"utility={util:.6g} mud={mud:.6g} var={var:.6g}"
+            f"{row['partition']}/{row['method']}: n={row['n_runs']} utility="
+            f"{row['utility_mean']:.6g} mud={row['mud_mean']:.6g} var={row['var_mean']:.6g}"
         )
     return 0
 

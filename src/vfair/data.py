@@ -6,6 +6,10 @@ columns.  Categorical features are one-hot encoded over their observed
 levels; numeric features are loaded raw and standardized by ``split``,
 with statistics of the training rows only, applied to both sides.
 
+A ``Dataset`` is an ``nnet.Batch``, so its rows are checked once, when
+``load_csv``, ``synthesize`` or ``split`` makes it; a value that overflows
+on the way is refused there as one error, with no numpy warning.
+
 The synthetic generator plants a controlled majority/minority conflict:
 a shared linear ground truth that the minority deviates from.  For
 regression the minority's targets are shifted additively.  For the
@@ -59,17 +63,16 @@ class DatasetSchema:
 
 
 @dataclass(frozen=True)
-class Dataset:
-    features: np.ndarray  # [n, d] float64, encoded
-    targets: np.ndarray   # [n] float64
+class Dataset(Batch):
+    """Encoded rows and their sensitive columns; ``subset`` gives a plain ``Batch``."""
+
     sensitive: dict       # name -> raw value array [n]
     numeric_columns: tuple  # encoded column indices that `split` standardizes
     task: str
     rejected_rows: int = 0
 
     def __post_init__(self):
-        if self.features.ndim != 2 or len(self.features) != len(self.targets):
-            raise DataError("features/targets misaligned")
+        super().__post_init__()
         for name, vals in self.sensitive.items():
             if len(vals) != len(self.targets):
                 raise DataError(f"sensitive column {name!r} misaligned")
@@ -84,9 +87,8 @@ class Dataset:
 
 
 def take_batch(dataset: Dataset, indices) -> Batch:
-    """Row subset as a training batch."""
-    idx = np.asarray(indices, dtype=np.int64)
-    return Batch(features=dataset.features[idx], targets=dataset.targets[idx])
+    """Row subset as a training batch, not re-checked: the dataset's rows were."""
+    return dataset.subset(np.asarray(indices, dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +199,8 @@ def load_csv(path, schema: DatasetSchema) -> Dataset:
 
 def split(dataset: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
     """Seeded shuffle split; the numeric features of both sides are
-    standardized by the train side's population stats."""
+    standardized by the train side's population stats before each side is
+    made, so its row check sees the rows training sees."""
     if not 0.0 < test_fraction < 1.0:
         raise ConfigError("test_fraction must be in (0, 1)")
     n = dataset.n
@@ -205,26 +208,22 @@ def split(dataset: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, D
     if n_test < 1 or n - n_test < 1:
         raise ConfigError(f"split of {n} rows at {test_fraction} leaves an empty side")
     perm = np.random.default_rng(seed).permutation(n)
-    # gathering the rows copies them, so each side is standardized in place
-    train, test = (
-        replace(
-            dataset,
-            features=dataset.features[idx],
-            targets=dataset.targets[idx],
-            sensitive={k: v[idx] for k, v in dataset.sensitive.items()},
-            rejected_rows=0,
-        )
-        for idx in (perm[n_test:], perm[:n_test])
-    )
-    for j in dataset.numeric_columns:
-        vals = train.features[:, j]
-        mean = float(vals.mean())
-        std = float(np.sqrt(np.mean((vals - mean) ** 2)))
-        if std == 0.0:
-            std = 1.0  # constant on the train side -> train values all zero
-        train.features[:, j] = (vals - mean) / std
-        test.features[:, j] = (test.features[:, j] - mean) / std
-    return train, test
+    sides = (perm[n_test:], perm[:n_test])
+    # gathering the rows copies them, so each side is standardized in place;
+    # a statistic that overflows is refused by the row check, as one error
+    train_x, test_x = (dataset.features[idx] for idx in sides)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in dataset.numeric_columns:
+            vals = train_x[:, j]
+            mean = float(vals.mean())
+            std = float(np.sqrt(np.mean((vals - mean) ** 2)))
+            if std == 0.0:
+                std = 1.0  # constant on the train side -> train values all zero
+            train_x[:, j] = (vals - mean) / std
+            test_x[:, j] = (test_x[:, j] - mean) / std
+    return tuple(replace(dataset, features=x, targets=dataset.targets[idx], rejected_rows=0,
+                         sensitive={k: v[idx] for k, v in dataset.sensitive.items()})
+                 for x, idx in zip((train_x, test_x), sides))
 
 
 # ---------------------------------------------------------------------------
@@ -262,19 +261,22 @@ def synthesize(spec: SyntheticSpec, seed: int) -> Dataset:
     rng = np.random.default_rng(seed)
     w_true = rng.normal(size=spec.feature_dim)
     x = rng.normal(size=(spec.n, spec.feature_dim))
-    noise = rng.normal(size=spec.n) * spec.noise_std
+    noise = rng.normal(size=spec.n)
     n_min = int(round(spec.n * spec.group_ratio))
     if n_min < 1 or n_min >= spec.n:
         raise ConfigError("group_ratio leaves one group empty at this n")
     group = np.zeros(spec.n, dtype=np.int64)
     group[rng.permutation(spec.n)[:n_min]] = 1  # 1 = minority
 
-    base = x @ w_true
-    if spec.task == "regression_mse":
-        y = base + spec.minority_shift * group + noise
-    else:
-        logit = (1.0 - spec.minority_shift * group) * base + noise
-        y = (logit > 0.0).astype(np.float64)
+    # a target that overflows is refused by the row check, as one error
+    with np.errstate(over="ignore", invalid="ignore"):
+        noise *= spec.noise_std
+        base = x @ w_true
+        if spec.task == "regression_mse":
+            y = base + spec.minority_shift * group + noise
+        else:
+            logit = (1.0 - spec.minority_shift * group) * base + noise
+            y = (logit > 0.0).astype(np.float64)
 
     return Dataset(
         features=x,

@@ -19,7 +19,7 @@ import json
 import logging
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +42,6 @@ from .metrics import (
     significance_test,
 )
 from .nnet import (
-    Batch,
     ModelSpec,
     Workspace,
     _check_targets,
@@ -155,17 +154,18 @@ def _seed(value) -> int:
 
 # config key -> converter, one table per section; each key of the top-level,
 # model and dataset tables sets the ExperimentConfig field of its name (the
-# dataset's "seed" sets data_seed).  An absent or null key keeps the field's
-# default, and the update's and DRO's fields take theirs from UpdateState and
-# DroConfig, so each default is written once.  A key that no table of its
-# section names is refused.  A key in _LIST_KEYS takes a JSON list only.
+# synthetic generator's "seed" sets data_seed).  An absent or null key keeps
+# the field's default, and the update's and DRO's fields take theirs from
+# UpdateState and DroConfig, so each default is written once.  A key that no
+# table of its section names is refused.  A key in _LIST_KEYS takes a JSON
+# list only.
 _TOP_LEVEL_KEYS = {
     "methods": lambda v: tuple(str(m) for m in v), "optimizer": str, "step_size": float,
     "batch_size": _whole, "epochs": _whole, "decay": float, "lambda2_cap": float,
     "dro_alpha_min": float, "seeds": lambda v: tuple(_seed(x) for x in v),
     "epoch_selection": str, "utility": str, "erm_reference_loss": float,
 }
-_DATASET_KEYS = {"seed": _seed, "test_fraction": float, "split_seed": _seed}
+_DATASET_KEYS = {"test_fraction": float, "split_seed": _seed}
 _MODEL_KEYS = {"hidden_dims": lambda v: tuple(_whole(h) for h in v), "activation": str}
 _LIST_KEYS = {"methods", "seeds", "hidden_dims", "features", "sensitive"}
 # the synthetic generator's keys, all required but "task"
@@ -224,7 +224,8 @@ def config_from_dict(d: dict) -> ExperimentConfig:
         missing = [k for k in _SYNTHETIC_KEYS if k != "task" and ds.get(k) is None]
         if missing:
             raise ConfigError(f"synthetic dataset section is missing {missing[0]!r}")
-        typed = _typed(ds, _SYNTHETIC_KEYS | _DATASET_KEYS, "dataset.", also=("kind",))
+        typed = _typed(ds, _SYNTHETIC_KEYS | _DATASET_KEYS | {"seed": _seed}, "dataset.",
+                       also=("kind",))
         synthetic = SyntheticSpec(**{k: typed.pop(k) for k in _SYNTHETIC_KEYS if k in typed})
     elif kind == "csv":
         if "path" not in ds or "schema" not in ds:
@@ -263,10 +264,8 @@ def load_config(path) -> ExperimentConfig:
 
 
 def build_datasets(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
-    if cfg.synthetic is not None:
-        full = synthesize(cfg.synthetic, seed=cfg.data_seed)
-    else:
-        full = load_csv(cfg.csv_path, cfg.schema)
+    full = (synthesize(cfg.synthetic, seed=cfg.data_seed) if cfg.synthetic is not None
+            else load_csv(cfg.csv_path, cfg.schema))
     return split(full, test_fraction=cfg.test_fraction, seed=cfg.split_seed)
 
 
@@ -348,7 +347,7 @@ class RunRecord:
             "per_epoch_loss": [float(x) for x in self.per_epoch_loss],
             "selected_epoch": int(self.selected_epoch),
             "params": [float(x) for x in self.params],
-            "metrics": {k: v.to_dict() for k, v in self.metrics.items()},
+            "metrics": {k: asdict(v) for k, v in self.metrics.items()},
             "utility_kind": self.utility_kind,
             "test_predictions": np.asarray(self.test_predictions).tolist(),
             "test_targets": np.asarray(self.test_targets).tolist(),
@@ -363,7 +362,7 @@ class RunRecord:
             per_epoch_loss=[float(x) for x in d["per_epoch_loss"]],
             selected_epoch=int(d["selected_epoch"]),
             params=np.asarray(d["params"], dtype=np.float64),
-            metrics={k: MetricsReport.from_dict(v) for k, v in d["metrics"].items()},
+            metrics={k: MetricsReport(**v) for k, v in d["metrics"].items()},
             utility_kind=d["utility_kind"],
             test_predictions=np.asarray(d["test_predictions"], dtype=np.float64),
             test_targets=np.asarray(d["test_targets"], dtype=np.float64),
@@ -434,14 +433,6 @@ def write_trace(trace, path) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _split_batch(spec: ModelSpec, dataset: Dataset) -> Batch:
-    """A whole split as one batch, its rows and targets checked once here:
-    the steps and losses computed on its rows do not check them again."""
-    full = Batch(dataset.features, dataset.targets)  # copies no valid float64 array
-    _check_targets(spec.task, full.targets, spec.output_dim)
-    return full
-
-
 def _train_one(cfg: ExperimentConfig, spec: ModelSpec, train: Dataset, method: str, seed: int,
                reference: float | None = None):
     """Train one (method, seed); returns (selected params, selected epoch,
@@ -462,7 +453,7 @@ def _train_one(cfg: ExperimentConfig, spec: ModelSpec, train: Dataset, method: s
     objective = _VFAIR_OBJECTIVE.get(method)
     rng = np.random.default_rng(seed)
 
-    full = _split_batch(spec, train)
+    _check_targets(spec.task, train.targets, spec.output_dim)
     steps = cfg.epochs * -(-train.n // cfg.batch_size)
     filled = _TRACE_FILLED.get(method, ())
     values = np.empty((steps, len(filled)))
@@ -472,7 +463,7 @@ def _train_one(cfg: ExperimentConfig, spec: ModelSpec, train: Dataset, method: s
     try:
         for epoch in range(cfg.epochs):
             # one gather per epoch; each minibatch is a view of its rows
-            shuffled = full.subset(rng.permutation(train.n))
+            shuffled = train.subset(rng.permutation(train.n))
             for start in range(0, train.n, cfg.batch_size):
                 batch = shuffled.subset(slice(start, start + cfg.batch_size))
                 if method == "erm":
@@ -485,7 +476,7 @@ def _train_one(cfg: ExperimentConfig, spec: ModelSpec, train: Dataset, method: s
                     values[step] = tuple(row.values())
                 optimizer.step(params, grad)
                 step += 1
-            losses = per_example_losses(spec, forward(spec, ws, full), full.targets)
+            losses = per_example_losses(spec, forward(spec, ws, train), train.targets)
             loss = float(losses.mean())
             per_epoch_loss.append(loss)
             if reference is None or epoch == 0 or (
@@ -501,21 +492,18 @@ def _train_one(cfg: ExperimentConfig, spec: ModelSpec, train: Dataset, method: s
 
 def evaluate(cfg, spec, test: Dataset, params, method: str, seed: int) -> RunRecord:
     """Full test-split evaluation of fixed parameters into a RunRecord."""
-    full = _split_batch(spec, test)
-    outputs = forward(spec, params, full)
-    losses = per_example_losses(spec, outputs, full.targets)
+    _check_targets(spec.task, test.targets, spec.output_dim)
+    outputs = forward(spec, params, test)
+    losses = per_example_losses(spec, outputs, test.targets)
     kind = resolve_utility(cfg.utility, spec.task)
     if kind in ("accuracy", "f1"):
         preds = predicted_labels(spec, outputs).astype(np.float64)
     else:
         preds = predicted_values(spec, outputs)
 
-    reports = {}
-    overall = GroupPartition.whole(test.n, label="overall")
-    reports["overall"] = build_report(preds, full.targets, losses, overall, kind)
-    for name, values in test.sensitive.items():
-        part = GroupPartition.from_values(values, label=name)
-        reports[name] = build_report(preds, full.targets, losses, part, kind)
+    parts = [GroupPartition.whole(test.n, label="overall"),
+             *(GroupPartition.from_values(v, label=name) for name, v in test.sensitive.items())]
+    reports = {p.label: build_report(preds, test.targets, losses, p, kind) for p in parts}
 
     return RunRecord(
         method=method,
@@ -526,7 +514,7 @@ def evaluate(cfg, spec, test: Dataset, params, method: str, seed: int) -> RunRec
         metrics=reports,
         utility_kind=kind,
         test_predictions=preds,
-        test_targets=full.targets,
+        test_targets=test.targets,
         config=cfg.raw,
     )
 
@@ -653,12 +641,12 @@ def aggregate(records) -> AggregateTable:
 # ---------------------------------------------------------------------------
 
 
-def emit_loss_curve(spec: ModelSpec, params, dataset: Dataset, path=None) -> np.ndarray:
-    """Sorted per-example losses of a model over a dataset; optionally
-    written as CSV of (rank, loss) with a final mean row."""
-    full = _split_batch(spec, dataset)
-    losses = np.sort(per_example_losses(spec, forward(spec, params, full), full.targets))
-    if path is not None:
-        rows = [*enumerate(losses.tolist(), start=1), ("mean", float(losses.mean()))]
-        _write_csv(path, ("rank", "loss"), rows)
+def emit_loss_curve(spec: ModelSpec, params, dataset: Dataset, path) -> np.ndarray:
+    """Sorted per-example losses of a model over a dataset, written to
+    `path` as CSV of (rank, loss) with a final mean row.  The dataset's
+    labels are checked against the model here, where they enter."""
+    _check_targets(spec.task, dataset.targets, spec.output_dim)
+    losses = np.sort(per_example_losses(spec, forward(spec, params, dataset), dataset.targets))
+    rows = [*enumerate(losses.tolist(), start=1), ("mean", float(losses.mean()))]
+    _write_csv(path, ("rank", "loss"), rows)
     return losses

@@ -12,7 +12,7 @@ only do well by being uniformly good.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,8 +50,6 @@ class GroupPartition:
         if g.ndim != 1 or len(g) == 0:
             raise DataError("group_of must be a non-empty 1-d array")
         g = g.astype(np.int64)
-        if self.k < 1:
-            raise DataError("k must be >= 1")
         if g.min() < 0 or g.max() >= self.k:
             raise DataError("group ids must lie in [0, k)")
         if np.bincount(g, minlength=self.k).min() == 0:
@@ -186,13 +184,6 @@ class MetricsReport:
     var: float
     n_examples: int
     partition_label: str = ""
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "MetricsReport":
-        return cls(**d)
 
     # names of the scalar metric fields, in report order
     SCALARS = ("utility", "wu", "mud", "tud", "var")

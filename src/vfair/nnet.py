@@ -14,8 +14,10 @@ A ``Workspace`` stands for one parameter vector: it holds the vector's
 views and the backward's work arrays.  Every function taking ``params``
 takes the flat vector or a workspace over it; a training run builds one
 workspace for all its steps, and a call given the vector builds a fresh
-one.  A gradient returned through a workspace is a view of its buffer,
-valid until the next same-shape call through that workspace.
+one; ``weighted_gradient`` also takes a ``ForwardCache``, which stands for
+the parameters its forward pass ran at.  A gradient returned through a
+workspace is a view of its buffer, valid until the next same-shape call
+through that workspace.
 
 Whole-split evaluation (``forward``) runs the same forward pass over
 fixed FORWARD_BLOCK_ROWS-row blocks, so its peak memory scales with the
@@ -95,7 +97,8 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class Batch:
-    """A minibatch: features [b, d] and targets [b]."""
+    """Rows of features [b, d] and targets [b], checked once, when made:
+    2-d, aligned, non-empty and finite.  A ``data.Dataset`` is one."""
 
     features: np.ndarray
     targets: np.ndarray
@@ -337,8 +340,8 @@ def _loss_output_grad(spec: ModelSpec, outputs: np.ndarray, targets: np.ndarray)
     return grad
 
 
-def weighted_gradient(spec: ModelSpec, params: np.ndarray | Workspace, batch: Batch,
-                      weights: np.ndarray | None, cache: ForwardCache | None = None,
+def weighted_gradient(spec: ModelSpec, params: np.ndarray | Workspace | ForwardCache,
+                      batch: Batch, weights: np.ndarray | None,
                       mean: bool = False) -> np.ndarray:
     """Gradient of (1/b) * sum_i weights_i * loss_i, weights held constant.
 
@@ -349,14 +352,14 @@ def weighted_gradient(spec: ModelSpec, params: np.ndarray | Workspace, batch: Ba
     delta [b, d] per layer serves both rows; the weights enter only the
     layer's products a^T (w * delta) and w . delta, and the mean row's
     weight product is a^T delta, never multiplied by ones.
-    ``cache``, from ``forward_cache`` on the same params and batch, saves
-    the forward pass; the result is written into its workspace's buffers.
+    ``params`` is the vector, a workspace over it, or a ``ForwardCache``
+    of ``batch``, which stands for the parameters its pass ran at and saves
+    the forward pass; the result is written into the workspace's buffers.
     ``weights`` is a float array, not checked: callers build it from
     losses ``per_example_losses`` found finite, and a weight that
     overflows shows at the next loss check.
     """
-    if cache is None:
-        cache = forward_cache(spec, params, batch)
+    cache = params if isinstance(params, ForwardCache) else forward_cache(spec, params, batch)
 
     b = len(batch)
     lead = int(mean or weights is None)  # 1 when row 0 is the mean gradient

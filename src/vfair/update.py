@@ -146,9 +146,8 @@ def pairwise_coefficients(losses: np.ndarray) -> np.ndarray:
 
 def grad_mu(spec: ModelSpec, params: np.ndarray | Workspace, batch: Batch) -> np.ndarray:
     """Gradient of the batch mean loss (uniform weights) at ``params``, the
-    vector or a workspace over it."""
-    cache = forward_cache(spec, params, batch)
-    return weighted_gradient(spec, params, batch, None, cache)
+    vector or a workspace over it: ``weighted_gradient`` runs the forward."""
+    return weighted_gradient(spec, params, batch, None)
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +199,7 @@ def vfair_direction(
     sigma = batch_sigma(losses, mu)
 
     sw, lam2 = _secondary(objective, losses, mu, sigma, state.lambda2_cap)
-    g_mu, g_sec = weighted_gradient(spec, params, batch, sw, cache, mean=True)
+    g_mu, g_sec = weighted_gradient(spec, cache, batch, sw, mean=True)
 
     norm_sq = float(g_mu @ g_mu)
     dot = float(g_mu @ g_sec)

@@ -15,6 +15,7 @@ from vfair.data import (
     take_batch,
 )
 from vfair.errors import ConfigError, DataError
+from vfair.nnet import Batch
 
 
 def write_csv(tmp_path, text, name="data.csv"):
@@ -357,6 +358,23 @@ def test_synthesize_validation():
             SyntheticSpec(n=10, group_ratio=0.01, feature_dim=1, minority_shift=0.0, noise_std=0.0),
             seed=0,
         )
+
+
+def test_a_dataset_is_a_batch_checked_when_made():
+    # its rows are refused where it is built; a subset is a plain batch
+    ds = synthetic_for_split()
+    fields = dict(features=ds.features, targets=ds.targets, sensitive=ds.sensitive,
+                  numeric_columns=ds.numeric_columns, task=ds.task)
+    for key, value, message in [
+        ("features", np.where(np.arange(40)[:, None] == 7, np.inf, ds.features), "feature"),
+        ("targets", np.where(np.arange(40) == 3, np.nan, ds.targets), "target"),
+        ("targets", ds.targets[:-1], "aligned"),
+        ("sensitive", {"group": ds.sensitive["group"][:-1]}, "'group' misaligned"),
+    ]:
+        with pytest.raises(DataError, match=message):
+            Dataset(**fields | {key: value})
+    assert type(ds.subset(np.arange(3))) is Batch
+    assert type(take_batch(ds, [3, 5])) is Batch
 
 
 def test_take_batch():

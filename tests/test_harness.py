@@ -385,7 +385,7 @@ def test_training_is_bit_equal_to_steps_without_a_workspace(method, optimizer, b
         assert np.array_equal(got[3][column], values), column
 
 
-def test_each_split_checks_its_targets_where_it_enters():
+def test_each_split_checks_its_targets_where_it_enters(tmp_path):
     # regression targets are not 0/1 labels: a binary model refuses them
     # before its first step, its test evaluation or its loss curve
     cfg = config_from_dict(tiny_config(methods=["erm"]))
@@ -398,7 +398,7 @@ def test_each_split_checks_its_targets_where_it_enters():
     with pytest.raises(DataError, match="0 or 1"):
         harness.evaluate(cfg, spec, test, params, "erm", 0)
     with pytest.raises(DataError, match="0 or 1"):
-        emit_loss_curve(spec, params, test)
+        emit_loss_curve(spec, params, test, tmp_path / "curve.csv")
 
 
 def test_harmless_without_reference_raises():
@@ -478,7 +478,7 @@ def test_run_record_round_trip(tmp_path):
     np.testing.assert_array_equal(back.params, rec.params)
     np.testing.assert_array_equal(back.test_predictions, rec.test_predictions)
     assert back.per_epoch_loss == rec.per_epoch_loss
-    assert back.metrics["group"].to_dict() == rec.metrics["group"].to_dict()
+    assert back.metrics["group"] == rec.metrics["group"]
     assert back.config == rec.config
     with pytest.raises(DataError):
         bad = tmp_path / "bad.json"
@@ -668,7 +668,7 @@ def test_cli_malformed_record_exits_2(tmp_path, capsys, breakage):
         d["metrics"]["overall"] = {"utility": 0.5}
     path = tmp_path / "run.json"
     path.write_text(json.dumps(d))
-    for argv in (["compare", "--runs", str(path)],
+    for argv in (["compare", "--runs", str(path), str(path)],
                  ["rank", "--runs", str(path), str(path)],
                  ["curve", "--run", str(path), "--out", str(tmp_path / "curve.csv")]):
         assert cli_main(argv) == 2
@@ -959,6 +959,11 @@ def csv_config(tmp_path, text, **schema) -> dict:
     }
 
 
+def with_dataset_key(config, key, value) -> dict:
+    """`config` with its dataset section's `key` set to `value`."""
+    return config | {"dataset": config["dataset"] | {key: value}}
+
+
 # (argv from the saved-run paths and tmp_path, fragment of the one error line)
 REFUSALS = {
     "rank_two_utility_kinds": (lambda run, tmp: ["rank", "--runs", run("acc/erm"), run("mse/erm")],
@@ -969,6 +974,14 @@ REFUSALS = {
         "compare needs runs sharing one utility kind"),
     "rank_one_file_twice": (lambda run, tmp: ["rank", "--runs", run("reg/erm"), run("reg/erm")],
                             "duplicate run erm_seed0"),
+    "compare_one_file_twice": (
+        lambda run, tmp: ["compare", "--runs", run("reg/erm"), run("reg/vfair_std"),
+                          run("reg/erm")],
+        "duplicate run erm_seed0"),
+    # the utility kinds are checked before the paths
+    "compare_two_utility_kinds_one_file_twice": (
+        lambda run, tmp: ["compare", "--runs", run("acc/erm"), run("acc/erm"), run("mse/erm")],
+        "compare needs runs sharing one utility kind"),
     "rank_one_run": (lambda run, tmp: ["rank", "--runs", run("reg/erm")],
                      "ranking needs at least two methods"),
     "rank_no_trials": (
@@ -1002,6 +1015,16 @@ REFUSALS = {
         lambda run, tmp: train_argv(tmp, csv_config(tmp, "x,y\n1,a\n2,b\n3,c\n")),
         "regression labels must be numeric"),
     "csv_empty_file": (lambda run, tmp: train_argv(tmp, csv_config(tmp, "")), "empty file"),
+    # only the synthetic generator draws from a seed
+    "csv_seed": (
+        lambda run, tmp: train_argv(tmp, with_dataset_key(
+            csv_config(tmp, "x,y\n1,2\n2,3\n3,4\n"), "seed", 12345)),
+        "unknown config keys: ['dataset.seed']"),
+    # finite as read; the train side's mean overflows when split standardizes it
+    "csv_column_overflows_standardization": (
+        lambda run, tmp: train_argv(tmp, csv_config(
+            tmp, "x,y\n1.5e308,1\n1.7e308,2\n1.5e308,3\n1.7e308,4\n")),
+        "non-finite feature values"),
 }
 
 
@@ -1152,6 +1175,7 @@ EDGE_VALUES = [
     ("dataset", "feature_dim", 0, 2),
     ("dataset", "minority_shift", 1e300, 3),
     ("dataset", "noise_std", 1e300, 3),
+    ("dataset", "noise_std", 1e308, 2),  # the targets overflow as they are drawn
     ("dataset", "noise_std", -1.0, 2),
     ("dataset", "task", "logistic_regression_mse", 0),
     ("dataset", "task", "multiclass_ce", 2),
@@ -1172,6 +1196,29 @@ def test_config_edge_values_train_or_exit_with_one_line(tmp_path, capsys, sectio
                     "--out", str(tmp_path / "o")])
     errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
     assert (got, len(errors)) == (code, int(code != 0)), errors
+
+
+def test_binary_labels_from_an_overflowing_minority_logit_train_quietly(tmp_path, capsys):
+    # minority logits of +-inf still give 0/1 labels: the run trains and
+    # building its data writes no numpy warning
+    d = readme_config(9, methods=["erm"], epochs=2)
+    d["dataset"] |= {"n": 300, "task": "binary_bce", "minority_shift": 1e308}
+    assert cli_main(train_argv(tmp_path, d)) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_compare_counts_a_file_once_and_a_copy_as_another_run(saved_runs, tmp_path, capsys):
+    # two experiment directories may hold runs of the same name; one file
+    # given twice, however its path is spelled, would count twice
+    erm = Path(saved_runs("reg/erm"))
+    copy = tmp_path / erm.name
+    copy.write_bytes(erm.read_bytes())
+    capsys.readouterr()
+    assert cli_main(["compare", "--runs", str(erm), str(copy)]) == 0
+    assert "\noverall/erm: n=2 " in capsys.readouterr().out
+    respelled = erm.parent / ".." / erm.parent.name / erm.name
+    assert cli_main(["compare", "--runs", str(erm), str(respelled)]) == 2
+    assert capsys.readouterr().err == "error: duplicate run erm_seed0\n"
 
 
 def multiclass_csv_config(tmp_path, labels):

@@ -1,5 +1,6 @@
 """Tests for the group-fairness metric suite."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -234,7 +235,7 @@ def test_build_report_and_round_trip():
     assert rep.tud == pytest.approx(rep.mud)  # two groups
     assert rep.var == pytest.approx(float(np.var(losses)))
     assert rep.partition_label == "sex"
-    again = MetricsReport.from_dict(rep.to_dict())
+    again = MetricsReport(**dataclasses.asdict(rep))
     assert again == rep
 
 

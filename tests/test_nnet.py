@@ -322,7 +322,7 @@ def test_weighted_gradient_stacked_rows_match_single_calls_and_fd():
         batch = random_batch(rng, spec)
         params = init_params(spec, seed=int(rng.integers(1 << 30)))
         w = rng.uniform(-1.0, 2.0, size=len(batch))
-        stacked = weighted_gradient(spec, params, batch, w, forward_cache(spec, params, batch),
+        stacked = weighted_gradient(spec, forward_cache(spec, params, batch), batch, w,
                                     mean=True)
         assert stacked.shape == (2, len(params))
         d = rng.normal(size=params.shape)
@@ -376,9 +376,9 @@ def test_forward_and_backward_bit_equal_to_reference(task, activation, hidden):
         w = rng.uniform(-1.0, 2.0, size=b)
         ones = np.ones(b)
         cases = [
-            (weighted_gradient(spec, params, batch, w, cache), w),
-            (weighted_gradient(spec, params, batch, None, cache), ones),
-            (weighted_gradient(spec, params, batch, w, cache, mean=True), np.stack([ones, w])),
+            (weighted_gradient(spec, cache, batch, w), w),
+            (weighted_gradient(spec, cache, batch, None), ones),
+            (weighted_gradient(spec, cache, batch, w, mean=True), np.stack([ones, w])),
             (weighted_gradient(spec, params, batch, w), w),
         ]
         for got, weights in cases:
@@ -407,15 +407,14 @@ def test_gradients_share_a_buffer_only_through_one_workspace_and_shape():
     for batch in batches:
         weights = w[: len(batch)]
         cache = forward_cache(spec, ws, batch)
-        got.append(weighted_gradient(spec, params, batch, weights, cache, mean=True))
+        got.append(weighted_gradient(spec, cache, batch, weights, mean=True))
         # the buffer holds this call's gradient, bit for bit the fresh one
         fresh = weighted_gradient(spec, params, batch, weights, mean=True)
         assert np.array_equal(got[-1], fresh) and not np.shares_memory(got[-1], fresh)
     assert np.shares_memory(got[0], got[1])
     assert not np.shares_memory(got[0], got[2])
     # another row count is another shape, with its own buffer
-    mean_only = weighted_gradient(spec, params, batches[0], None,
-                                  forward_cache(spec, ws, batches[0]))
+    mean_only = weighted_gradient(spec, forward_cache(spec, ws, batches[0]), batches[0], None)
     assert not np.shares_memory(mean_only, got[0]) and not np.shares_memory(mean_only, got[2])
 
     # the workspace stands for its vector: every step function gives through
