@@ -157,12 +157,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (ConfigError, DataError, OSError) as exc:
+    except (ConfigError, DataError, NumericError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NumericError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 3 if isinstance(exc, NumericError) else 2
 
 
 if __name__ == "__main__":

@@ -8,7 +8,8 @@ with statistics of the training rows only, applied to both sides.
 
 A ``Dataset`` is an ``nnet.Batch``, so its rows are checked once, when
 ``load_csv``, ``synthesize`` or ``split`` makes it; a value that overflows
-on the way is refused there as one error, with no numpy warning.
+on the way is refused there as one error, with no numpy warning.  The
+schema or synthetic spec it was made from holds its task.
 
 The synthetic generator plants a controlled majority/minority conflict:
 a shared linear ground truth that the minority deviates from.  For
@@ -36,6 +37,7 @@ logger = logging.getLogger(__name__)
 
 COLUMN_KINDS = ("numeric", "categorical")
 SYNTH_TASKS = ("regression_mse", "binary_bce", "logistic_regression_mse")
+MAX_SYNTHETIC_VALUES = 1 << 26  # n x feature_dim: 512 MiB; the README config draws 6,000
 
 
 @dataclass(frozen=True)
@@ -68,7 +70,6 @@ class Dataset(Batch):
 
     sensitive: dict       # name -> raw value array [n]
     numeric_columns: tuple  # encoded column indices that `split` standardizes
-    task: str
     rejected_rows: int = 0
 
     def __post_init__(self):
@@ -187,7 +188,6 @@ def load_csv(path, schema: DatasetSchema) -> Dataset:
         targets=targets,
         sensitive=sensitive,
         numeric_columns=tuple(numeric),
-        task=schema.task,
         rejected_rows=rejected,
     )
 
@@ -247,6 +247,9 @@ class SyntheticSpec:
             raise ConfigError("group_ratio must be in (0, 1)")
         if self.feature_dim < 1:
             raise ConfigError("feature_dim must be >= 1")
+        if self.n * self.feature_dim > MAX_SYNTHETIC_VALUES:
+            raise ConfigError(
+                f"n x feature_dim is above MAX_SYNTHETIC_VALUES = {MAX_SYNTHETIC_VALUES}")
         if self.noise_std < 0.0:
             raise ConfigError("noise_std cannot be negative")
         if self.task not in SYNTH_TASKS:
@@ -283,5 +286,4 @@ def synthesize(spec: SyntheticSpec, seed: int) -> Dataset:
         targets=y,
         sensitive={"group": group.copy()},
         numeric_columns=tuple(range(spec.feature_dim)),
-        task=spec.task,
     )

@@ -1,13 +1,13 @@
 """Experiment orchestration: configs, training loops, records, aggregation.
 
-A config describes one dataset, one model shape, and a set of (method,
-seed) runs.  Each run keeps, while it trains, the parameters of the epoch
-it selects (the final one, or the one whose training loss is nearest a
-converged mean-loss reference), evaluates the full metric suite on the
-test split per sensitive attribute, and is saved as a self-describing
-JSON record.
-Runs are deterministic in (config, seed): identical inputs produce
-byte-identical records.
+A config describes one dataset (whose spec or schema holds the task), one
+model shape, and a set of (method, seed) runs.  Each run keeps, while it
+trains, the parameters of the epoch it selects (the final one, or the one
+whose training loss is nearest a converged mean-loss reference),
+evaluates the full metric suite on the test split per sensitive
+attribute, and is saved as a self-describing strict-JSON record, which
+``RunRecord.load`` reads back.  Runs are deterministic in (config, seed):
+identical inputs produce byte-identical records.
 """
 
 from __future__ import annotations
@@ -53,13 +53,13 @@ from .nnet import (
 )
 from .update import TRACE_ROW, UpdateState, grad_mu, vfair_direction
 
-METHODS = ("erm", "vfair_std", "vfair_var", "vfair_pairwise", "dro")
+_VFAIR_OBJECTIVE = {"vfair_std": "std_dev", "vfair_var": "variance", "vfair_pairwise": "pairwise"}
+METHODS = ("erm", *_VFAIR_OBJECTIVE, "dro")
 OPTIMIZERS = ("sgd", "adagrad")
 EPOCH_SELECTION = ("final", "harmless")
+MAX_STEPS = 1 << 22  # steps per run, epochs x batches: hours of training; the README's takes 1,350
 
 logger = logging.getLogger(__name__)
-
-_VFAIR_OBJECTIVE = {"vfair_std": "std_dev", "vfair_var": "variance", "vfair_pairwise": "pairwise"}
 
 TRACE_COLUMNS = ("step", *TRACE_ROW, "eta")
 # the step-trace columns each method fills besides "step", in trace order; erm fills none
@@ -105,8 +105,12 @@ class ExperimentConfig:
         for m in self.methods:
             if m not in METHODS:
                 raise ConfigError(f"unknown method {m!r}; expected one of {METHODS}")
-        if len(set(self.methods)) != len(self.methods):
-            raise ConfigError("duplicate methods in config")
+        for key, noun in (("methods", "method"), ("seeds", "seed")):
+            runs = getattr(self, key)
+            if not runs:
+                raise ConfigError(f"at least one {noun} is required")
+            if len(set(runs)) != len(runs):
+                raise ConfigError(f"duplicate {key} in config")
         if self.optimizer not in OPTIMIZERS:
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
         if self.epoch_selection not in EPOCH_SELECTION:
@@ -118,14 +122,8 @@ class ExperimentConfig:
         # the update's and DRO's settings are checked by their own types
         UpdateState(decay=self.decay, step_size=self.step_size, lambda2_cap=self.lambda2_cap)
         DroConfig(alpha_min=self.dro_alpha_min)
-        if not self.methods:
-            raise ConfigError("at least one method is required")
-        if not self.seeds:
-            raise ConfigError("at least one seed is required")
-        if len(set(self.seeds)) != len(self.seeds):
-            raise ConfigError("duplicate seeds in config")
         # the task is known here, so a utility it cannot take is refused before any run
-        resolve_utility(self.utility, (self.synthetic or self.schema).task)
+        resolve_utility(self.utility, self.task)
         if self.erm_reference_loss is not None and self.erm_reference_loss < 0.0:
             raise ConfigError("erm_reference_loss must be >= 0, as every loss is")
         if (self.epoch_selection == "harmless" and "erm" not in self.methods
@@ -134,6 +132,11 @@ class ExperimentConfig:
                 "harmless epoch selection needs an erm run in the same invocation "
                 "or an explicit erm_reference_loss"
             )
+
+    @property
+    def task(self) -> str:
+        """The task the dataset section declares, read from its spec or schema."""
+        return (self.synthetic or self.schema).task
 
 
 def _whole(value) -> int:
@@ -217,39 +220,30 @@ def config_from_dict(d: dict) -> ExperimentConfig:
     if not isinstance(ds, dict) or "kind" not in ds:
         raise ConfigError("config needs a dataset section with a 'kind'")
     kind = ds["kind"]
-    synthetic = None
-    csv_path = None
-    schema = None
     if kind == "synthetic":
         missing = [k for k in _SYNTHETIC_KEYS if k != "task" and ds.get(k) is None]
         if missing:
             raise ConfigError(f"synthetic dataset section is missing {missing[0]!r}")
-        typed = _typed(ds, _SYNTHETIC_KEYS | _DATASET_KEYS | {"seed": _seed}, "dataset.",
-                       also=("kind",))
-        synthetic = SyntheticSpec(**{k: typed.pop(k) for k in _SYNTHETIC_KEYS if k in typed})
+        fields |= _typed(ds, _SYNTHETIC_KEYS | _DATASET_KEYS | {"seed": _seed}, "dataset.",
+                         also=("kind",))
+        fields["synthetic"] = SyntheticSpec(
+            **{k: fields.pop(k) for k in _SYNTHETIC_KEYS if k in fields})
     elif kind == "csv":
         if "path" not in ds or "schema" not in ds:
             raise ConfigError("csv dataset section needs 'path' and 'schema'")
-        typed = _typed(ds, _DATASET_KEYS, "dataset.", also=("kind", "path", "schema"))
-        csv_path = str(ds["path"])
+        fields |= _typed(ds, _DATASET_KEYS, "dataset.", also=("kind", "path", "schema"))
         sc = _typed(ds["schema"], _SCHEMA_KEYS, "dataset.schema.")
         missing = [k for k in _SCHEMA_KEYS if k != "sensitive" and k not in sc]
         if missing:
             raise ConfigError(f"csv schema section is missing {missing[0]!r}")
-        schema = DatasetSchema(sc["features"], sc["label"], sc.get("sensitive", ()), sc["task"])
+        fields |= {"csv_path": str(ds["path"]), "schema": DatasetSchema(
+            sc["features"], sc["label"], sc.get("sensitive", ()), sc["task"])}
     else:
         raise ConfigError(f"dataset kind must be 'synthetic' or 'csv', got {kind!r}")
 
-    fields |= typed
     if "seed" in fields:
         fields["data_seed"] = fields.pop("seed")
-    return ExperimentConfig(
-        raw=d,
-        synthetic=synthetic,
-        csv_path=csv_path,
-        schema=schema,
-        **fields,
-    )
+    return ExperimentConfig(raw=d, **fields)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -273,8 +267,8 @@ def build_model_spec(cfg: ExperimentConfig, train: Dataset) -> ModelSpec:
     return ModelSpec(
         input_dim=train.feature_dim,
         hidden_dims=cfg.hidden_dims,
-        output_dim=int(train.targets.max()) + 1 if train.task == "multiclass_ce" else 1,
-        task=train.task,
+        output_dim=int(train.targets.max()) + 1 if cfg.task == "multiclass_ce" else 1,
+        task=cfg.task,
         activation=cfg.activation,
     )
 
@@ -354,21 +348,6 @@ class RunRecord:
             "config": self.config,
         }
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "RunRecord":
-        return cls(
-            method=d["method"],
-            seed=int(d["seed"]),
-            per_epoch_loss=[float(x) for x in d["per_epoch_loss"]],
-            selected_epoch=int(d["selected_epoch"]),
-            params=np.asarray(d["params"], dtype=np.float64),
-            metrics={k: MetricsReport(**v) for k, v in d["metrics"].items()},
-            utility_kind=d["utility_kind"],
-            test_predictions=np.asarray(d["test_predictions"], dtype=np.float64),
-            test_targets=np.asarray(d["test_targets"], dtype=np.float64),
-            config=d.get("config", {}),
-        )
-
     def save(self, path) -> None:
         """Strict JSON; a non-finite value raises before anything is written."""
         try:
@@ -380,11 +359,29 @@ class RunRecord:
     @classmethod
     def load(cls, path) -> "RunRecord":
         """A saved record; a file that does not decode to one, whatever is
-        wrong with it, raises DataError."""
+        wrong with it, raises DataError.  Like `save`, it takes strict JSON
+        only: a `NaN`, `Infinity` or `-Infinity` is refused."""
         try:
-            return cls.from_json_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+            d = json.loads(Path(path).read_text(encoding="utf-8"), parse_constant=_not_strict)
+            return cls(
+                method=d["method"],
+                seed=int(d["seed"]),
+                per_epoch_loss=[float(x) for x in d["per_epoch_loss"]],
+                selected_epoch=int(d["selected_epoch"]),
+                params=np.asarray(d["params"], dtype=np.float64),
+                metrics={k: MetricsReport(**v) for k, v in d["metrics"].items()},
+                utility_kind=d["utility_kind"],
+                test_predictions=np.asarray(d["test_predictions"], dtype=np.float64),
+                test_targets=np.asarray(d["test_targets"], dtype=np.float64),
+                config=d.get("config", {}),
+            )
         except (ArithmeticError, AttributeError, LookupError, TypeError, ValueError) as exc:
             raise DataError(f"{path} is not a run record: {exc}") from None
+
+
+def _not_strict(token: str):
+    """`json.loads`' hook for the tokens strict JSON lacks: refuse them."""
+    raise ValueError(f"{token} is not strict JSON")
 
 
 def _write_atomically(path, text: str) -> None:
@@ -455,6 +452,8 @@ def _train_one(cfg: ExperimentConfig, spec: ModelSpec, train: Dataset, method: s
 
     _check_targets(spec.task, train.targets, spec.output_dim)
     steps = cfg.epochs * -(-train.n // cfg.batch_size)
+    if steps > MAX_STEPS:
+        raise ConfigError(f"epochs x batches per epoch is above MAX_STEPS = {MAX_STEPS}")
     filled = _TRACE_FILLED.get(method, ())
     values = np.empty((steps, len(filled)))
     best, best_epoch = np.empty_like(params), 0  # epoch 0 always fills it

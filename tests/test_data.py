@@ -360,11 +360,21 @@ def test_synthesize_validation():
         )
 
 
+def test_synthetic_size_is_bounded_before_a_draw():
+    # n x feature_dim at the maximum is a spec; one row more is refused
+    # when the spec is made, before anything is allocated
+    rows = data.MAX_SYNTHETIC_VALUES // 4
+    SyntheticSpec(n=rows, group_ratio=0.5, feature_dim=4, minority_shift=0.0, noise_std=0.0)
+    with pytest.raises(ConfigError, match="MAX_SYNTHETIC_VALUES"):
+        SyntheticSpec(n=rows + 1, group_ratio=0.5, feature_dim=4, minority_shift=0.0,
+                      noise_std=0.0)
+
+
 def test_a_dataset_is_a_batch_checked_when_made():
     # its rows are refused where it is built; a subset is a plain batch
     ds = synthetic_for_split()
     fields = dict(features=ds.features, targets=ds.targets, sensitive=ds.sensitive,
-                  numeric_columns=ds.numeric_columns, task=ds.task)
+                  numeric_columns=ds.numeric_columns)
     for key, value, message in [
         ("features", np.where(np.arange(40)[:, None] == 7, np.inf, ds.features), "feature"),
         ("targets", np.where(np.arange(40) == 3, np.nan, ds.targets), "target"),

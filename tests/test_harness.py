@@ -241,6 +241,22 @@ def test_a_config_with_no_runs_is_refused_before_training(tmp_path, capsys, monk
     assert len(err.splitlines()) == 1 and err.startswith(f"error: at least one {key[:-1]}")
 
 
+@pytest.mark.parametrize("max_steps, trains", [(12, True), (11, False)])
+def test_a_run_of_more_than_max_steps_is_refused_before_a_step(monkeypatch, max_steps, trains):
+    # tiny_config: 120 training rows in batches of 32, 3 epochs = 12 steps
+    monkeypatch.setattr(harness, "MAX_STEPS", max_steps)
+    counts = {}
+    count_calls(monkeypatch, counts, "step", harness.grad_mu, harness)
+    cfg = config_from_dict(tiny_config(methods=["erm"]))
+    if trains:
+        run_experiment(cfg)
+        assert counts == {"step": 12}
+    else:
+        with pytest.raises(ConfigError, match="batches per epoch is above MAX_STEPS = 11$"):
+            run_experiment(cfg)
+        assert counts == {"step": 0}
+
+
 # -- optimizers -------------------------------------------------------------
 
 
@@ -974,6 +990,11 @@ REFUSALS = {
         "compare needs runs sharing one utility kind"),
     "rank_one_file_twice": (lambda run, tmp: ["rank", "--runs", run("reg/erm"), run("reg/erm")],
                             "duplicate run erm_seed0"),
+    # two files of one run: the paths differ, the run names do not
+    "rank_a_copy_of_a_run": (
+        lambda run, tmp: ["rank", "--runs", run("reg/erm"),
+                          edited_record(run("reg/erm"), tmp, lambda d: None)],
+        "duplicate run erm_seed0"),
     "compare_one_file_twice": (
         lambda run, tmp: ["compare", "--runs", run("reg/erm"), run("reg/vfair_std"),
                           run("reg/erm")],
@@ -995,6 +1016,19 @@ REFUSALS = {
         lambda run, tmp: ["curve", "--out", str(tmp / "c.csv"), "--run", edited_record(
             run("reg/erm"), tmp, lambda d: d.update(config={}))],
         "has no embedded config"),
+    # save never writes NaN or Infinity, so a file holding one is not a record
+    "rank_nan_prediction": (
+        lambda run, tmp: ["rank", "--runs", run("reg/vfair_std"), edited_record(
+            run("reg/erm"), tmp, lambda d: d["test_predictions"].__setitem__(0, float("nan")))],
+        "edited.json is not a run record: NaN is not strict JSON"),
+    "compare_infinite_metric": (
+        lambda run, tmp: ["compare", "--runs", run("reg/erm"), edited_record(
+            run("reg/vfair_std"), tmp, lambda d: d["metrics"]["overall"].update(var=float("inf")))],
+        "edited.json is not a run record: Infinity is not strict JSON"),
+    "curve_nan_param": (
+        lambda run, tmp: ["curve", "--out", str(tmp / "c.csv"), "--run", edited_record(
+            run("reg/erm"), tmp, lambda d: d["params"].__setitem__(0, float("nan")))],
+        "edited.json is not a run record: NaN is not strict JSON"),
     "curve_short_params": (
         lambda run, tmp: ["curve", "--out", str(tmp / "c.csv"), "--run", edited_record(
             run("reg/erm"), tmp, lambda d: d["params"].pop())],
@@ -1183,6 +1217,11 @@ EDGE_VALUES = [
     ("dataset", "test_fraction", 1e-9, 2),
     ("dataset", "test_fraction", 0.999, 2),
     ("dataset", "split_seed", 2**40, 0),
+    # new rows go last: a list value's test id holds its row index
+    (None, "epochs", 1e12, 2),  # above MAX_STEPS: refused before erm takes a step
+    (None, "epochs", 1e300, 2),
+    ("dataset", "n", 1e13, 2),  # above MAX_SYNTHETIC_VALUES, refused before a draw
+    ("dataset", "feature_dim", 1e12, 2),
 ]
 
 
