@@ -25,6 +25,7 @@ from .harness import (
     build_model_spec,
     config_from_dict,
     emit_loss_curve,
+    encode_json,
     load_config,
     run_experiment,
     write_trace,
@@ -72,9 +73,11 @@ def _cmd_train(args) -> int:
     (out / "runs").mkdir(parents=True, exist_ok=True)
     (out / "traces").mkdir(parents=True, exist_ok=True)
     records = run_experiment(cfg)
+    # every record of one train holds the same test targets: encode them once
+    targets_json = encode_json(records[0].test_targets.tolist())
     for rec in records:
         stem = f"{rec.method}_seed{rec.seed}"
-        rec.save(out / "runs" / f"{stem}.json")
+        rec.save(out / "runs" / f"{stem}.json", targets_json)
         if rec.trace:
             write_trace(rec.trace, out / "traces" / f"{stem}.csv")
         overall = rec.metrics["overall"]

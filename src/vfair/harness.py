@@ -252,7 +252,7 @@ def load_config(path) -> ExperimentConfig:
             d = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, an integer above Python's digit limit, or not UTF-8
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
     return config_from_dict(d)
 
@@ -348,13 +348,16 @@ class RunRecord:
             "config": self.config,
         }
 
-    def save(self, path) -> None:
-        """Strict JSON; a non-finite value raises before anything is written."""
+    def save(self, path, targets_json: str | None = None) -> None:
+        """Strict JSON; a non-finite value raises before anything is written.
+        `json.dumps(..., sort_keys=True)`'s bytes, encoded key by key, so a
+        train's records can share `targets_json`, their `test_targets` text."""
         try:
-            text = json.dumps(self.to_json_dict(), sort_keys=True, allow_nan=False)
+            text = {k: targets_json if k == "test_targets" and targets_json else encode_json(v)
+                    for k, v in self.to_json_dict().items()}
         except ValueError as exc:
             raise NumericError(f"{self.method} seed={self.seed}: record not saved: {exc}") from None
-        _write_atomically(path, text)
+        _write_atomically(path, "{" + ", ".join(f"{json.dumps(k)}: {text[k]}" for k in sorted(text)) + "}")
 
     @classmethod
     def load(cls, path) -> "RunRecord":
@@ -377,6 +380,11 @@ class RunRecord:
             )
         except (ArithmeticError, AttributeError, LookupError, TypeError, ValueError) as exc:
             raise DataError(f"{path} is not a run record: {exc}") from None
+
+
+def encode_json(value) -> str:
+    """Strict JSON text of `value`, keys sorted, as a saved record holds it."""
+    return json.dumps(value, sort_keys=True, allow_nan=False)
 
 
 def _not_strict(token: str):

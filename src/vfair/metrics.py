@@ -12,7 +12,7 @@ only do well by being uniformly good.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,11 +39,13 @@ def higher_is_better(kind: str) -> bool:
 
 @dataclass(frozen=True)
 class GroupPartition:
-    """Assignment of n examples to k non-empty groups 0..k-1."""
+    """Assignment of n examples to k non-empty groups 0..k-1; `sizes[g]`
+    counts group g, once, where the assignment is checked."""
 
     group_of: np.ndarray
     k: int
     label: str = ""
+    sizes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         g = np.asarray(self.group_of)
@@ -52,9 +54,11 @@ class GroupPartition:
         g = g.astype(np.int64)
         if g.min() < 0 or g.max() >= self.k:
             raise DataError("group ids must lie in [0, k)")
-        if np.bincount(g, minlength=self.k).min() == 0:
+        sizes = np.bincount(g, minlength=self.k)
+        if sizes.min() == 0:
             raise DataError("every group must be non-empty")
         object.__setattr__(self, "group_of", g)
+        object.__setattr__(self, "sizes", sizes)
 
     def __len__(self) -> int:
         return len(self.group_of)
@@ -101,7 +105,7 @@ def _score_groups(terms: tuple, partition: GroupPartition, kind: str) -> np.ndar
         tp, fp, fn = sums
         denom = 2.0 * tp + fp + fn
         return np.divide(2.0 * tp, denom, out=np.zeros_like(denom), where=denom != 0.0)
-    return sums[0] / np.bincount(partition.group_of, minlength=k)
+    return sums[0] / partition.sizes
 
 
 def _aligned_terms(predictions, targets, n: int, kind: str) -> tuple:
@@ -124,38 +128,40 @@ def group_utilities(predictions, targets, partition: GroupPartition, kind: str) 
     return out if np.ndim(predictions) == 2 else out[0]
 
 
-def _utility_rows(utilities) -> np.ndarray:
-    utilities = np.asarray(utilities, dtype=np.float64)
-    if utilities.ndim not in (1, 2) or utilities.shape[-1] == 0:
-        raise DataError("utilities must be a non-empty [k] or [m, k] array")
-    return utilities
-
-
 def _per_row(values: np.ndarray):
     """A float for one model's utilities, an array for a stack's."""
     return float(values) if values.ndim == 0 else values
 
 
+def _spread(utilities, higher: bool = False) -> np.ndarray:
+    """`[..., 3]`: wu, mud and tud of each row of `[k]` or `[m, k]` utilities,
+    from one max and one min per row; only wu reads `higher`."""
+    utilities = np.asarray(utilities, dtype=np.float64)
+    if utilities.ndim not in (1, 2) or utilities.shape[-1] == 0:
+        raise DataError("utilities must be a non-empty [k] or [m, k] array")
+    out = np.empty(utilities.shape[:-1] + (3,))
+    hi, lo = utilities.max(axis=-1), utilities.min(axis=-1)
+    out[..., 0] = lo if higher else hi
+    np.subtract(hi, lo, out=out[..., 1])
+    np.abs(utilities - utilities.mean(axis=-1, keepdims=True)).sum(axis=-1, out=out[..., 2])
+    return out
+
+
 def worst_utility(utilities, kind: str):
     """The unluckiest group: min for higher-is-better kinds, max for mse.
     Row-wise on `[m, k]`."""
-    utilities = _utility_rows(utilities)
-    worst = utilities.min(axis=-1) if higher_is_better(kind) else utilities.max(axis=-1)
-    return _per_row(worst)
+    return _per_row(_spread(utilities, higher=higher_is_better(kind))[..., 0])
 
 
 def mud(utilities):
     """Max utility difference across groups.  Row-wise on `[m, k]`."""
-    utilities = _utility_rows(utilities)
-    return _per_row(utilities.max(axis=-1) - utilities.min(axis=-1))
+    return _per_row(_spread(utilities)[..., 1])
 
 
 def tud(utilities):
     """Total absolute deviation of group utilities from their unweighted
     mean (which makes tud == mud for two groups).  Row-wise on `[m, k]`."""
-    utilities = _utility_rows(utilities)
-    center = utilities.mean(axis=-1, keepdims=True)
-    return _per_row(np.abs(utilities - center).sum(axis=-1))
+    return _per_row(_spread(utilities)[..., 2])
 
 
 def var_pred_error(per_example_errors) -> float:
@@ -243,12 +249,10 @@ def _too_many_draws(n: int, k: int) -> bool:
     return k**n > MAX_EXPECTED_DRAWS * surjections
 
 
-def random_partition(rng: np.random.Generator, n: int, k: int) -> GroupPartition:
-    """Uniform group assignment, resampled until every group is hit.
-
-    Raises ConfigError, before any draw, when hitting every group is so
-    unlikely that more than MAX_EXPECTED_DRAWS draws are expected.
-    """
+def _partitions(rng: np.random.Generator, n: int, k: int):
+    """`random_partition`'s draws, endlessly, after one check of (n, k).  A
+    draw is not re-validated, as `Batch.subset`'s rows are not: it is int64
+    in [0, k), and the `bincount` that accepts it is its `sizes`."""
     if not 1 <= k <= n:
         raise ConfigError(f"cannot split {n} examples into {k} non-empty groups")
     if _too_many_draws(n, k):
@@ -258,8 +262,18 @@ def random_partition(rng: np.random.Generator, n: int, k: int) -> GroupPartition
         )
     while True:
         g = rng.integers(0, k, size=n)
-        if np.bincount(g, minlength=k).min() > 0:
-            return GroupPartition(group_of=g, k=k)
+        sizes = np.bincount(g, minlength=k)
+        if sizes.min() > 0:
+            part = object.__new__(GroupPartition)
+            part.__dict__.update(group_of=g, k=k, label="", sizes=sizes)
+            yield part
+
+
+def random_partition(rng: np.random.Generator, n: int, k: int) -> GroupPartition:
+    """Uniform group assignment, resampled until every group is hit; a
+    ConfigError, before any draw, if hitting every group is so unlikely that
+    more than MAX_EXPECTED_DRAWS draws are expected."""
+    return next(_partitions(rng, n, k))
 
 
 def random_partition_rank(
@@ -272,10 +286,10 @@ def random_partition_rank(
 ) -> RankTable:
     """Rank methods on utility/wu/mud/tud over random k-group partitions.
 
-    Every trial draws one partition and scores every method's stored
-    predictions on it in one `bincount` pass (see `group_utilities`); the
-    methods are then ranked per metric (ties share the mean rank).  Ranks are
-    averaged over trials.
+    The split is checked once; every trial draws one partition as
+    `random_partition` does and scores every method on it in one `bincount`
+    pass (see `group_utilities`); one pass over all trials' utilities gives
+    wu/mud/tud.  Ranks per metric (ties share the mean rank) are averaged.
     """
     kind = _checked_kind(kind)
     methods = list(per_method_predictions)
@@ -294,13 +308,13 @@ def random_partition_rank(
     # the per-example terms and the overall utility are partition-free: once
     terms = _example_terms(np.stack([preds[m] for m in methods]), targets, kind)
     util = _score_groups(terms, GroupPartition.whole(n), kind)[:, 0]
-    # per trial and method: wu, mud, tud, oriented so that lower is better
-    spread = np.empty((trials, len(methods), 3))
+    # per trial and method: group utilities, then wu, mud, tud oriented so
+    # that lower is better
+    partitions = _partitions(np.random.default_rng(seed), n, k)
+    gu = np.stack([_score_groups(terms, next(partitions), kind) for _ in range(trials)])
     sign = -1.0 if higher_is_better(kind) else 1.0
-    rng = np.random.default_rng(seed)
-    for t in range(trials):
-        gu = _score_groups(terms, random_partition(rng, n, k), kind)
-        spread[t] = np.column_stack([sign * worst_utility(gu, kind), mud(gu), tud(gu)])
+    spread = _spread(gu.reshape(-1, k), higher=sign < 0).reshape(trials, len(methods), 3)
+    spread[..., 0] *= sign
 
     # ranks are half-integers, so their sum over trials is exact
     avg_rank = np.column_stack([

@@ -26,6 +26,7 @@ from vfair.harness import (
     build_model_spec,
     config_from_dict,
     emit_loss_curve,
+    encode_json,
     load_config,
     resolve_utility,
     run_experiment,
@@ -180,6 +181,13 @@ def test_load_config_errors(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     with pytest.raises(ConfigError):
+        load_config(bad)
+    # Python refuses to parse an integer literal of more than 4300 digits
+    bad.write_text('{"epochs": ' + "1" * 5001 + "}")
+    with pytest.raises(ConfigError, match=f"config file {re.escape(str(bad))} is not valid JSON"):
+        load_config(bad)
+    bad.write_bytes(b'{"epochs": "\xff"}')  # not UTF-8
+    with pytest.raises(ConfigError, match="is not valid JSON"):
         load_config(bad)
 
 
@@ -529,6 +537,18 @@ def test_record_determines_its_test_predictions(tmp_path, task):
         preds = predicted_values(spec, outputs)
     assert rec.utility_kind == ("mse" if task == "regression_mse" else "accuracy")
     assert np.array_equal(preds, rec.test_predictions)
+
+
+def test_run_record_save_writes_json_dumps_bytes_with_or_without_shared_targets(tmp_path):
+    records = run_experiment(config_from_dict(tiny_config(seeds=[0, 1])))
+    targets_json = encode_json(records[0].test_targets.tolist())
+    for rec in records:
+        assert rec.test_targets is records[0].test_targets
+        want = json.dumps(rec.to_json_dict(), sort_keys=True, allow_nan=False)
+        rec.save(tmp_path / "alone.json")
+        rec.save(tmp_path / "shared.json", targets_json)
+        assert (tmp_path / "alone.json").read_text() == want
+        assert (tmp_path / "shared.json").read_text() == want
 
 
 def test_run_record_save_rejects_non_finite(tmp_path):
@@ -1156,6 +1176,14 @@ def test_dro_degenerate_batch_is_logged(caplog, batch_size, warned):
         assert not hits
 
 
+class JsonLiteral:
+    """A config value written as this JSON text, which `json.dumps` would
+    refuse to write (an integer of more than 4300 digits)."""
+
+    def __init__(self, text):
+        self.text = text
+
+
 # One edge value per config key, applied alone to a 2-epoch, n = 300,
 # one-seed copy of the README config: (section, key, value, exit code).
 # Every value either trains (0), is refused with one line (2) or breaks
@@ -1222,6 +1250,7 @@ EDGE_VALUES = [
     (None, "epochs", 1e300, 2),
     ("dataset", "n", 1e13, 2),  # above MAX_SYNTHETIC_VALUES, refused before a draw
     ("dataset", "feature_dim", 1e12, 2),
+    (None, "epochs", JsonLiteral("1" * 5001), 2),  # Python's int parser refuses it
 ]
 
 
@@ -1230,9 +1259,12 @@ def test_config_edge_values_train_or_exit_with_one_line(tmp_path, capsys, sectio
                                                         code):
     d = readme_config(9, methods=list(METHODS), epochs=2, epoch_selection="harmless")
     d["dataset"]["n"] = 300
-    (d[section] if section else d)[key] = value
-    got = cli_main(["train", "--config", str(write_config(tmp_path, d)),
-                    "--out", str(tmp_path / "o")])
+    literal = isinstance(value, JsonLiteral)
+    (d[section] if section else d)[key] = "<literal>" if literal else value
+    path = write_config(tmp_path, d)
+    if literal:
+        path.write_text(path.read_text().replace('"<literal>"', value.text))
+    got = cli_main(["train", "--config", str(path), "--out", str(tmp_path / "o")])
     errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
     assert (got, len(errors)) == (code, int(code != 0)), errors
 

@@ -57,6 +57,20 @@ def test_partition_validation():
         GroupPartition(group_of=np.array([]), k=1)
 
 
+def test_partition_sizes_are_the_group_counts():
+    rng = np.random.default_rng(42)
+    for k in (1, 3, 8):
+        g = np.concatenate([np.arange(k), rng.integers(0, k, size=30)])
+        part = GroupPartition(group_of=g, k=k)
+        assert np.array_equal(part.sizes, np.bincount(g, minlength=k))
+        drawn = random_partition(rng, 40, k)
+        assert drawn.group_of.dtype == np.int64
+        assert np.array_equal(drawn.sizes, np.bincount(drawn.group_of, minlength=k))
+    # a partition named by hand still has every group checked non-empty
+    with pytest.raises(DataError, match="non-empty"):
+        GroupPartition(group_of=np.array([0, 1, 1, 3]), k=4)
+
+
 def test_partition_validation_names_the_fault():
     with pytest.raises(DataError, match="lie in"):
         GroupPartition(group_of=np.array([0, 1, 3]), k=3)
@@ -329,6 +343,26 @@ def test_rank_table_matches_loop_oracle(kind, k, seed):
     pm["m0_copy"] = pm["m0"].copy()  # exact ties share the mean rank
     table = random_partition_rank(pm, targets, k=k, trials=25, seed=seed, kind=kind)
     assert np.array_equal(table.avg_rank, loop_random_partition_rank(pm, targets, k, 25, seed, kind))
+
+
+@pytest.mark.parametrize("kind", ["mse", "accuracy", "f1"])
+def test_rank_table_matches_loop_oracle_when_most_draws_are_rejected(kind):
+    # n = 12 over k = 8 groups hits every group with p = 8! S(12, 8) / 8^12,
+    # about 0.093: some 11 draws per trial, under MAX_EXPECTED_DRAWS, so the
+    # resampling loop runs on almost every trial and must keep the stream
+    n, k, trials = 12, 8, 30
+    rng = np.random.default_rng(43)
+    hits = sum(len(np.unique(rng.integers(0, k, size=n))) == k for _ in range(2000))
+    assert 0.07 < hits / 2000 < 0.12
+    if kind == "mse":
+        targets = rng.normal(size=n)
+        pm = {f"m{i}": targets + rng.normal(size=n) * (0.2 + 0.1 * i) for i in range(3)}
+    else:
+        targets = rng.integers(0, 2, size=n).astype(float)
+        pm = {f"m{i}": np.where(rng.uniform(size=n) < 0.2 * (i + 1), 1 - targets, targets)
+              for i in range(3)}
+    table = random_partition_rank(pm, targets, k=k, trials=trials, seed=5, kind=kind)
+    assert np.array_equal(table.avg_rank, loop_random_partition_rank(pm, targets, k, trials, 5, kind))
 
 
 def rank_of(table, method, metric):
