@@ -93,7 +93,8 @@ def _cmd_train(args) -> int:
 
 def _load_runs(args) -> list:
     """The records of ``--runs``; refused unless of one utility kind, each file once."""
-    records = [RunRecord.load(p) for p in args.runs]
+    decoded = {}  # test-targets text -> array, for this command only
+    records = [RunRecord.load(p, decoded) for p in args.runs]
     if len({rec.utility_kind for rec in records}) > 1:
         raise DataError(f"{args.command} needs runs sharing one utility kind")
     paths = [Path(p).resolve() for p in args.runs]

@@ -58,6 +58,7 @@ METHODS = ("erm", *_VFAIR_OBJECTIVE, "dro")
 OPTIMIZERS = ("sgd", "adagrad")
 EPOCH_SELECTION = ("final", "harmless")
 MAX_STEPS = 1 << 22  # steps per run, epochs x batches: hours of training; the README's takes 1,350
+_TARGETS, _KIND = ', "test_targets": ', ', "utility_kind": '  # how a saved record ends
 
 logger = logging.getLogger(__name__)
 
@@ -334,7 +335,7 @@ class RunRecord:
     trace: dict = field(default_factory=dict)  # step-trace column -> values; not saved
     config: dict = field(default_factory=dict)
 
-    def to_json_dict(self) -> dict:
+    def to_json_dict(self, targets: bool = True) -> dict:
         return {
             "method": self.method,
             "seed": self.seed,
@@ -344,28 +345,29 @@ class RunRecord:
             "metrics": {k: asdict(v) for k, v in self.metrics.items()},
             "utility_kind": self.utility_kind,
             "test_predictions": np.asarray(self.test_predictions).tolist(),
-            "test_targets": np.asarray(self.test_targets).tolist(),
             "config": self.config,
-        }
+        } | ({"test_targets": np.asarray(self.test_targets).tolist()} if targets else {})
 
     def save(self, path, targets_json: str | None = None) -> None:
         """Strict JSON; a non-finite value raises before anything is written.
         `json.dumps(..., sort_keys=True)`'s bytes, encoded key by key, so a
         train's records can share `targets_json`, their `test_targets` text."""
         try:
-            text = {k: targets_json if k == "test_targets" and targets_json else encode_json(v)
-                    for k, v in self.to_json_dict().items()}
+            text = {k: encode_json(v) for k, v in self.to_json_dict(not targets_json).items()}
         except ValueError as exc:
             raise NumericError(f"{self.method} seed={self.seed}: record not saved: {exc}") from None
+        text.setdefault("test_targets", targets_json)  # when to_json_dict left it out
         _write_atomically(path, "{" + ", ".join(f"{json.dumps(k)}: {text[k]}" for k in sorted(text)) + "}")
 
     @classmethod
-    def load(cls, path) -> "RunRecord":
+    def load(cls, path, decoded: dict | None = None) -> "RunRecord":
         """A saved record; a file that does not decode to one, whatever is
         wrong with it, raises DataError.  Like `save`, it takes strict JSON
-        only: a `NaN`, `Infinity` or `-Infinity` is refused."""
+        only: a `NaN`, `Infinity` or `-Infinity` is refused.  With `decoded`, one
+        dict per command, a train's records share one read-only `test_targets`
+        array, their shared text decoded once (see `_decode_record`)."""
         try:
-            d = json.loads(Path(path).read_text(encoding="utf-8"), parse_constant=_not_strict)
+            d = _decode_record(Path(path).read_text(encoding="utf-8"), decoded)
             return cls(
                 method=d["method"],
                 seed=int(d["seed"]),
@@ -390,6 +392,30 @@ def encode_json(value) -> str:
 def _not_strict(token: str):
     """`json.loads`' hook for the tokens strict JSON lacks: refuse them."""
     raise ValueError(f"{token} is not strict JSON")
+
+
+def _decode_record(text: str, decoded: dict | None):
+    """The strict JSON value of a record's `text`.  A text ending as `save`
+    writes it, ``, "test_targets": T, "utility_kind": K}`` (separators found
+    by their last occurrence, K a string), is decoded with T cut out, and T's
+    array taken from or added to `decoded`.  That is exact: a separator's bare
+    ``"`` cannot lie in a JSON string, so if the cut text decodes, its last
+    ``}`` closes the root and both separators are the root's; T decodes alone,
+    so it is one whole value.  Any other text, or a piece that fails, is
+    decoded whole, to the same value or the same error."""
+    t, k = text.rfind(_TARGETS), text.rfind(_KIND)
+    if decoded is not None and 0 <= t < k:
+        strict = json.JSONDecoder(parse_constant=_not_strict)
+        with contextlib.suppress(ArithmeticError, TypeError, ValueError):
+            kind, end = strict.raw_decode(text, k + len(_KIND))
+            if isinstance(kind, str) and text[end:] == "}":
+                d, targets = strict.decode(text[:t] + text[k:]), text[t + len(_TARGETS):k]
+                if targets not in decoded:
+                    decoded[targets] = np.asarray(strict.decode(targets), dtype=np.float64)
+                    decoded[targets].flags.writeable = False
+                d["test_targets"] = decoded[targets]
+                return d
+    return json.loads(text, parse_constant=_not_strict)
 
 
 def _write_atomically(path, text: str) -> None:

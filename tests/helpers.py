@@ -7,6 +7,8 @@ sampled / closed-form / analytic code paths.
 
 import csv
 import io
+import json
+from pathlib import Path
 
 import numpy as np
 from scipy import stats
@@ -19,6 +21,17 @@ from vfair.nnet import (
     Batch, ModelSpec, _loss_output_grad, forward, init_params, per_example_losses, unpack,
 )
 from vfair.update import UpdateState, grad_mu, vfair_direction
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def config_from_readme(**overrides) -> dict:
+    """The README's config, its top-level keys and dataset keys overridden."""
+    readme = README.read_text(encoding="utf-8")
+    d = json.loads(readme.split("## Config schema", 1)[1].split("```json\n", 1)[1].split("```")[0])
+    d["dataset"].update(overrides.pop("dataset", {}))
+    d.update(overrides)
+    return d
 
 
 def all_set_partitions(n):

@@ -5,6 +5,7 @@ last gate needs a user-supplied recidivism CSV (see README) and skips
 itself when the VFAIR_COMPAS_CSV environment variable is unset.
 """
 
+import dataclasses
 import json
 import os
 import time
@@ -12,7 +13,8 @@ import time
 import numpy as np
 import pytest
 
-from helpers import all_set_partitions, directional_derivative_fd, group_means
+from helpers import all_set_partitions, config_from_readme, directional_derivative_fd, group_means
+from vfair import harness
 from vfair.cli import main as cli_main
 from vfair.data import DatasetSchema
 from vfair.harness import METHODS, RunRecord, config_from_dict, run_experiment
@@ -381,6 +383,44 @@ def test_training_ignores_the_sensitive_column(tmp_path):
         f"{len(METHODS)} methods: params, per-epoch losses, traces and overall metrics "
         f"bit-equal under a permuted sensitive column; group metrics moved in "
         f"{sum(moved)}/{len(moved)}, {elapsed:.1f}s (<3s)",
+    )
+
+
+def test_training_ignores_the_sensitive_columns_on_the_readme_config(monkeypatch):
+    # the same premise on the README config, cut to 30 epochs: each split's
+    # sensitive columns permuted after `build_datasets` leave every run's
+    # params, losses and trace bit-equal and move only the group metrics
+    t0 = time.perf_counter()
+    cfg = config_from_dict(config_from_readme(epochs=30))
+    kept = run_experiment(cfg)
+    build = harness.build_datasets
+    rng = np.random.default_rng(45)
+
+    def permuted(cfg):
+        return tuple(dataclasses.replace(ds, sensitive={k: rng.permutation(v)
+                                                        for k, v in ds.sensitive.items()})
+                     for ds in build(cfg))
+
+    monkeypatch.setattr(harness, "build_datasets", permuted)
+    moved = []
+    for a, b in zip(kept, run_experiment(cfg), strict=True):
+        assert (a.method, a.seed) == (b.method, b.seed)
+        assert a.params.tobytes() == b.params.tobytes(), a.method
+        assert a.per_epoch_loss == b.per_epoch_loss and a.selected_epoch == b.selected_epoch
+        assert a.trace.keys() == b.trace.keys()
+        assert all(a.trace[c].tobytes() == b.trace[c].tobytes() for c in a.trace), a.method
+        assert a.test_predictions.tobytes() == b.test_predictions.tobytes()
+        assert a.metrics.keys() == b.metrics.keys() == {"overall", "group"}
+        assert a.metrics["overall"] == b.metrics["overall"]
+        moved.append(a.metrics["group"] != b.metrics["group"])
+    elapsed = time.perf_counter() - t0
+    ok = all(moved) and elapsed < 3.0
+    report(
+        "training ignores the sensitive columns on the README config",
+        ok,
+        f"{len(kept)} runs at 30 epochs: params, per-epoch losses and traces bit-equal "
+        f"under permuted sensitive columns; group metrics moved in {sum(moved)}/{len(moved)}, "
+        f"{elapsed:.1f}s (<3s)",
     )
 
 

@@ -560,6 +560,81 @@ def test_run_record_save_rejects_non_finite(tmp_path):
     assert not path.exists()
 
 
+def saved_record_text(tmp_path, d=None) -> str:
+    """The bytes `vfair train` writes for the first run of a config."""
+    records = run_experiment(config_from_dict(d or tiny_config(methods=["vfair_std"])))
+    records[0].save(tmp_path / "saved.json", encode_json(records[0].test_targets.tolist()))
+    return (tmp_path / "saved.json").read_text()
+
+
+def assert_same_record(a, b):
+    """Every saved field of two records equal to the bit."""
+    assert encode_json(a.to_json_dict()) == encode_json(b.to_json_dict())
+    for x, y in ((a.params, b.params), (a.test_predictions, b.test_predictions),
+                 (a.test_targets, b.test_targets)):
+        assert x.dtype == y.dtype == np.float64 and x.shape == y.shape
+        assert x.tobytes() == y.tobytes()
+
+
+def record_layouts(tmp_path):
+    """(name, record text, whether `load` takes the shared-targets path)."""
+    text = saved_record_text(tmp_path)
+    d = json.loads(text)
+    csv_config = multiclass_csv_config(tmp_path, np.array(["low", "mid", "high"] * 20))
+    csv_path = Path(csv_config["dataset"]["path"])
+    csv_path.write_text(csv_path.read_text().replace("group", "test_targets", 1))
+    csv_config["dataset"]["schema"]["sensitive"] = ["test_targets"]
+    csv_config.update(methods=["erm"], seeds=[0])
+    csv_text = saved_record_text(tmp_path, csv_config)
+    assert '"overall": {' in csv_text and ', "test_targets": {' in csv_text
+    separators = ', "test_targets": [1.0], "utility_kind": "mse"}'
+    return [
+        ("save", text, True),
+        ("indent", json.dumps(d, sort_keys=True, indent=1), False),
+        ("reordered", json.dumps(dict(reversed(d.items()))), False),
+        ("extra key", text[:-1] + ', "zzz": 1}', False),
+        ("csv test_targets column", csv_text, True),
+        ("separators in utility_kind", encode_json(d | {"utility_kind": separators}), True),
+        # the last separators in an object that is not the root
+        ("nested separators", encode_json(d | {"zzz": {"a": 1, "test_targets": [1.0],
+                                                        "utility_kind": "mse"}}), False),
+    ]
+
+
+def test_load_with_shared_targets_is_exact_or_falls_back(tmp_path):
+    for name, text, shared in record_layouts(tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text(text)
+        decoded = {}
+        full, fast = RunRecord.load(path), RunRecord.load(path, decoded)
+        assert_same_record(full, fast)
+        assert len(decoded) == shared, name
+        if shared:
+            assert not fast.test_targets.flags.writeable
+            assert RunRecord.load(path, decoded).test_targets is fast.test_targets
+
+
+@pytest.mark.parametrize("old, new, message", [
+    (', "test_targets": [', ', "test_targets": [NaN, ', "NaN is not strict JSON"),
+    (', "test_targets": [', ', "test_targets": ["x", ', "could not convert string to float"),
+    ('"params": [', '"params": [NaN, ', "NaN is not strict JSON"),
+    ('"}', '"}}', "Extra data"),
+], ids=["nan_targets", "string_target", "nan_params", "two_braces"])
+def test_load_with_shared_targets_refuses_what_a_full_decode_refuses(tmp_path, old, new, message):
+    text = saved_record_text(tmp_path)
+    assert text.endswith('"}')
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text(text)
+    bad.write_text(new.join(text.rsplit(old, 1)))
+    decoded = {}
+    RunRecord.load(good, decoded)  # the shared targets text decoded already
+    with pytest.raises(DataError, match=message) as full:
+        RunRecord.load(bad)
+    with pytest.raises(DataError) as shared:
+        RunRecord.load(bad, decoded)
+    assert str(shared.value) == str(full.value)
+
+
 # -- aggregation ------------------------------------------------------------
 
 
@@ -824,6 +899,45 @@ def write_config(tmp_path, d):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(d))
     return path
+
+
+def test_rank_decodes_a_trains_shared_targets_text_once(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "out"
+    methods = ["erm", "vfair_std", "vfair_pairwise", "dro"]
+    cfg_path = write_config(tmp_path, tiny_config(methods=methods, seeds=[0, 1]))
+    assert cli_main(["train", "--config", str(cfg_path), "--out", str(out)]) == 0
+    runs = sorted(str(p) for p in (out / "runs").glob("*.json"))
+    targets_text = encode_json(RunRecord.load(runs[0]).test_targets.tolist())
+    texts = []
+    decode = json.JSONDecoder.decode
+    monkeypatch.setattr(json.JSONDecoder, "decode",
+                        lambda self, s, *a: texts.append(s) or decode(self, s, *a))
+    for command in (["rank", "--k", "3", "--trials", "5"], ["compare"]):
+        texts.clear()
+        assert cli_main([*command, "--runs", *runs]) == 0
+        # each record's text once without its targets, and the shared targets once
+        assert len(texts) == len(runs) + 1 == 9
+        assert texts.count(targets_text) == 1
+    capsys.readouterr()
+
+
+def test_rank_takes_equal_targets_written_in_different_text(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg_path = write_config(tmp_path, tiny_config(methods=["erm", "vfair_std", "dro"]))
+    assert cli_main(["train", "--config", str(cfg_path), "--out", str(out)]) == 0
+    runs = sorted(str(p) for p in (out / "runs").glob("*.json"))
+    capsys.readouterr()
+    assert cli_main(["rank", "--runs", *runs, "--k", "3", "--trials", "20"]) == 0
+    want = capsys.readouterr().out
+    # the same numbers in other text: 1.0 written as 1.00
+    path = Path(runs[1])
+    head, targets = path.read_text().split(', "test_targets": ')
+    values, tail = targets.split("]", 1)
+    respelled = ", ".join(v + "0" if "e" not in v else v for v in values[1:].split(", "))
+    assert respelled != values[1:] and json.loads(f"[{respelled}]") == json.loads(values + "]")
+    path.write_text(f'{head}, "test_targets": [{respelled}]{tail}')
+    assert cli_main(["rank", "--runs", *runs, "--k", "3", "--trials", "20"]) == 0
+    assert capsys.readouterr().out == want
 
 
 def test_cli_train_rank_curve_compare(tmp_path, capsys):

@@ -10,12 +10,12 @@ from pathlib import Path
 
 import numpy as np
 
+from helpers import README, config_from_readme
 import vfair
 from vfair.cli import main as cli_main
 from vfair.nnet import parameter_count
 
 SRC = Path(vfair.__file__).parent
-README = Path(__file__).resolve().parents[1] / "README.md"
 
 # public names the package itself never calls, each with its caller
 ALLOWED = {
@@ -78,15 +78,6 @@ def _fresh_python(code: str, *args) -> str:
     out = subprocess.run([sys.executable, "-c", code, *map(str, args)], capture_output=True,
                          text=True, check=True, cwd=SRC.parent)
     return out.stdout.strip()
-
-
-def config_from_readme(**overrides) -> dict:
-    """The README's config, its top-level keys and dataset keys overridden."""
-    readme = README.read_text(encoding="utf-8")
-    d = json.loads(readme.split("## Config schema", 1)[1].split("```json\n", 1)[1].split("```")[0])
-    d["dataset"].update(overrides.pop("dataset", {}))
-    d.update(overrides)
-    return d
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
