@@ -253,7 +253,8 @@ def load_config(path) -> ExperimentConfig:
             d = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
-    except ValueError as exc:  # bad JSON, an integer above Python's digit limit, or not UTF-8
+    # bad JSON, an integer above Python's digit limit, not UTF-8, or nested too deep
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
     return config_from_dict(d)
 
@@ -363,12 +364,13 @@ class RunRecord:
     def load(cls, path, decoded: dict | None = None) -> "RunRecord":
         """A saved record; a file that does not decode to one, whatever is
         wrong with it, raises DataError.  Like `save`, it takes strict JSON
-        only: a `NaN`, `Infinity` or `-Infinity` is refused.  With `decoded`, one
-        dict per command, a train's records share one read-only `test_targets`
+        only: a `NaN`, `Infinity` or `-Infinity` is refused, and so is a literal
+        that overflows to infinity, such as `1e999`.  With `decoded`, one dict
+        per command, a train's records share one read-only `test_targets`
         array, their shared text decoded once (see `_decode_record`)."""
         try:
             d = _decode_record(Path(path).read_text(encoding="utf-8"), decoded)
-            return cls(
+            record = cls(
                 method=d["method"],
                 seed=int(d["seed"]),
                 per_epoch_loss=[float(x) for x in d["per_epoch_loss"]],
@@ -380,7 +382,15 @@ class RunRecord:
                 test_targets=np.asarray(d["test_targets"], dtype=np.float64),
                 config=d.get("config", {}),
             )
-        except (ArithmeticError, AttributeError, LookupError, TypeError, ValueError) as exc:
+            reports = [x for r in record.metrics.values()
+                       for x in (r.utility, r.wu, r.mud, r.tud, r.var, *r.per_group_utility)]
+            if not all(np.isfinite(x).all() for x in (
+                    record.params, record.test_predictions, record.test_targets,
+                    record.per_epoch_loss, reports)):
+                raise ValueError("a number is not finite")
+            return record
+        except (ArithmeticError, AttributeError, LookupError, RecursionError, TypeError,
+                ValueError) as exc:
             raise DataError(f"{path} is not a run record: {exc}") from None
 
 

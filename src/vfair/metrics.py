@@ -109,59 +109,31 @@ def _score_groups(terms: tuple, partition: GroupPartition, kind: str) -> np.ndar
 
 
 def _aligned_terms(predictions, targets, n: int, kind: str) -> tuple:
-    """`_example_terms` of `[n]` or `[m, n]` predictions against `[n]` targets."""
+    """`_example_terms` of one model's `[n]` predictions against `[n]` targets."""
     predictions = np.asarray(predictions)
-    targets = np.asarray(targets)
-    if predictions.ndim not in (1, 2) or predictions.shape[-1] != n or targets.shape != (n,):
+    if not predictions.shape == np.shape(targets) == (n,):
         raise DataError("predictions/targets must align with the partition")
-    return _example_terms(predictions.reshape(-1, n), targets, kind)
+    return _example_terms(predictions[None], np.asarray(targets), kind)
 
 
 def group_utilities(predictions, targets, partition: GroupPartition, kind: str) -> np.ndarray:
-    """Per-group utility, index g of the result belonging to group g.
-
-    `predictions` is one model's `[n]` (result `[k]`) or a stack of m
-    models' `[m, n]` (result `[m, k]`).
-    """
+    """One model's `[k]` per-group utility, index g belonging to group g."""
     kind = _checked_kind(kind)
-    out = _score_groups(_aligned_terms(predictions, targets, len(partition), kind), partition, kind)
-    return out if np.ndim(predictions) == 2 else out[0]
-
-
-def _per_row(values: np.ndarray):
-    """A float for one model's utilities, an array for a stack's."""
-    return float(values) if values.ndim == 0 else values
+    return _score_groups(_aligned_terms(predictions, targets, len(partition), kind), partition, kind)[0]
 
 
 def _spread(utilities, higher: bool = False) -> np.ndarray:
     """`[..., 3]`: wu, mud and tud of each row of `[k]` or `[m, k]` utilities,
-    from one max and one min per row; only wu reads `higher`."""
+    from one max and one min per row.  wu is the unluckiest group, the min
+    if `higher` is better, else the max; mud is max - min; tud is the total
+    absolute deviation from the unweighted mean, so tud == mud for k = 2."""
     utilities = np.asarray(utilities, dtype=np.float64)
-    if utilities.ndim not in (1, 2) or utilities.shape[-1] == 0:
-        raise DataError("utilities must be a non-empty [k] or [m, k] array")
     out = np.empty(utilities.shape[:-1] + (3,))
     hi, lo = utilities.max(axis=-1), utilities.min(axis=-1)
     out[..., 0] = lo if higher else hi
     np.subtract(hi, lo, out=out[..., 1])
     np.abs(utilities - utilities.mean(axis=-1, keepdims=True)).sum(axis=-1, out=out[..., 2])
     return out
-
-
-def worst_utility(utilities, kind: str):
-    """The unluckiest group: min for higher-is-better kinds, max for mse.
-    Row-wise on `[m, k]`."""
-    return _per_row(_spread(utilities, higher=higher_is_better(kind))[..., 0])
-
-
-def mud(utilities):
-    """Max utility difference across groups.  Row-wise on `[m, k]`."""
-    return _per_row(_spread(utilities)[..., 1])
-
-
-def tud(utilities):
-    """Total absolute deviation of group utilities from their unweighted
-    mean (which makes tud == mud for two groups).  Row-wise on `[m, k]`."""
-    return _per_row(_spread(utilities)[..., 2])
 
 
 def var_pred_error(per_example_errors) -> float:
@@ -200,20 +172,17 @@ def build_report(
 ) -> MetricsReport:
     """Assemble the full metric set for one model on one partition.  The
     per-example terms are built once and scored on the partition and on
-    the whole (the overall utility)."""
+    the whole (the overall utility); one `_spread` gives wu, mud and tud."""
     kind = _checked_kind(kind)
-    if np.ndim(predictions) != 1:
-        raise DataError("predictions must be one model's 1-d array")
     n = len(partition)
     terms = _aligned_terms(predictions, targets, n, kind)
     per_group = _score_groups(terms, partition, kind)[0]
+    wu, mud, tud = _spread(per_group, higher=higher_is_better(kind)).tolist()
     return MetricsReport(
         utility_kind=kind,
         utility=float(_score_groups(terms, GroupPartition.whole(n), kind)[0, 0]),
         per_group_utility=[float(u) for u in per_group],
-        wu=worst_utility(per_group, kind),
-        mud=mud(per_group),
-        tud=tud(per_group),
+        wu=wu, mud=mud, tud=tud,
         var=var_pred_error(per_example_errors),
         n_examples=n,
         partition_label=partition.label,
@@ -288,7 +257,7 @@ def random_partition_rank(
 
     The split is checked once; every trial draws one partition as
     `random_partition` does and scores every method on it in one `bincount`
-    pass (see `group_utilities`); one pass over all trials' utilities gives
+    pass (see `_score_groups`); one pass over all trials' utilities gives
     wu/mud/tud.  Ranks per metric (ties share the mean rank) are averaged.
     """
     kind = _checked_kind(kind)

@@ -16,7 +16,13 @@ from scipy.special import expit
 
 from vfair.baselines import DroConfig, dro_direction
 from vfair.errors import ConfigError, DataError, NumericError
-from vfair.metrics import RANK_METRICS, GroupPartition, group_utilities, higher_is_better
+from vfair.metrics import (
+    RANK_METRICS,
+    GroupPartition,
+    build_report,
+    group_utilities,
+    higher_is_better,
+)
 from vfair.nnet import (
     Batch, ModelSpec, _loss_output_grad, forward, init_params, per_example_losses, unpack,
 )
@@ -76,6 +82,15 @@ def group_means(values, assignment):
     for g in np.unique(assignment):
         out.append(values[assignment == g].mean())
     return np.asarray(out)
+
+
+def group_mse_report(utilities):
+    """`build_report` on a hand-built partition of one example per group,
+    group g's mse `utilities[g]` (to rounding)."""
+    k = len(utilities)
+    preds = np.sqrt(np.asarray(utilities, dtype=np.float64))
+    part = GroupPartition(group_of=np.arange(k), k=k)
+    return build_report(preds, np.zeros(k), preds**2, part, "mse")
 
 
 def count_calls(monkeypatch, counts, key, fn, *owners):

@@ -619,7 +619,8 @@ def test_load_with_shared_targets_is_exact_or_falls_back(tmp_path):
     (', "test_targets": [', ', "test_targets": ["x", ', "could not convert string to float"),
     ('"params": [', '"params": [NaN, ', "NaN is not strict JSON"),
     ('"}', '"}}', "Extra data"),
-], ids=["nan_targets", "string_target", "nan_params", "two_braces"])
+    (', "test_targets": [', ', "test_targets": [1e999, ', "a number is not finite"),
+], ids=["nan_targets", "string_target", "nan_params", "two_braces", "overflowing_target"])
 def test_load_with_shared_targets_refuses_what_a_full_decode_refuses(tmp_path, old, new, message):
     text = saved_record_text(tmp_path)
     assert text.endswith('"}')
@@ -1093,6 +1094,20 @@ def edited_record(path, tmp_path, edit) -> str:
     return str(tmp_path / "edited.json")
 
 
+def overflowing_param(path, tmp_path) -> str:
+    """A copy of the record at `path` whose first parameter is the literal
+    `1e999`, which decodes to infinity."""
+    out = Path(edited_record(path, tmp_path, lambda d: d["params"].__setitem__(0, 1e300)))
+    out.write_text(out.read_text().replace("1e+300", "1e999", 1))
+    return str(out)
+
+
+def nested_json(tmp_path) -> str:
+    """A file of 100,000 nested JSON arrays, too deep for `json` to decode."""
+    (tmp_path / "nested.json").write_text("[" * 100_000 + "]" * 100_000)
+    return str(tmp_path / "nested.json")
+
+
 def train_argv(tmp_path, config) -> list:
     return ["train", "--config", str(write_config(tmp_path, config)), "--out", str(tmp_path / "o")]
 
@@ -1193,6 +1208,21 @@ REFUSALS = {
         lambda run, tmp: train_argv(tmp, csv_config(
             tmp, "x,y\n1.5e308,1\n1.7e308,2\n1.5e308,3\n1.7e308,4\n")),
         "non-finite feature values"),
+    "train_nested_config": (
+        lambda run, tmp: ["train", "--config", nested_json(tmp), "--out", str(tmp / "o")],
+        "nested.json is not valid JSON"),
+    "compare_nested_record": (
+        lambda run, tmp: ["compare", "--runs", run("reg/erm"), nested_json(tmp)],
+        "nested.json is not a run record"),
+    # a literal beyond the float range decodes to infinity; a record holds none
+    "compare_overflowing_param": (
+        lambda run, tmp: ["compare", "--runs", run("reg/erm"),
+                          overflowing_param(run("reg/vfair_std"), tmp)],
+        "edited.json is not a run record: a number is not finite"),
+    "curve_overflowing_param": (
+        lambda run, tmp: ["curve", "--out", str(tmp / "c.csv"),
+                          "--run", overflowing_param(run("reg/erm"), tmp)],
+        "edited.json is not a run record: a number is not finite"),
 }
 
 

@@ -11,6 +11,7 @@ from helpers import (
     all_surjective_assignments,
     count_calls,
     group_means,
+    group_mse_report,
     loop_random_partition_rank,
 )
 from vfair import metrics
@@ -25,13 +26,10 @@ from vfair.metrics import (
     build_report,
     group_utilities,
     higher_is_better,
-    mud,
     random_partition,
     random_partition_rank,
     significance_test,
-    tud,
     var_pred_error,
-    worst_utility,
 )
 
 
@@ -113,6 +111,8 @@ def test_f1_hand_values():
 
 @pytest.mark.parametrize("kind", ["mse", "accuracy", "f1"])
 def test_stacked_group_utilities_match_masked_overall_utility(kind):
+    # ranking scores a stack of models in one pass: each row agrees with the
+    # masked one-group utility and with `group_utilities` of that one model
     def overall(p, t):
         return group_utilities(p, t, GroupPartition.whole(len(t)), kind)[0]
 
@@ -131,7 +131,7 @@ def test_stacked_group_utilities_match_masked_overall_utility(kind):
             zero = part.group_of == 0
             targets[zero] = 0.0
             stack[:, zero] = 0.0
-        got = group_utilities(stack, targets, part, kind)
+        got = metrics._score_groups(metrics._example_terms(stack, targets, kind), part, kind)
         assert got.shape == (m, k)
         want = np.array([
             [overall(row[part.group_of == g], targets[part.group_of == g]) for g in range(k)]
@@ -152,25 +152,30 @@ def test_group_utilities_alignment_errors():
         group_utilities(np.zeros((2, 3)), np.zeros(4), part, "mse")
     with pytest.raises(DataError):
         group_utilities(np.zeros((2, 2, 3)), np.zeros(3), part, "mse")
+    # one model at a time: a stack is ranking's, through `_score_groups`
+    with pytest.raises(DataError):
+        group_utilities(np.zeros((2, 3)), np.zeros(3), part, "mse")
 
 
 def test_spread_statistics_row_wise():
     rng = np.random.default_rng(39)
     u = rng.uniform(size=(5, 7))
-    for kind in ("mse", "accuracy"):
-        assert np.array_equal(worst_utility(u, kind), [worst_utility(r, kind) for r in u])
-    assert np.array_equal(mud(u), [mud(r) for r in u])
-    assert np.array_equal(tud(u), [tud(r) for r in u])
-    assert isinstance(mud(u[0]), float) and isinstance(tud(u[0]), float)
-    with pytest.raises(DataError):
-        mud(np.zeros((3, 0)))
+    for higher in (False, True):
+        rows = metrics._spread(u, higher)
+        assert rows.shape == (5, 3)
+        assert np.array_equal(rows, [metrics._spread(r, higher) for r in u])
+        assert np.array_equal(rows[:, 0], u.min(axis=1) if higher else u.max(axis=1))
+        assert np.array_equal(rows[:, 1], np.ptp(u, axis=1))
 
 
 def test_worst_utility_orientation():
-    u = np.array([0.6, 0.9])
-    assert worst_utility(u, "accuracy") == 0.6
-    assert worst_utility(u, "f1") == 0.6
-    assert worst_utility(u, "mse") == 0.9
+    # wu is the unluckiest group: the min for accuracy and f1, the max for mse
+    part = GroupPartition(group_of=np.array([0, 0, 1, 1]), k=2)
+    preds, targets = np.array([1.0, 0.0, 1.0, 0.0]), np.array([1.0, 1.0, 1.0, 0.0])
+    for kind, groups, wu in [("accuracy", [0.5, 1.0], 0.5), ("f1", [2 / 3, 1.0], 2 / 3),
+                             ("mse", [0.5, 0.0], 0.5)]:
+        rep = build_report(preds, targets, np.zeros(4), part, kind)
+        assert rep.per_group_utility == pytest.approx(groups) and rep.wu == pytest.approx(wu)
     assert higher_is_better("accuracy") and not higher_is_better("mse")
 
 
@@ -194,26 +199,26 @@ def test_overall_utility_alignment_errors():
 
 
 def test_mud_hand_value():
-    assert mud([0.8, 0.6, 0.7]) == pytest.approx(0.2)
-    assert mud([0.5]) == 0.0
+    assert group_mse_report([0.8, 0.6, 0.7]).mud == pytest.approx(0.2)
+    assert group_mse_report([0.5]).mud == 0.0
 
 
 def test_mud_law_school_group_losses():
     # two-group MSEs 19.75e-2 and 12.42e-2 differ by 7.33e-2
-    assert mud([0.1975, 0.1242]) == pytest.approx(7.33e-2)
+    assert group_mse_report([0.1975, 0.1242]).mud == pytest.approx(7.33e-2)
 
 
 def test_tud_hand_values():
-    assert tud([0.8, 0.6]) == pytest.approx(0.2)
-    assert tud([0.7, 0.7, 0.7]) == pytest.approx(0.0, abs=1e-12)
-    assert tud([1.0, 0.0, 0.5]) == pytest.approx(1.0)
+    assert group_mse_report([0.8, 0.6]).tud == pytest.approx(0.2)
+    assert group_mse_report([0.7, 0.7, 0.7]).tud == pytest.approx(0.0, abs=1e-12)
+    assert group_mse_report([1.0, 0.0, 0.5]).tud == pytest.approx(1.0)
 
 
 def test_tud_equals_mud_for_two_groups():
     rng = np.random.default_rng(30)
     for _ in range(100):
-        u = rng.uniform(0.0, 1.0, size=2)
-        assert tud(u) == pytest.approx(mud(u), abs=1e-15)
+        rep = group_mse_report(rng.uniform(0.0, 1.0, size=2))
+        assert rep.tud == pytest.approx(rep.mud, abs=1e-15)
 
 
 def test_var_pred_error_population_variance():
@@ -229,7 +234,7 @@ def test_near_optimal_losses_bound_every_partition():
     assert var_pred_error(losses) <= 1e-18
     for k in (2, 3):
         for assignment in all_surjective_assignments(8, k):
-            assert mud(group_means(losses, assignment)) <= 2e-9
+            assert np.ptp(group_means(losses, assignment)) <= 2e-9
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +272,17 @@ def test_build_report_builds_the_terms_once(monkeypatch):
     assert rep.per_group_utility == group_utilities(preds, targets, part, "f1").tolist()
     with pytest.raises(DataError):
         build_report(np.stack([preds, preds]), targets, np.zeros(4), part, "f1")
+
+
+def test_build_report_makes_one_spread_pass(monkeypatch):
+    # wu, mud and tud come from one max/min/mean pass over the group utilities
+    counts = {}
+    count_calls(monkeypatch, counts, "spread", metrics._spread, metrics)
+    part = GroupPartition(group_of=np.array([0, 1, 2, 1, 0]), k=3)
+    preds = np.array([0.5, 1.0, 2.0, 0.0, 1.5])
+    rep = build_report(preds, np.ones(5), (preds - 1.0) ** 2, part, "mse")
+    assert counts == {"spread": 1}
+    assert [rep.wu, rep.mud, rep.tud] == metrics._spread(rep.per_group_utility).tolist()
 
 
 @pytest.mark.parametrize("kind", ["mse", "accuracy", "f1"])
@@ -447,14 +463,14 @@ def test_sampled_mud_matches_enumeration():
 
     exact = []
     for assignment in all_surjective_assignments(n, k):
-        exact.append(mud(group_means(losses, assignment)))
+        exact.append(np.ptp(group_means(losses, assignment)))
     exact_mean = float(np.mean(exact))
 
     trials = 3000
     sampled = []
     for _ in range(trials):
         part = random_partition(rng, n, k)
-        sampled.append(mud(group_utilities(preds, targets, part, "mse")))
+        sampled.append(np.ptp(group_utilities(preds, targets, part, "mse")))
     sampled = np.asarray(sampled)
     se = sampled.std(ddof=1) / np.sqrt(trials)
     assert abs(sampled.mean() - exact_mean) <= 5.0 * se
