@@ -30,7 +30,7 @@ from .harness import (
     run_experiment,
     write_trace,
 )
-from .metrics import RANK_METRICS, random_partition_rank
+from .metrics import MAX_TRIALS, RANK_METRICS, random_partition_rank
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -48,7 +48,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_rank = sub.add_parser("rank", help="average ranks over random partitions")
     p_rank.add_argument("--runs", required=True, nargs="+", help="run record JSON files")
     p_rank.add_argument("--k", type=int, default=10, help="groups per random partition")
-    p_rank.add_argument("--trials", type=int, default=100, help="number of random partitions")
+    p_rank.add_argument("--trials", type=int, default=100, help=f"number of random partitions, at most {MAX_TRIALS}")
     p_rank.add_argument("--seed", type=int, default=0)
     p_rank.add_argument("--out", default=None, help="optional CSV output path")
     p_rank.set_defaults(handler=_cmd_rank)

@@ -35,6 +35,7 @@ from .data import (
 )
 from .errors import ConfigError, DataError, NumericError
 from .metrics import (
+    UTILITY_KINDS,
     GroupPartition,
     MetricsReport,
     build_report,
@@ -45,11 +46,10 @@ from .nnet import (
     ModelSpec,
     Workspace,
     _check_targets,
+    _expit,
     forward,
     init_params,
     per_example_losses,
-    predicted_labels,
-    predicted_values,
 )
 from .update import TRACE_ROW, UpdateState, grad_mu, vfair_direction
 
@@ -86,7 +86,7 @@ class ExperimentConfig:
 
     # model
     hidden_dims: tuple = (64, 32)
-    activation: str = "relu"
+    activation: str = ModelSpec.activation
 
     # training
     methods: tuple = ("erm",)
@@ -276,15 +276,10 @@ def build_model_spec(cfg: ExperimentConfig, train: Dataset) -> ModelSpec:
 
 
 def resolve_utility(utility: str, task: str) -> str:
-    """Map the configured utility to a concrete kind valid for the task."""
+    """Map the configured utility to a kind that scores the task (`metrics.UTILITY_KINDS`)."""
     if utility == "auto":
         return "mse" if task in ("regression_mse", "logistic_regression_mse") else "accuracy"
-    valid = {
-        "accuracy": ("binary_bce", "logistic_regression_mse", "multiclass_ce"),
-        "f1": ("binary_bce", "logistic_regression_mse"),
-        "mse": ("regression_mse", "logistic_regression_mse", "binary_bce"),
-    }.get(utility, ())
-    if task not in valid:
+    if task not in UTILITY_KINDS.get(utility, ()):
         raise ConfigError(f"utility {utility!r} is not defined for task {task!r}")
     return utility
 
@@ -534,15 +529,19 @@ def _train_one(cfg: ExperimentConfig, spec: ModelSpec, train: Dataset, method: s
 
 
 def evaluate(cfg, spec, test: Dataset, params, method: str, seed: int) -> RunRecord:
-    """Full test-split evaluation of fixed parameters into a RunRecord."""
+    """Full test-split evaluation of fixed parameters into a RunRecord.  The
+    outputs are decoded for the utility kind, as float64: mse scores point
+    predictions (the regression output, or the probability of a logit),
+    accuracy and f1 hard labels (the argmax class, or logit > 0)."""
     _check_targets(spec.task, test.targets, spec.output_dim)
     outputs = forward(spec, params, test)
     losses = per_example_losses(spec, outputs, test.targets)
     kind = resolve_utility(cfg.utility, spec.task)
-    if kind in ("accuracy", "f1"):
-        preds = predicted_labels(spec, outputs).astype(np.float64)
+    if kind == "mse":
+        preds = outputs[:, 0] if spec.task == "regression_mse" else _expit(outputs[:, 0])
     else:
-        preds = predicted_values(spec, outputs)
+        preds = (outputs.argmax(axis=1) if spec.task == "multiclass_ce"
+                 else outputs[:, 0] > 0.0).astype(np.float64)
 
     parts = [GroupPartition.whole(test.n, label="overall"),
              *(GroupPartition.from_values(v, label=name) for name, v in test.sensitive.items())]

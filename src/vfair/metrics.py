@@ -18,13 +18,20 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 
-UTILITY_KINDS = ("accuracy", "f1", "mse")
+# utility kind -> the tasks it scores; accuracy and f1 score hard labels, mse point predictions
+UTILITY_KINDS = {
+    "accuracy": ("binary_bce", "logistic_regression_mse", "multiclass_ce"),
+    "f1": ("binary_bce", "logistic_regression_mse"),
+    "mse": ("regression_mse", "logistic_regression_mse", "binary_bce"),
+}
 RANK_METRICS = ("utility", "wu", "mud", "tud")
+# the most trials (random partitions) one ranking takes: 100 times the usual 100
+MAX_TRIALS = 10_000
 
 
 def _checked_kind(kind: str) -> str:
     if kind not in UTILITY_KINDS:
-        raise ConfigError(f"unknown utility kind {kind!r}; expected one of {UTILITY_KINDS}")
+        raise ConfigError(f"unknown utility kind {kind!r}; expected one of {tuple(UTILITY_KINDS)}")
     return kind
 
 
@@ -108,11 +115,12 @@ def _score_groups(terms: tuple, partition: GroupPartition, kind: str) -> np.ndar
     return sums[0] / partition.sizes
 
 
-def _aligned_terms(predictions, targets, n: int, kind: str) -> tuple:
-    """`_example_terms` of one model's `[n]` predictions against `[n]` targets."""
+def _aligned_terms(predictions, targets, n: int, kind: str, *more) -> tuple:
+    """`_example_terms` of one model's `[n]` predictions against `[n]` targets;
+    each array in `more` (a report's per-example errors) must be `[n]` too."""
     predictions = np.asarray(predictions)
-    if not predictions.shape == np.shape(targets) == (n,):
-        raise DataError("predictions/targets must align with the partition")
+    if not predictions.shape == np.shape(targets) == (n,) or any(np.shape(x) != (n,) for x in more):
+        raise DataError("predictions/targets/errors must align with the partition")
     return _example_terms(predictions[None], np.asarray(targets), kind)
 
 
@@ -175,7 +183,7 @@ def build_report(
     the whole (the overall utility); one `_spread` gives wu, mud and tud."""
     kind = _checked_kind(kind)
     n = len(partition)
-    terms = _aligned_terms(predictions, targets, n, kind)
+    terms = _aligned_terms(predictions, targets, n, kind, per_example_errors)
     per_group = _score_groups(terms, partition, kind)[0]
     wu, mud, tud = _spread(per_group, higher=higher_is_better(kind)).tolist()
     return MetricsReport(
@@ -202,8 +210,8 @@ class RankTable:
     avg_rank: np.ndarray  # [n_methods, len(RANK_METRICS)]
 
 
-# rejection sampling in `random_partition` refuses (n, k) whose expected
-# number of draws exceeds this
+# `_partitions` refuses, before its first draw, an (n, k) whose expected number
+# of rejection-sampling draws per partition exceeds this
 MAX_EXPECTED_DRAWS = 1000
 
 
@@ -264,8 +272,8 @@ def random_partition_rank(
     methods = list(per_method_predictions)
     if len(methods) < 2:
         raise ConfigError("ranking needs at least two methods")
-    if trials < 1:
-        raise ConfigError("trials must be >= 1")
+    if not 1 <= trials <= MAX_TRIALS:
+        raise ConfigError(f"trials must be >= 1 and at most MAX_TRIALS = {MAX_TRIALS}")
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
     targets = np.asarray(targets)

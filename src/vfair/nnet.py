@@ -196,7 +196,6 @@ class Workspace:
 
     def __init__(self, spec: ModelSpec, params: np.ndarray):
         self.spec = spec
-        self.params = params
         self.layers = unpack(spec, params)
         self._buffers = {}  # (b, lead, k) -> what ``buffers`` returns
 
@@ -383,29 +382,3 @@ def weighted_gradient(spec: ModelSpec, params: np.ndarray | Workspace | ForwardC
             delta = delta @ cache.ws.layers[l][0].T
             delta *= _activate_grad(spec.activation, cache.inputs[l])
     return grad if len(grad) > 1 else grad[0]
-
-
-# ---------------------------------------------------------------------------
-# Prediction decoding (used by evaluation, not by training)
-# ---------------------------------------------------------------------------
-
-
-def predicted_values(spec: ModelSpec, outputs: np.ndarray) -> np.ndarray:
-    """Point predictions on the target scale: raw for regression, probability
-    for the sigmoid tasks."""
-    outputs = np.asarray(outputs, dtype=np.float64)
-    if spec.task == "regression_mse":
-        return outputs[:, 0]
-    if spec.task in ("binary_bce", "logistic_regression_mse"):
-        return _expit(outputs[:, 0])
-    raise ConfigError("point predictions are undefined for multiclass_ce")
-
-
-def predicted_labels(spec: ModelSpec, outputs: np.ndarray) -> np.ndarray:
-    """Hard labels for classification outputs (0.5 probability threshold)."""
-    outputs = np.asarray(outputs, dtype=np.float64)
-    if spec.task in ("binary_bce", "logistic_regression_mse"):
-        return (outputs[:, 0] > 0.0).astype(np.int64)
-    if spec.task == "multiclass_ce":
-        return outputs.argmax(axis=1)
-    raise ConfigError("hard labels are undefined for regression_mse")

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import expit
 
 from helpers import count_calls, dictwriter_csv, reference_train
 from vfair import harness, nnet
@@ -27,16 +28,15 @@ from vfair.harness import (
     config_from_dict,
     emit_loss_curve,
     encode_json,
+    evaluate,
     load_config,
     resolve_utility,
     run_experiment,
     write_trace,
 )
-from vfair.data import take_batch
-from vfair.metrics import MetricsReport
-from vfair.nnet import (
-    ModelSpec, forward, init_params, parameter_count, predicted_labels, predicted_values,
-)
+from vfair.data import Dataset, take_batch
+from vfair.metrics import MAX_TRIALS, MetricsReport
+from vfair.nnet import ModelSpec, forward, init_params, parameter_count
 
 
 def tiny_config(**overrides):
@@ -530,13 +530,42 @@ def test_record_determines_its_test_predictions(tmp_path, task):
     cfg = config_from_dict(rec.config)
     train, test = build_datasets(cfg)
     spec = build_model_spec(cfg, train)
-    outputs = forward(spec, rec.params, take_batch(test, np.arange(test.n)))
-    if rec.utility_kind == "accuracy":
-        preds = predicted_labels(spec, outputs).astype(np.float64)
-    else:
-        preds = predicted_values(spec, outputs)
+    z = forward(spec, rec.params, take_batch(test, np.arange(test.n)))[:, 0]
+    # mse scores the raw regression output, accuracy the label of logit > 0
+    preds = z if task == "regression_mse" else (z > 0.0).astype(np.float64)
     assert rec.utility_kind == ("mse" if task == "regression_mse" else "accuracy")
     assert np.array_equal(preds, rec.test_predictions)
+
+
+def test_evaluate_decodes_outputs_for_its_utility_kind():
+    # a linear model with identity weights outputs its features, so each
+    # decode is checked against the outputs it was given: hard labels for
+    # accuracy and f1 (logit > 0, logit 0 itself label 0; the argmax class),
+    # point predictions for mse (the sigmoid probability; the raw output)
+    logits = np.array([[2.0], [-1.0], [0.0]])
+    scores = np.array([[0.1, 3.0, -1.0], [5.0, 0.0, 0.0], [-2.0, 0.5, 0.75]])
+    cases = [
+        ("binary_bce", "accuracy", logits, [1.0, 0.0, 0.0]),
+        ("logistic_regression_mse", "f1", logits, [1.0, 0.0, 0.0]),
+        ("multiclass_ce", "accuracy", scores, [1.0, 0.0, 2.0]),
+        ("binary_bce", "mse", logits, expit(logits[:, 0])),
+        ("logistic_regression_mse", "mse", logits, expit(logits[:, 0])),
+        ("regression_mse", "mse", np.array([[1.5], [-0.25], [0.0]]), [1.5, -0.25, 0.0]),
+    ]
+    for task, kind, x, want in cases:
+        # a csv config names its task without reading the file
+        schema = {"features": [["x", "numeric"]], "label": "y", "task": task}
+        cfg = config_from_dict({"dataset": {"kind": "csv", "path": "unread.csv", "schema": schema},
+                                "utility": kind})
+        d_in = x.shape[1]
+        spec = ModelSpec(input_dim=d_in, hidden_dims=(), output_dim=d_in, task=task)
+        test = Dataset(features=x, targets=np.array([1.0, 0.0, 1.0]), sensitive={},
+                       numeric_columns=())
+        params = np.concatenate([np.eye(d_in).ravel(), np.zeros(d_in)])
+        rec = evaluate(cfg, spec, test, params, "erm", 0)
+        assert rec.utility_kind == kind
+        assert rec.test_predictions.dtype == np.float64
+        assert np.array_equal(rec.test_predictions, want), (task, kind)
 
 
 def test_run_record_save_writes_json_dumps_bytes_with_or_without_shared_targets(tmp_path):
@@ -1223,6 +1252,11 @@ REFUSALS = {
         lambda run, tmp: ["curve", "--out", str(tmp / "c.csv"),
                           "--run", overflowing_param(run("reg/erm"), tmp)],
         "edited.json is not a run record: a number is not finite"),
+    # refused before the first draw, not after hours of drawing
+    "rank_too_many_trials": (
+        lambda run, tmp: ["rank", "--runs", run("reg/erm"), run("reg/vfair_std"),
+                          "--trials", str(MAX_TRIALS + 1)],
+        f"trials must be >= 1 and at most MAX_TRIALS = {MAX_TRIALS}"),
 }
 
 

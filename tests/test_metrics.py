@@ -191,6 +191,9 @@ def test_overall_utility_alignment_errors():
         group_utilities(np.zeros(3), np.zeros(4), whole, "mse")
     with pytest.raises(DataError):
         group_utilities(np.zeros((2, 3)), np.zeros((2, 3)), whole, "mse")
+    # a report's per-example errors must align too
+    with pytest.raises(DataError):
+        build_report(np.zeros(4), np.zeros(4), np.zeros(2), GroupPartition.whole(4), "mse")
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +227,9 @@ def test_tud_equals_mud_for_two_groups():
 def test_var_pred_error_population_variance():
     assert var_pred_error([1.0, 2.0, 3.0]) == pytest.approx(2.0 / 3.0)
     assert var_pred_error([5.0]) == 0.0
+    for bad in ([], [[1.0, 2.0]]):
+        with pytest.raises(DataError, match="non-empty 1-d"):
+            var_pred_error(bad)
 
 
 def test_near_optimal_losses_bound_every_partition():

@@ -22,8 +22,6 @@ from vfair.nnet import (
     init_params,
     parameter_count,
     per_example_losses,
-    predicted_labels,
-    predicted_values,
     unpack,
     weighted_gradient,
 )
@@ -111,6 +109,8 @@ def test_spec_validation():
         ModelSpec(input_dim=1, hidden_dims=(), output_dim=1, task="multiclass_ce")
     with pytest.raises(ConfigError):
         ModelSpec(input_dim=1, hidden_dims=(0,), output_dim=1, task="regression_mse")
+    with pytest.raises(ConfigError, match="input_dim must be >= 1"):
+        ModelSpec(input_dim=0, hidden_dims=(), output_dim=1, task="regression_mse")
     # the parameter count comes from the layout alone: nothing is allocated
     spec = ModelSpec(input_dim=MAX_PARAMETERS - 1, hidden_dims=(), output_dim=1,
                      task="regression_mse")
@@ -128,6 +128,18 @@ def test_batch_validation():
         Batch(features=np.zeros((0, 1)), targets=np.zeros(0))
     with pytest.raises(DataError):
         Batch(features=np.array([[np.inf]]), targets=np.zeros(1))
+    with pytest.raises(DataError, match="2-d"):
+        Batch(features=np.zeros(3), targets=np.zeros(3))
+    # where a batch meets a model: its width, and the outputs against the targets
+    spec = linear_spec(input_dim=2)
+    with pytest.raises(DataError, match="spec expects 2"):
+        forward_cache(spec, np.zeros(3), Batch(features=np.zeros((4, 3)), targets=np.zeros(4)))
+    with pytest.raises(DataError, match="output_dim"):
+        per_example_losses(spec, np.zeros((4, 2)), np.zeros(4))
+    with pytest.raises(DataError, match="output_dim"):
+        per_example_losses(spec, np.zeros(4), np.zeros(4))
+    with pytest.raises(DataError, match="batch size"):
+        per_example_losses(spec, np.zeros((4, 1)), np.zeros(3))
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +414,7 @@ def test_gradients_share_a_buffer_only_through_one_workspace_and_shape():
                                 weighted_gradient(spec, params, batches[0], None))
 
     ws = Workspace(spec, params)
-    assert ws.params is params
+    assert all(np.shares_memory(w, params) and np.shares_memory(b, params) for w, b in ws.layers)
     got = []
     for batch in batches:
         weights = w[: len(batch)]
@@ -454,27 +466,3 @@ def test_fd_objective_validation():
         directional_derivative_fd(spec, np.zeros(2), batch, "median", np.ones(2))
     with pytest.raises(ConfigError):
         directional_derivative_fd(spec, np.zeros(2), batch, "weighted", np.ones(2))
-
-
-# ---------------------------------------------------------------------------
-# Prediction decoding
-# ---------------------------------------------------------------------------
-
-
-def test_predicted_labels_and_values():
-    spec_b = linear_spec(task="binary_bce")
-    out = np.array([[2.0], [-1.0], [0.0]])
-    assert predicted_labels(spec_b, out).tolist() == [1, 0, 0]
-    vals = predicted_values(spec_b, out)
-    assert vals[0] > 0.5 > vals[1]
-
-    spec_m = linear_spec(task="multiclass_ce", output_dim=3)
-    out_m = np.array([[0.1, 3.0, -1.0], [5.0, 0.0, 0.0]])
-    assert predicted_labels(spec_m, out_m).tolist() == [1, 0]
-
-    spec_r = linear_spec()
-    assert predicted_values(spec_r, np.array([[1.5]])) == pytest.approx([1.5])
-    with pytest.raises(ConfigError):
-        predicted_labels(spec_r, np.array([[1.5]]))
-    with pytest.raises(ConfigError):
-        predicted_values(spec_m, out_m)
