@@ -116,16 +116,16 @@ def _cmd_rank(args) -> int:
         if name in per_method:
             raise DataError(f"duplicate run {name}")
         per_method[name] = rec.test_predictions
-    table = random_partition_rank(
+    ranks = random_partition_rank(
         per_method, targets, k=args.k, trials=args.trials, seed=args.seed, kind=kind
     )
     header = ("method", *RANK_METRICS)
     if args.out:
-        rows = ((m, *(f"{v:.6g}" for v in r)) for m, r in zip(table.methods, table.avg_rank))
+        rows = ((m, *(f"{v:.6g}" for v in r)) for m, r in zip(per_method, ranks))
         _write_csv(args.out, header, rows)
     print(",".join(header))
-    for i, m in enumerate(table.methods):
-        print(m + "," + ",".join(f"{v:.4f}" for v in table.avg_rank[i]))
+    for m, r in zip(per_method, ranks):
+        print(m + "," + ",".join(f"{v:.4f}" for v in r))
     return 0
 
 

@@ -144,7 +144,7 @@ def _whole(value) -> int:
     """An integer key's value as an int.  A float passes only without a
     fractional part (1e3, not 2.7), and a boolean never does."""
     if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ValueError(value)
+        raise ValueError(f"{value!r} is not a whole number")
     return int(value)
 
 
@@ -152,7 +152,7 @@ def _seed(value) -> int:
     """A seed key's value: a whole number >= 0, as numpy's generators take."""
     seed = _whole(value)
     if seed < 0:
-        raise ValueError(value)
+        raise ValueError(f"{value!r} is not a seed >= 0")
     return seed
 
 
@@ -358,18 +358,19 @@ class RunRecord:
     @classmethod
     def load(cls, path, decoded: dict | None = None) -> "RunRecord":
         """A saved record; a file that does not decode to one, whatever is
-        wrong with it, raises DataError.  Like `save`, it takes strict JSON
-        only: a `NaN`, `Infinity` or `-Infinity` is refused, and so is a literal
-        that overflows to infinity, such as `1e999`.  With `decoded`, one dict
-        per command, a train's records share one read-only `test_targets`
-        array, their shared text decoded once (see `_decode_record`)."""
+        wrong with it, a field of the wrong type or shape included, raises
+        DataError.  Like `save`, it takes strict JSON only: a `NaN`,
+        `Infinity` or `-Infinity` is refused, and so is a literal that
+        overflows to infinity, such as `1e999`.  With `decoded`, one dict per
+        command, a train's records share one read-only `test_targets` array,
+        their shared text decoded once (see `_decode_record`)."""
         try:
             d = _decode_record(Path(path).read_text(encoding="utf-8"), decoded)
             record = cls(
                 method=d["method"],
-                seed=int(d["seed"]),
+                seed=_seed(d["seed"]),
                 per_epoch_loss=[float(x) for x in d["per_epoch_loss"]],
-                selected_epoch=int(d["selected_epoch"]),
+                selected_epoch=_whole(d["selected_epoch"]),
                 params=np.asarray(d["params"], dtype=np.float64),
                 metrics={k: MetricsReport(**v) for k, v in d["metrics"].items()},
                 utility_kind=d["utility_kind"],
@@ -377,11 +378,16 @@ class RunRecord:
                 test_targets=np.asarray(d["test_targets"], dtype=np.float64),
                 config=d.get("config", {}),
             )
+            if not isinstance(record.method, str):
+                raise ValueError(f"method {record.method!r} is not a string")
+            if not isinstance(record.utility_kind, str) or record.utility_kind not in UTILITY_KINDS:
+                raise ValueError(f"unknown utility kind {record.utility_kind!r}")
+            arrays = (record.params, record.test_predictions, record.test_targets)
+            if any(x.ndim != 1 for x in arrays):
+                raise ValueError("params, test_predictions and test_targets must be 1-d")
             reports = [x for r in record.metrics.values()
                        for x in (r.utility, r.wu, r.mud, r.tud, r.var, *r.per_group_utility)]
-            if not all(np.isfinite(x).all() for x in (
-                    record.params, record.test_predictions, record.test_targets,
-                    record.per_epoch_loss, reports)):
+            if not all(np.isfinite(x).all() for x in (*arrays, record.per_epoch_loss, reports)):
                 raise ValueError("a number is not finite")
             return record
         except (ArithmeticError, AttributeError, LookupError, RecursionError, TypeError,

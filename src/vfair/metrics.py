@@ -172,7 +172,7 @@ class MetricsReport:
     partition_label: str = ""
 
     # names of the scalar metric fields, in report order
-    SCALARS = ("utility", "wu", "mud", "tud", "var")
+    SCALARS = (*RANK_METRICS, "var")
 
 
 def build_report(
@@ -202,28 +202,40 @@ def build_report(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class RankTable:
-    """Average ranks (1 = best) per method over random partitions."""
-
-    methods: list[str]
-    avg_rank: np.ndarray  # [n_methods, len(RANK_METRICS)]
-
-
 # `_partitions` refuses, before its first draw, an (n, k) whose expected number
 # of rejection-sampling draws per partition exceeds this
 MAX_EXPECTED_DRAWS = 1000
 
 
 def _too_many_draws(n: int, k: int) -> bool:
-    """Whether k^n / (number of surjections of n onto k) > MAX_EXPECTED_DRAWS."""
-    # one group is always hit; union bound: P(some group empty) <= k (1 - 1/k)^n,
-    # and at most 1/2 means at most 2 expected draws, without the sum below
-    if k == 1 or math.log(k) + n * math.log1p(-1.0 / k) <= math.log(0.5):
+    """Whether more than MAX_EXPECTED_DRAWS draws per partition are expected,
+    that is, whether P, the chance that n uniform draws hit all k groups, is
+    below 1 / MAX_EXPECTED_DRAWS.  Let q = (1 - 1/k)^n, the chance that one
+    group is missed.  The union bound P >= 1 - kq accepts kq <= 1/2.  The
+    groups' hit indicators are negatively associated, so P <= (1 - q)^k, which
+    refuses when that product is below the threshold.  Where neither decides,
+    kq <= ln MAX_EXPECTED_DRAWS, and P is the inclusion-exclusion sum of
+    (-1)^j C(k, j) (1 - j/k)^n, taken in floats.  Term j is at most
+    (kq)^j / j!: the sum stops once that bound is below 1e-18, so what it
+    leaves out is below 2e-18, and the terms' absolute sum is at most
+    e^(kq) <= MAX_EXPECTED_DRAWS.  Each term's relative rounding error is
+    about 1e-13 at most, so P is off by less than 1e-9 against a 1e-3
+    threshold, after some 50 float steps at most, whatever n and k."""
+    if k == 1:
+        return False  # one group is always hit
+    log_q = n * math.log1p(-1.0 / k)
+    if math.log(k) + log_q <= math.log(0.5):
         return False
-    # inclusion-exclusion on Python ints: exact where floats would cancel
-    surjections = sum((-1) ** j * math.comb(k, j) * (k - j) ** n for j in range(k + 1))
-    return k**n > MAX_EXPECTED_DRAWS * surjections
+    if k * math.log1p(-math.exp(log_q)) < -math.log(MAX_EXPECTED_DRAWS):
+        return True
+    kq = k * math.exp(log_q)
+    p, log_comb, bound, j = 1.0, 0.0, 1.0, 0
+    while bound >= 1e-18 and j < k - 1:  # the j = k term is 0
+        j += 1
+        log_comb += math.log((k - j + 1) / j)
+        p += (-1) ** j * math.exp(log_comb + n * math.log1p(-j / k))
+        bound *= kq / j
+    return p * MAX_EXPECTED_DRAWS < 1.0
 
 
 def _partitions(rng: np.random.Generator, n: int, k: int):
@@ -260,8 +272,9 @@ def random_partition_rank(
     trials: int,
     seed: int,
     kind: str,
-) -> RankTable:
-    """Rank methods on utility/wu/mud/tud over random k-group partitions.
+) -> np.ndarray:
+    """Average ranks (1 = best) on RANK_METRICS over random k-group partitions,
+    `[methods, 4]`, row i for the i-th key of `per_method_predictions`.
 
     The split is checked once; every trial draws one partition as
     `random_partition` does and scores every method on it in one `bincount`
@@ -269,8 +282,7 @@ def random_partition_rank(
     wu/mud/tud.  Ranks per metric (ties share the mean rank) are averaged.
     """
     kind = _checked_kind(kind)
-    methods = list(per_method_predictions)
-    if len(methods) < 2:
+    if len(per_method_predictions) < 2:
         raise ConfigError("ranking needs at least two methods")
     if not 1 <= trials <= MAX_TRIALS:
         raise ConfigError(f"trials must be >= 1 and at most MAX_TRIALS = {MAX_TRIALS}")
@@ -278,27 +290,26 @@ def random_partition_rank(
         raise ConfigError(f"seed must be >= 0, got {seed}")
     targets = np.asarray(targets)
     n = len(targets)
-    preds = {m: np.asarray(per_method_predictions[m]) for m in methods}
-    for m, p in preds.items():
+    preds = [np.asarray(p) for p in per_method_predictions.values()]
+    for m, p in zip(per_method_predictions, preds):
         if p.shape != targets.shape:
             raise DataError(f"predictions for {m!r} do not align with targets")
     # the per-example terms and the overall utility are partition-free: once
-    terms = _example_terms(np.stack([preds[m] for m in methods]), targets, kind)
+    terms = _example_terms(np.stack(preds), targets, kind)
     util = _score_groups(terms, GroupPartition.whole(n), kind)[:, 0]
     # per trial and method: group utilities, then wu, mud, tud oriented so
     # that lower is better
     partitions = _partitions(np.random.default_rng(seed), n, k)
     gu = np.stack([_score_groups(terms, next(partitions), kind) for _ in range(trials)])
     sign = -1.0 if higher_is_better(kind) else 1.0
-    spread = _spread(gu.reshape(-1, k), higher=sign < 0).reshape(trials, len(methods), 3)
+    spread = _spread(gu.reshape(-1, k), higher=sign < 0).reshape(trials, len(preds), 3)
     spread[..., 0] *= sign
 
     # ranks are half-integers, so their sum over trials is exact
-    avg_rank = np.column_stack([
+    return np.column_stack([
         _average_ranks(sign * util, axis=0),
         _average_ranks(spread, axis=1).mean(axis=0),
     ])
-    return RankTable(methods=methods, avg_rank=avg_rank)
 
 
 def _average_ranks(x: np.ndarray, axis: int) -> np.ndarray:

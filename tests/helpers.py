@@ -8,6 +8,7 @@ sampled / closed-form / analytic code paths.
 import csv
 import io
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from scipy.special import expit
 from vfair.baselines import DroConfig, dro_direction
 from vfair.errors import ConfigError, DataError, NumericError
 from vfair.metrics import (
+    MAX_EXPECTED_DRAWS,
     RANK_METRICS,
     GroupPartition,
     build_report,
@@ -125,6 +127,14 @@ def dictwriter_csv(columns, rows) -> str:
     writer.writeheader()
     writer.writerows(rows)
     return buf.getvalue()
+
+
+def exact_too_many_draws(n, k):
+    """Whether k^n / (number of surjections of n onto k) > MAX_EXPECTED_DRAWS,
+    by inclusion-exclusion on Python ints: exact, but its cost grows with k
+    and with n's digit count.  The oracle of `metrics._too_many_draws`."""
+    surjections = sum((-1) ** j * math.comb(k, j) * (k - j) ** n for j in range(k + 1))
+    return k**n > MAX_EXPECTED_DRAWS * surjections
 
 
 def loop_random_partition_rank(per_method_predictions, targets, k, trials, seed, kind):

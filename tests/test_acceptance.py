@@ -294,7 +294,7 @@ def test_random_partition_rank_protocol(biased_regression_runs):
             kind="mse",
         )
         for method in ranks:
-            ranks[method].append(table.avg_rank[table.methods.index(method)])
+            ranks[method].append(table[list(pair).index(method)])
     avg = {m: np.mean(ranks[m], axis=0) for m in ranks}  # [utility, wu, mud, tud]
     mud_better = avg["vfair_std"][2] < avg["erm"][2]
     tud_better = avg["vfair_std"][3] < avg["erm"][3]

@@ -635,6 +635,15 @@ def test_load_with_shared_targets_is_exact_or_falls_back(tmp_path):
         path = tmp_path / "run.json"
         path.write_text(text)
         decoded = {}
+        if name == "separators in utility_kind":
+            # decoded on the shared path, then refused, as the full decode
+            # refuses it, for a kind that is none of UTILITY_KINDS
+            with pytest.raises(DataError, match="unknown utility kind") as full:
+                RunRecord.load(path)
+            with pytest.raises(DataError) as fast:
+                RunRecord.load(path, decoded)
+            assert str(fast.value) == str(full.value) and len(decoded) == shared
+            continue
         full, fast = RunRecord.load(path), RunRecord.load(path, decoded)
         assert_same_record(full, fast)
         assert len(decoded) == shared, name
@@ -795,18 +804,30 @@ def test_write_csv_matches_dictwriter(tmp_path):
     assert path.read_bytes() == dictwriter_csv(header, dict_rows).encode("utf-8")
 
 
-@pytest.mark.parametrize("breakage", ["not_an_object", "text_in_loss", "partial_metrics"])
+@pytest.mark.parametrize("breakage", ["not_an_object", "text_in_loss", "partial_metrics",
+                                      "list_method", "list_kind", "fractional_seed",
+                                      "two_d_predictions"])
 def test_cli_malformed_record_exits_2(tmp_path, capsys, breakage):
     # valid JSON that does not decode to a run record is a data error for
-    # every command that reads records, never a traceback
+    # every command that reads records, never a traceback; a field of the
+    # wrong type or shape is refused, not coerced
     d = fake_record("erm", 0, "mse", dict.fromkeys(["utility", "wu", "mud", "tud", "var"], 0.5)
                     ).to_json_dict()
     if breakage == "not_an_object":
         d = []
     elif breakage == "text_in_loss":
         d["per_epoch_loss"] = ["x"]
-    else:
+    elif breakage == "partial_metrics":
         d["metrics"]["overall"] = {"utility": 0.5}
+    elif breakage == "list_method":
+        d["method"] = ["a"]
+    elif breakage == "list_kind":
+        d["utility_kind"] = ["mse"]
+    elif breakage == "fractional_seed":
+        d["seed"] = 1.5
+    else:
+        d["test_predictions"] = [[y] for y in d["test_predictions"]]
+        d["test_targets"] = [[y] for y in d["test_targets"]]
     path = tmp_path / "run.json"
     path.write_text(json.dumps(d))
     for argv in (["compare", "--runs", str(path), str(path)],
@@ -1257,6 +1278,11 @@ REFUSALS = {
         lambda run, tmp: ["rank", "--runs", run("reg/erm"), run("reg/vfair_std"),
                           "--trials", str(MAX_TRIALS + 1)],
         f"trials must be >= 1 and at most MAX_TRIALS = {MAX_TRIALS}"),
+    # a method that is not a string once ended `compare` in a traceback
+    "compare_list_method": (
+        lambda run, tmp: ["compare", "--runs", run("reg/vfair_std"), edited_record(
+            run("reg/erm"), tmp, lambda d: d.update(method=["a"]))],
+        "edited.json is not a run record: method ['a'] is not a string"),
 }
 
 

@@ -1,6 +1,7 @@
 """Tests for the group-fairness metric suite."""
 
 import dataclasses
+import math
 import warnings
 
 import numpy as np
@@ -10,6 +11,7 @@ from scipy import stats
 from helpers import (
     all_surjective_assignments,
     count_calls,
+    exact_too_many_draws,
     group_means,
     group_mse_report,
     loop_random_partition_rank,
@@ -349,6 +351,34 @@ def test_random_partition_refuses_hopeless_split_without_drawing():
         random_partition(rng, 9, 9)
 
 
+def test_too_many_draws_matches_exact_sum():
+    # the union bound, the negative-association bound and the float sum
+    # each decide part of this grid
+    for k in range(1, 61):
+        for n in range(k, 400):
+            assert metrics._too_many_draws(n, k) == exact_too_many_draws(n, k), (n, k)
+    assert [metrics._too_many_draws(k, k) for k in (8, 9, 20)] == [False, True, True]
+    # the last refused n and the first accepted one, found by bisection on
+    # the exact sum: P is nearest 1 / MAX_EXPECTED_DRAWS, and neither bound
+    # decides, so the float sum does
+    for n, k in ((279, 100), (1146, 300), (2157, 500)):
+        assert exact_too_many_draws(n, k) and not exact_too_many_draws(n + 1, k)
+        assert metrics._too_many_draws(n, k) and not metrics._too_many_draws(n + 1, k)
+
+
+def test_too_many_draws_needs_no_big_int_sum(monkeypatch):
+    # the exact sum takes 5 s, 15 s and 40 s on these on a 2-vCPU Xeon;
+    # (10000, 3000) is refused by the negative-association bound, the others
+    # accepted by the float sum
+    def big_int_sum(*args):
+        raise AssertionError("math.comb called")
+
+    monkeypatch.setattr(math, "comb", big_int_sum)
+    assert metrics._too_many_draws(10_000, 3000)
+    assert not metrics._too_many_draws(20_000, 3000)
+    assert not metrics._too_many_draws(30_000, 4000)
+
+
 @pytest.mark.parametrize("kind", ["mse", "accuracy", "f1"])
 @pytest.mark.parametrize("k", [2, 10])
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -363,8 +393,8 @@ def test_rank_table_matches_loop_oracle(kind, k, seed):
         pm = {f"m{i}": np.where(rng.uniform(size=n) < 0.1 * (i + 1), 1 - targets, targets)
               for i in range(4)}
     pm["m0_copy"] = pm["m0"].copy()  # exact ties share the mean rank
-    table = random_partition_rank(pm, targets, k=k, trials=25, seed=seed, kind=kind)
-    assert np.array_equal(table.avg_rank, loop_random_partition_rank(pm, targets, k, 25, seed, kind))
+    ranks = random_partition_rank(pm, targets, k=k, trials=25, seed=seed, kind=kind)
+    assert np.array_equal(ranks, loop_random_partition_rank(pm, targets, k, 25, seed, kind))
 
 
 @pytest.mark.parametrize("kind", ["mse", "accuracy", "f1"])
@@ -383,12 +413,12 @@ def test_rank_table_matches_loop_oracle_when_most_draws_are_rejected(kind):
         targets = rng.integers(0, 2, size=n).astype(float)
         pm = {f"m{i}": np.where(rng.uniform(size=n) < 0.2 * (i + 1), 1 - targets, targets)
               for i in range(3)}
-    table = random_partition_rank(pm, targets, k=k, trials=trials, seed=5, kind=kind)
-    assert np.array_equal(table.avg_rank, loop_random_partition_rank(pm, targets, k, trials, 5, kind))
+    ranks = random_partition_rank(pm, targets, k=k, trials=trials, seed=5, kind=kind)
+    assert np.array_equal(ranks, loop_random_partition_rank(pm, targets, k, trials, 5, kind))
 
 
-def rank_of(table, method, metric):
-    return float(table.avg_rank[table.methods.index(method), RANK_METRICS.index(metric)])
+def rank_of(pm, ranks, method, metric):
+    return float(ranks[list(pm).index(method), RANK_METRICS.index(metric)])
 
 
 @pytest.mark.parametrize("ties", [True, False])
@@ -420,23 +450,22 @@ def test_rank_table_prefers_uniform_method():
     flat = targets + 0.3
     spiky = targets.copy()
     spiky[:20] += 0.9
-    table = random_partition_rank(
-        {"flat": flat, "spiky": spiky}, targets, k=10, trials=60, seed=0, kind="mse"
-    )
-    assert rank_of(table, "flat", "mud") < rank_of(table, "spiky", "mud")
-    assert rank_of(table, "flat", "tud") < rank_of(table, "spiky", "tud")
+    pm = {"flat": flat, "spiky": spiky}
+    ranks = random_partition_rank(pm, targets, k=10, trials=60, seed=0, kind="mse")
+    assert rank_of(pm, ranks, "flat", "mud") < rank_of(pm, ranks, "spiky", "mud")
+    assert rank_of(pm, ranks, "flat", "tud") < rank_of(pm, ranks, "spiky", "tud")
     # spiky concentrates its error on 10% of examples but has the lower
     # overall mse (20 * 0.81 / 200 = 0.081 < 0.09), so it wins utility
-    assert rank_of(table, "spiky", "utility") < rank_of(table, "flat", "utility")
+    assert rank_of(pm, ranks, "spiky", "utility") < rank_of(pm, ranks, "flat", "utility")
 
 
 def test_rank_table_identical_methods_tie():
     preds = np.ones(30) * 0.5
     targets = np.zeros(30)
-    table = random_partition_rank(
+    ranks = random_partition_rank(
         {"a": preds, "b": preds.copy()}, targets, k=3, trials=10, seed=1, kind="mse"
     )
-    assert np.all(table.avg_rank == 1.5)
+    assert ranks.shape == (2, len(RANK_METRICS)) and np.all(ranks == 1.5)
 
 
 def test_rank_table_deterministic_in_seed():
@@ -445,18 +474,17 @@ def test_rank_table_deterministic_in_seed():
     pm = {"m1": targets + rng.normal(size=50) * 0.1, "m2": targets + 0.2}
     t1 = random_partition_rank(pm, targets, k=4, trials=20, seed=9, kind="mse")
     t2 = random_partition_rank(pm, targets, k=4, trials=20, seed=9, kind="mse")
-    assert np.array_equal(t1.avg_rank, t2.avg_rank)
+    assert np.array_equal(t1, t2)
 
 
 def test_rank_accuracy_orientation():
     targets = np.array([1, 1, 1, 0, 0, 0] * 5)
     good = targets.copy()
     bad = 1 - targets
-    table = random_partition_rank(
-        {"good": good, "bad": bad}, targets, k=2, trials=15, seed=2, kind="accuracy"
-    )
-    assert rank_of(table, "good", "utility") == 1.0
-    assert rank_of(table, "good", "wu") == 1.0
+    pm = {"good": good, "bad": bad}
+    ranks = random_partition_rank(pm, targets, k=2, trials=15, seed=2, kind="accuracy")
+    assert rank_of(pm, ranks, "good", "utility") == 1.0
+    assert rank_of(pm, ranks, "good", "wu") == 1.0
 
 
 def test_sampled_mud_matches_enumeration():
@@ -547,10 +575,10 @@ def test_rank_table_csv(tmp_path, capsys):
     out = tmp_path / "rank.csv"
     argv = ["rank", "--runs", *paths, "--k", "2", "--trials", "5", "--seed", "3", "--out", str(out)]
     assert cli_main(argv) == 0
-    table = random_partition_rank(pm, targets, k=2, trials=5, seed=3, kind="mse")
+    ranks = random_partition_rank(pm, targets, k=2, trials=5, seed=3, kind="mse")
     expected = "method,utility,wu,mud,tud\r\n" + "".join(
-        name + "," + ",".join(f"{v:.6g}" for v in table.avg_rank[i]) + "\r\n"
-        for i, name in enumerate(table.methods)
+        name + "," + ",".join(f"{v:.6g}" for v in row) + "\r\n"
+        for name, row in zip(pm, ranks)
     )
     assert out.read_bytes() == expected.encode()
     assert [p.name for p in tmp_path.iterdir() if p.name.startswith(".")] == []
