@@ -48,8 +48,6 @@ class DatasetSchema:
     task: str
 
     def __post_init__(self):
-        object.__setattr__(self, "feature_columns", tuple((str(n), str(k)) for n, k in self.feature_columns))
-        object.__setattr__(self, "sensitive_columns", tuple(str(s) for s in self.sensitive_columns))
         if self.task not in TASKS:
             raise ConfigError(f"unknown task {self.task!r}")
         if not self.feature_columns:
@@ -138,6 +136,10 @@ def load_csv(path, schema: DatasetSchema) -> Dataset:
         missing = [c for c in needed if c not in reader.fieldnames]
         if missing:
             raise DataError(f"{path}: missing columns {missing}")
+        # a row dict keeps only the last of two equal headers: the other column would be lost unseen
+        twice = [c for c in needed if reader.fieldnames.count(c) > 1]
+        if twice:
+            raise DataError(f"{path}: the header names column {twice[0]!r} more than once")
         numeric_names = [n for n, kind in schema.feature_columns if kind == "numeric"]
 
         kept_raw = []

@@ -12,13 +12,14 @@ identical inputs produce byte-identical records.
 
 from __future__ import annotations
 
+import array
 import contextlib
 import csv
 import io
 import json
 import logging
-import math
 import os
+import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -140,74 +141,115 @@ class ExperimentConfig:
         return (self.synthetic or self.schema).task
 
 
-def _whole(value) -> int:
-    """An integer key's value as an int.  A float passes only without a
-    fractional part (1e3, not 2.7), and a boolean never does."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ValueError(f"{value!r} is not a whole number")
+# One converter per JSON type, for config keys and record fields alike: each
+# takes (value, name) and returns the value typed, or raises ValueError naming
+# it `name`.  No number is ever a bool or a string.
+
+
+def _integer(value, name) -> int:
+    """A JSON integer, or a float with no fractional part (1e3 is 1000)."""
+    if type(value) is int or (type(value) is float and value.is_integer()):
+        return int(value)
+    raise ValueError(f"{name} {value!r} is not a whole number")
+
+
+def _seed(value, name) -> int:
+    if _integer(value, name) < 0:  # numpy's generators take no negative seed
+        raise ValueError(f"{name} {value!r} is not a seed >= 0")
     return int(value)
 
 
-def _seed(value) -> int:
-    """A seed key's value: a whole number >= 0, as numpy's generators take."""
-    seed = _whole(value)
-    if seed < 0:
-        raise ValueError(f"{value!r} is not a seed >= 0")
-    return seed
+def _number(value, name) -> float:
+    """A finite JSON number; the bound refuses NaN, +-inf and an integer past the float range."""
+    if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+        raise ValueError(f"{name} {value!r} is not a finite number")
+    return float(value)
+
+
+def _string(value, name) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"{name} {value!r} is not a string")
+    return value
+
+
+def _object(value, name) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{name} must be a JSON object")
+    return value
+
+
+def _list_of(convert, length: int | None = None):
+    """The converter of a JSON list (of `length` items, if given) of `convert`'s type, as a tuple."""
+    def convert_list(value, name) -> tuple:
+        if not isinstance(value, (list, tuple)) or length not in (None, len(value)):
+            raise ValueError(f"{name} must be a list{f' of {length}' if length else ''}, got {value!r}")
+        return tuple(convert(x, name) for x in value)
+    return convert_list
+
+
+def _floats(value, name) -> np.ndarray:
+    """A JSON list of finite numbers as a 1-d float64 array; an array
+    `_decode_record` made passes as it is."""
+    if isinstance(value, np.ndarray):
+        return value
+    try:  # array.array takes only int and float items, and an int in the float range
+        a = np.frombuffer(array.array("d", value if isinstance(value, list) else None), np.float64)
+    except (OverflowError, TypeError):
+        a = None
+    # a bool is an int, read as 0 or 1, so a list holding a 0 or a 1 is
+    # searched for one, item by item; a search of the record's text for
+    # `true` and `false` would cost more
+    if a is None or (((a == 0) | (a == 1)).any() and bool in set(map(type, value))):
+        raise ValueError(f"{name} is not a list of numbers")
+    if not np.isfinite(a).all():
+        raise ValueError(f"a number is not finite in {name}")
+    return a
+
+
+def _numbers(value, name) -> list:
+    """`_floats` as a list of floats, for a dataclass field compared by ==."""
+    return _floats(value, name).tolist()
 
 
 # config key -> converter, one table per section; each key of the top-level,
 # model and dataset tables sets the ExperimentConfig field of its name (the
-# synthetic generator's "seed" sets data_seed).  An absent or null key keeps
-# the field's default, and the update's and DRO's fields take theirs from
-# UpdateState and DroConfig, so each default is written once.  A key that no
-# table of its section names is refused.  A key in _LIST_KEYS takes a JSON
-# list only.
+# synthetic generator's "seed" sets data_seed, a csv's "path" csv_path).  An
+# absent or null key keeps the field's default, and the update's and DRO's
+# fields take theirs from UpdateState and DroConfig, so each default is
+# written once.  A key that no table of its section names is refused.
 _TOP_LEVEL_KEYS = {
-    "methods": lambda v: tuple(str(m) for m in v), "optimizer": str, "step_size": float,
-    "batch_size": _whole, "epochs": _whole, "decay": float, "lambda2_cap": float,
-    "dro_alpha_min": float, "seeds": lambda v: tuple(_seed(x) for x in v),
-    "epoch_selection": str, "utility": str, "erm_reference_loss": float,
+    "methods": _list_of(_string), "optimizer": _string, "step_size": _number,
+    "batch_size": _integer, "epochs": _integer, "decay": _number, "lambda2_cap": _number,
+    "dro_alpha_min": _number, "seeds": _list_of(_seed), "epoch_selection": _string,
+    "utility": _string, "erm_reference_loss": _number,
 }
-_DATASET_KEYS = {"test_fraction": float, "split_seed": _seed}
-_MODEL_KEYS = {"hidden_dims": lambda v: tuple(_whole(h) for h in v), "activation": str}
-_LIST_KEYS = {"methods", "seeds", "hidden_dims", "features", "sensitive"}
+_DATASET_KEYS = {"test_fraction": _number, "split_seed": _seed}
+_MODEL_KEYS = {"hidden_dims": _list_of(_integer), "activation": _string}
 # the synthetic generator's keys, all required but "task"
 _SYNTHETIC_KEYS = {
-    "n": _whole, "group_ratio": float, "feature_dim": _whole, "minority_shift": float,
-    "noise_std": float, "task": str,
+    "n": _integer, "group_ratio": _number, "feature_dim": _integer, "minority_shift": _number,
+    "noise_std": _number, "task": _string,
 }
 # a csv dataset's schema keys, all required but "sensitive"
 _SCHEMA_KEYS = {
-    "features": lambda v: tuple((str(n), str(k)) for n, k in v), "label": str,
-    "sensitive": lambda v: tuple(str(s) for s in v), "task": str,
+    "features": _list_of(_list_of(_string, 2)), "label": _string,
+    "sensitive": _list_of(_string), "task": _string,
 }
 
 
 def _typed(section: dict, table: dict, where: str = "", also=()) -> dict:
     """The converted values of the keys in `section` that `table` names.  A
-    key in neither `table` nor `also` (the keys read elsewhere), a value the
-    converter refuses, or a float that is not finite, is a ConfigError
-    naming `where` + key."""
-    if not isinstance(section, dict):
-        raise ConfigError(f"config section {where.rstrip('.')!r} must be a JSON object")
-    unknown = sorted(set(section) - set(table) - set(also))
-    if unknown:
-        raise ConfigError(f"unknown config keys: {[where + k for k in unknown]}")
-    out = {}
-    for key, convert in table.items():
-        value = section.get(key)
-        if value is None:
-            continue
-        if key in _LIST_KEYS and not isinstance(value, (list, tuple)):
-            raise ConfigError(f"config key {where + key!r} must be a list, got {value!r}")
-        try:
-            out[key] = convert(value)
-        except (TypeError, ValueError, OverflowError):  # float() of a huge int overflows
-            raise ConfigError(f"config key {where + key!r} has a bad value {value!r}") from None
-        if convert is float and not math.isfinite(out[key]):
-            raise ConfigError(f"config key {where + key!r} must be finite, got {value!r}")
-    return out
+    key in neither `table` nor `also` (the keys read elsewhere), or a value
+    its converter refuses, is a ConfigError naming `where` + key."""
+    try:
+        section = _object(section, f"config section {where.rstrip('.')!r}")
+        unknown = sorted(set(section) - set(table) - set(also))
+        if unknown:
+            raise ValueError(f"unknown config keys: {[where + k for k in unknown]}")
+        return {key: convert(section[key], f"config key {where + key!r}")
+                for key, convert in table.items() if section.get(key) is not None}
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def config_from_dict(d: dict) -> ExperimentConfig:
@@ -230,14 +272,14 @@ def config_from_dict(d: dict) -> ExperimentConfig:
         fields["synthetic"] = SyntheticSpec(
             **{k: fields.pop(k) for k in _SYNTHETIC_KEYS if k in fields})
     elif kind == "csv":
-        if "path" not in ds or "schema" not in ds:
+        if ds.get("path") is None or ds.get("schema") is None:
             raise ConfigError("csv dataset section needs 'path' and 'schema'")
-        fields |= _typed(ds, _DATASET_KEYS, "dataset.", also=("kind", "path", "schema"))
+        fields |= _typed(ds, _DATASET_KEYS | {"path": _string}, "dataset.", also=("kind", "schema"))
         sc = _typed(ds["schema"], _SCHEMA_KEYS, "dataset.schema.")
         missing = [k for k in _SCHEMA_KEYS if k != "sensitive" and k not in sc]
         if missing:
             raise ConfigError(f"csv schema section is missing {missing[0]!r}")
-        fields |= {"csv_path": str(ds["path"]), "schema": DatasetSchema(
+        fields |= {"csv_path": fields.pop("path"), "schema": DatasetSchema(
             sc["features"], sc["label"], sc.get("sensitive", ()), sc["task"])}
     else:
         raise ConfigError(f"dataset kind must be 'synthetic' or 'csv', got {kind!r}")
@@ -345,9 +387,11 @@ class RunRecord:
         } | ({"test_targets": np.asarray(self.test_targets).tolist()} if targets else {})
 
     def save(self, path, targets_json: str | None = None) -> None:
-        """Strict JSON; a non-finite value raises before anything is written.
+        """Strict JSON; fields that disagree (see `_checked`) or a non-finite
+        value raise before anything is written.
         `json.dumps(..., sort_keys=True)`'s bytes, encoded key by key, so a
         train's records can share `targets_json`, their `test_targets` text."""
+        self._checked()
         try:
             text = {k: encode_json(v) for k, v in self.to_json_dict(not targets_json).items()}
         except ValueError as exc:
@@ -357,42 +401,62 @@ class RunRecord:
 
     @classmethod
     def load(cls, path, decoded: dict | None = None) -> "RunRecord":
-        """A saved record; a file that does not decode to one, whatever is
-        wrong with it, a field of the wrong type or shape included, raises
-        DataError.  Like `save`, it takes strict JSON only: a `NaN`,
-        `Infinity` or `-Infinity` is refused, and so is a literal that
-        overflows to infinity, such as `1e999`.  With `decoded`, one dict per
-        command, a train's records share one read-only `test_targets` array,
-        their shared text decoded once (see `_decode_record`)."""
+        """A saved record, its fields typed by `_RECORD_FIELDS`; any other
+        file, one whose fields disagree included, raises DataError.  Like
+        `save`, it takes strict JSON only: a `NaN`, `Infinity` or `-Infinity`
+        is refused, and so is a literal that overflows to infinity, such as
+        `1e999`.  With `decoded`, one dict per command, a train's records
+        share one read-only `test_targets` array, their shared text decoded
+        and typed once (see `_decode_record`)."""
         try:
             d = _decode_record(Path(path).read_text(encoding="utf-8"), decoded)
-            record = cls(
-                method=d["method"],
-                seed=_seed(d["seed"]),
-                per_epoch_loss=[float(x) for x in d["per_epoch_loss"]],
-                selected_epoch=_whole(d["selected_epoch"]),
-                params=np.asarray(d["params"], dtype=np.float64),
-                metrics={k: MetricsReport(**v) for k, v in d["metrics"].items()},
-                utility_kind=d["utility_kind"],
-                test_predictions=np.asarray(d["test_predictions"], dtype=np.float64),
-                test_targets=np.asarray(d["test_targets"], dtype=np.float64),
-                config=d.get("config", {}),
-            )
-            if not isinstance(record.method, str):
-                raise ValueError(f"method {record.method!r} is not a string")
-            if not isinstance(record.utility_kind, str) or record.utility_kind not in UTILITY_KINDS:
-                raise ValueError(f"unknown utility kind {record.utility_kind!r}")
-            arrays = (record.params, record.test_predictions, record.test_targets)
-            if any(x.ndim != 1 for x in arrays):
-                raise ValueError("params, test_predictions and test_targets must be 1-d")
-            reports = [x for r in record.metrics.values()
-                       for x in (r.utility, r.wu, r.mud, r.tud, r.var, *r.per_group_utility)]
-            if not all(np.isfinite(x).all() for x in (*arrays, record.per_epoch_loss, reports)):
-                raise ValueError("a number is not finite")
-            return record
-        except (ArithmeticError, AttributeError, LookupError, RecursionError, TypeError,
-                ValueError) as exc:
+            return cls(**_fields(d, _RECORD_FIELDS))._checked()
+        except (ArithmeticError, LookupError, RecursionError, TypeError, ValueError) as exc:
             raise DataError(f"{path} is not a run record: {exc}") from None
+
+    def _checked(self) -> "RunRecord":
+        """This record, if its fields agree with each other; else ValueError."""
+        kind = self.utility_kind
+        if kind not in UTILITY_KINDS:
+            raise ValueError(f"unknown utility kind {kind!r}")
+        if not 0 <= self.selected_epoch < len(self.per_epoch_loss):
+            raise ValueError(f"selected_epoch {self.selected_epoch} is not an index of per_epoch_loss")
+        if "overall" not in self.metrics:
+            raise ValueError("metrics holds no 'overall' report")
+        for report in self.metrics.values():
+            if report.utility_kind != kind:
+                raise ValueError(f"a metrics report's utility_kind is not the record's {kind!r}")
+            if report.n_examples != len(self.test_targets):
+                raise ValueError("a metrics report's n_examples is not the length of test_targets")
+        return self
+
+
+def _fields(value, table: dict, where: str = "") -> dict:
+    """The keys of JSON object `value` that `table` names, typed and called `where` + key."""
+    value = _object(value, where.rstrip(".") or "a record")
+    return {k: convert(value[k], where + k) for k, convert in table.items() if k in value}
+
+
+def _reports(value, name) -> dict:
+    """Partition label -> MetricsReport; an unknown key reaches MetricsReport, which refuses it."""
+    return {label: MetricsReport(**report | _fields(report, _REPORT_FIELDS, f"{name}.{label}."))
+            for label, report in _object(value, name).items()}
+
+
+# record field -> converter; every field but "config" is required, and a
+# field the table does not name is ignored
+_RECORD_FIELDS = {
+    "method": _string, "seed": _seed, "per_epoch_loss": _numbers,
+    "selected_epoch": _integer, "params": _floats, "metrics": _reports,
+    "utility_kind": _string, "test_predictions": _floats, "test_targets": _floats,
+    "config": _object,
+}
+# MetricsReport field -> converter; every field but "partition_label" is required
+_REPORT_FIELDS = {
+    "utility_kind": _string, "utility": _number, "per_group_utility": _numbers,
+    "wu": _number, "mud": _number, "tud": _number, "var": _number, "n_examples": _integer,
+    "partition_label": _string,
+}
 
 
 def encode_json(value) -> str:
@@ -422,7 +486,7 @@ def _decode_record(text: str, decoded: dict | None):
             if isinstance(kind, str) and text[end:] == "}":
                 d, targets = strict.decode(text[:t] + text[k:]), text[t + len(_TARGETS):k]
                 if targets not in decoded:
-                    decoded[targets] = np.asarray(strict.decode(targets), dtype=np.float64)
+                    decoded[targets] = _floats(strict.decode(targets), "test_targets")
                     decoded[targets].flags.writeable = False
                 d["test_targets"] = decoded[targets]
                 return d

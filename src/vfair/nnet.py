@@ -80,8 +80,6 @@ class ModelSpec:
                 raise ConfigError("multiclass_ce needs output_dim >= 2 (one per class)")
         elif self.output_dim != 1:
             raise ConfigError(f"task {self.task!r} requires output_dim = 1")
-        # hidden_dims arrives as a list from configs often enough to be worth fixing
-        object.__setattr__(self, "hidden_dims", tuple(int(h) for h in self.hidden_dims))
         dims = [self.input_dim, *self.hidden_dims, self.output_dim]
         layout = []
         offset = 0

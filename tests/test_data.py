@@ -393,3 +393,14 @@ def test_take_batch():
     assert len(batch) == 3
     np.testing.assert_array_equal(batch.features, ds.features[[3, 5, 7]])
     np.testing.assert_array_equal(batch.targets, ds.targets[[3, 5, 7]])
+
+
+def test_load_csv_refuses_a_read_column_named_twice(tmp_path):
+    # a row dict keeps the last of two equal headers, so the schema's "a"
+    # would read the second column, [5, 6, 7, 8]; a column no key reads may repeat
+    schema = DatasetSchema((("a", "numeric"),), "y", ("g",), "regression_mse")
+    p = write_csv(tmp_path, "a,a,y,g\n1,5,0,F\n2,6,1,M\n3,7,0,F\n4,8,1,M\n")
+    with pytest.raises(DataError, match="the header names column 'a' more than once"):
+        load_csv(p, schema)
+    p = write_csv(tmp_path, "a,z,z,y,g\n1,5,5,0,F\n2,6,6,1,M\n3,7,7,0,F\n4,8,8,1,M\n")
+    assert load_csv(p, schema).features[:, 0].tolist() == [1.0, 2.0, 3.0, 4.0]

@@ -89,9 +89,13 @@ def test_config_defaults_and_types():
     for f in dataclasses.fields(ExperimentConfig):
         if f.name not in from_dataset:
             assert getattr(minimal, f.name) == f.default, f.name
-    # a present key is re-typed, an explicit null keeps the default
-    typed = config_from_dict(tiny_config(epochs="4", seeds=["2"], erm_reference_loss=None))
+    # a present key is typed, an explicit null keeps the default
+    typed = config_from_dict(tiny_config(epochs=4, seeds=[2], erm_reference_loss=None))
     assert typed.epochs == 4 and typed.seeds == (2,) and typed.erm_reference_loss is None
+    # a JSON string is not a number, whatever it spells
+    for key, value in (("epochs", "4"), ("seeds", ["2"])):
+        with pytest.raises(ConfigError, match=f"config key '{key}'"):
+            config_from_dict(tiny_config(**{key: value}))
 
 
 def test_config_rejects_bad_sections():
@@ -510,6 +514,22 @@ def test_run_record_round_trip(tmp_path):
         RunRecord.load(bad)
 
 
+def test_save_refuses_a_record_whose_fields_disagree(tmp_path):
+    # evaluate's record has no epoch losses until run_experiment fills them
+    # in; saved as it is it would not load back, so save writes nothing
+    cfg = config_from_dict(tiny_config(methods=["erm"], epochs=2))
+    train, test = build_datasets(cfg)
+    spec = build_model_spec(cfg, train)
+    rec = evaluate(cfg, spec, test, init_params(spec, 0), "erm", 0)
+    path = tmp_path / "run.json"
+    with pytest.raises(ValueError, match="selected_epoch 0 is not an index of per_epoch_loss"):
+        rec.save(path)
+    assert not path.exists()
+    rec.per_epoch_loss = [0.5]
+    rec.save(path)
+    assert RunRecord.load(path).per_epoch_loss == [0.5]
+
+
 RECORD_KEYS = {
     "method", "seed", "per_epoch_loss", "selected_epoch", "params", "metrics",
     "utility_kind", "test_predictions", "test_targets", "config",
@@ -654,11 +674,15 @@ def test_load_with_shared_targets_is_exact_or_falls_back(tmp_path):
 
 @pytest.mark.parametrize("old, new, message", [
     (', "test_targets": [', ', "test_targets": [NaN, ', "NaN is not strict JSON"),
-    (', "test_targets": [', ', "test_targets": ["x", ', "could not convert string to float"),
+    (', "test_targets": [', ', "test_targets": ["x", ', "test_targets is not a list of numbers"),
     ('"params": [', '"params": [NaN, ', "NaN is not strict JSON"),
     ('"}', '"}}', "Extra data"),
     (', "test_targets": [', ', "test_targets": [1e999, ', "a number is not finite"),
-], ids=["nan_targets", "string_target", "nan_params", "two_braces", "overflowing_target"])
+    # an integer literal past the float range, which no float64 can hold
+    (', "test_targets": [', ', "test_targets": [1' + '0' * 400 + ', ',
+     "test_targets is not a list of numbers"),
+], ids=["nan_targets", "string_target", "nan_params", "two_braces", "overflowing_target",
+        "overflowing_integer_target"])
 def test_load_with_shared_targets_refuses_what_a_full_decode_refuses(tmp_path, old, new, message):
     text = saved_record_text(tmp_path)
     assert text.endswith('"}')
@@ -1283,6 +1307,76 @@ REFUSALS = {
         lambda run, tmp: ["compare", "--runs", run("reg/vfair_std"), edited_record(
             run("reg/erm"), tmp, lambda d: d.update(method=["a"]))],
         "edited.json is not a run record: method ['a'] is not a string"),
+    # a JSON string or bool is not a number, whatever it spells
+    "config_string_epochs": (lambda run, tmp: train_argv(tmp, tiny_config(epochs="3")),
+                             "config key 'epochs' '3' is not a whole number"),
+    "config_string_seed": (lambda run, tmp: train_argv(tmp, tiny_config(seeds=["0"])),
+                           "config key 'seeds' '0' is not a whole number"),
+    "config_string_step_size": (lambda run, tmp: train_argv(tmp, tiny_config(step_size="0.01")),
+                                "config key 'step_size' '0.01' is not a finite number"),
+    "config_bool_step_size": (lambda run, tmp: train_argv(tmp, tiny_config(step_size=True)),
+                              "config key 'step_size' True is not a finite number"),
+    "config_string_dataset_n": (
+        lambda run, tmp: train_argv(tmp, with_dataset_key(tiny_config(), "n", "160")),
+        "config key 'dataset.n' '160' is not a whole number"),
+    "config_list_activation": (
+        lambda run, tmp: train_argv(tmp, tiny_config(model={"activation": ["relu"]})),
+        "config key 'model.activation' ['relu'] is not a string"),
+    # a null path is no path, not the file "None"
+    "csv_null_path": (
+        lambda run, tmp: train_argv(tmp, with_dataset_key(
+            csv_config(tmp, "x,y\n1,2\n2,3\n3,4\n"), "path", None)),
+        "csv dataset section needs 'path' and 'schema'"),
+    "csv_header_names_a_column_twice": (
+        lambda run, tmp: train_argv(tmp, csv_config(tmp, "x,x,y\n1,5,2\n2,6,3\n3,7,4\n")),
+        "the header names column 'x' more than once"),
+    "compare_string_seed": (
+        lambda run, tmp: ["compare", "--runs", run("reg/erm"), edited_record(
+            run("reg/vfair_std"), tmp, lambda d: d.update(seed="0"))],
+        "edited.json is not a run record: seed '0' is not a whole number"),
+    "compare_string_selected_epoch": (
+        lambda run, tmp: ["compare", "--runs", run("reg/erm"), edited_record(
+            run("reg/vfair_std"), tmp, lambda d: d.update(selected_epoch="3"))],
+        "edited.json is not a run record: selected_epoch '3' is not a whole number"),
+    "compare_string_param": (
+        lambda run, tmp: ["compare", "--runs", run("reg/erm"), edited_record(
+            run("reg/vfair_std"), tmp, lambda d: d["params"].__setitem__(0, "0.1"))],
+        "edited.json is not a run record: params is not a list of numbers"),
+    "compare_bool_param": (
+        lambda run, tmp: ["compare", "--runs", run("reg/erm"), edited_record(
+            run("reg/vfair_std"), tmp, lambda d: d["params"].__setitem__(0, True))],
+        "edited.json is not a run record: params is not a list of numbers"),
+    # the fields of a record must agree with each other
+    "compare_selected_epoch_past_the_last": (
+        lambda run, tmp: ["compare", "--runs", run("reg/erm"), edited_record(
+            run("reg/vfair_std"), tmp, lambda d: d.update(selected_epoch=999))],
+        "edited.json is not a run record: selected_epoch 999 is not an index of per_epoch_loss"),
+    "compare_negative_selected_epoch": (
+        lambda run, tmp: ["compare", "--runs", run("reg/erm"), edited_record(
+            run("reg/vfair_std"), tmp, lambda d: d.update(selected_epoch=-1))],
+        "edited.json is not a run record: selected_epoch -1 is not an index of per_epoch_loss"),
+    "compare_no_epoch_losses": (
+        lambda run, tmp: ["compare", "--runs", run("reg/erm"), edited_record(
+            run("reg/vfair_std"), tmp, lambda d: d.update(per_epoch_loss=[]))],
+        "edited.json is not a run record: selected_epoch 0 is not an index of per_epoch_loss"),
+    "compare_no_metrics": (
+        lambda run, tmp: ["compare", "--runs", run("reg/erm"), edited_record(
+            run("reg/vfair_std"), tmp, lambda d: d.update(metrics={}))],
+        "edited.json is not a run record: metrics holds no 'overall' report"),
+    "compare_report_of_another_kind": (
+        lambda run, tmp: ["compare", "--runs", run("reg/erm"), edited_record(
+            run("reg/vfair_std"), tmp,
+            lambda d: d["metrics"]["overall"].update(utility_kind="accuracy"))],
+        "edited.json is not a run record: a metrics report's utility_kind is not the record's 'mse'"),
+    "compare_text_n_examples": (
+        lambda run, tmp: ["compare", "--runs", run("reg/erm"), edited_record(
+            run("reg/vfair_std"), tmp, lambda d: d["metrics"]["overall"].update(n_examples="x"))],
+        "edited.json is not a run record: metrics.overall.n_examples 'x' is not a whole number"),
+    "compare_report_of_another_size": (
+        lambda run, tmp: ["compare", "--runs", run("reg/erm"), edited_record(
+            run("reg/vfair_std"), tmp, lambda d: d["metrics"]["group"].update(n_examples=7))],
+        "edited.json is not a run record: a metrics report's n_examples is not the length of "
+        "test_targets"),
 }
 
 

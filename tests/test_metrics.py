@@ -555,10 +555,12 @@ def test_significance_needs_two_per_side():
 def saved_runs(tmp_path, pm, targets):
     """Paths of saved records, one per `method_seed0` -> predictions entry."""
     paths = []
+    overall = GroupPartition.whole(len(targets), label="overall")
     for name, preds in pm.items():
+        report = build_report(preds, targets, (preds - targets) ** 2, overall, "mse")
         rec = RunRecord(
             method=name.split("_")[0], seed=0, per_epoch_loss=[1.0], selected_epoch=0,
-            params=np.zeros(1), metrics={}, utility_kind="mse",
+            params=np.zeros(1), metrics={"overall": report}, utility_kind="mse",
             test_predictions=preds, test_targets=targets,
         )
         paths.append(str(tmp_path / f"{name}.json"))
