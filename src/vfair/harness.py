@@ -257,7 +257,7 @@ def config_from_dict(d: dict) -> ExperimentConfig:
     if not isinstance(d, dict):
         raise ConfigError("config root must be a JSON object")
     fields = _typed(d, _TOP_LEVEL_KEYS, also=("dataset", "model"))
-    fields |= _typed(d.get("model", {}), _MODEL_KEYS, "model.")
+    fields |= _typed({} if d.get("model") is None else d["model"], _MODEL_KEYS, "model.")
 
     ds = d.get("dataset")
     if not isinstance(ds, dict) or "kind" not in ds:

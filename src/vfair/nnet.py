@@ -24,11 +24,11 @@ fixed FORWARD_BLOCK_ROWS-row blocks, so its peak memory scales with the
 block rather than the split; its outputs agree with a one-pass forward
 to within ulps and are deterministic.
 
-Parameters live in a single flat float64 vector.  The layout is a
-deterministic function of the model spec (layer by layer, weight matrix
-then bias), computed once as ``ModelSpec.layout``, which keeps gradient
-vectors, parameter vectors and finite-difference probes trivially
-interchangeable.  Only a sigmoid loads scipy, at its first ``_expit``.
+Parameters live in one flat float64 vector, laid out per layer as weight
+matrix then bias (``ModelSpec.layout``), so gradients, parameters and
+finite-difference probes are interchangeable.  Products call BLAS through
+``np.dot``, the ``@`` gufunc's bits without its dispatch; the bias product
+stays ``np.matmul``, whose ``out`` is a strided view ``np.dot`` refuses.
 """
 
 from __future__ import annotations
@@ -227,7 +227,7 @@ class ForwardCache(NamedTuple):
 def forward_cache(spec: ModelSpec, params: np.ndarray | Workspace,
                   batch: Batch) -> ForwardCache:
     """Forward pass keeping each layer's input for backprop.  Each hidden
-    activation is applied in place to its layer's fresh matmul output."""
+    activation is applied in place to its layer's fresh ``np.dot`` output."""
     if batch.features.shape[1] != spec.input_dim:
         raise DataError(
             f"batch has {batch.features.shape[1]} features, spec expects {spec.input_dim}"
@@ -238,7 +238,7 @@ def forward_cache(spec: ModelSpec, params: np.ndarray | Workspace,
     last = len(ws.layers) - 1
     for idx, (w, b) in enumerate(ws.layers):
         inputs.append(h)
-        h = h @ w
+        h = np.dot(h, w)
         h += b
         if idx < last:
             _activate(spec.activation, h)
@@ -370,13 +370,13 @@ def weighted_gradient(spec: ModelSpec, params: np.ndarray | Workspace | ForwardC
     for l in range(len(views) - 1, -1, -1):
         mean_w, row_w, bias, weighted = views[l]
         a_t = cache.inputs[l].T
-        if lead:
-            np.matmul(a_t, delta, out=mean_w)
+        if lead:  # np.dot, as its outs mean_w and row_w are C-contiguous views
+            np.dot(a_t, delta, out=mean_w)
         if k:
-            np.matmul(a_t, np.multiply(per_example, delta, out=weighted), out=row_w)
-        # the bias products stay BLAS products rows @ delta, the mean's ones row included
+            np.dot(a_t, np.multiply(per_example, delta, out=weighted), out=row_w)
+        # rows @ delta, the mean's ones row included; np.dot refuses this strided [rows, d] out
         np.matmul(bias_rows, delta, out=bias)
         if l > 0:
-            delta = delta @ cache.ws.layers[l][0].T
+            delta = np.dot(delta, cache.ws.layers[l][0].T)
             delta *= _activate_grad(spec.activation, cache.inputs[l])
     return grad if len(grad) > 1 else grad[0]

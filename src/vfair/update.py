@@ -201,8 +201,8 @@ def vfair_direction(
     sw, lam2 = _secondary(objective, losses, mu, sigma, state.lambda2_cap)
     g_mu, g_sec = weighted_gradient(spec, cache, batch, sw, mean=True)
 
-    norm_sq = float(g_mu @ g_mu)
-    dot = float(g_mu @ g_sec)
+    norm_sq = float(np.dot(g_mu, g_mu))
+    dot = float(np.dot(g_mu, g_sec))
     lam1 = lambda1(norm_sq, dot)
     lam = max(lam1, lam2)
     direction = lam * g_mu + g_sec

@@ -1549,6 +1549,8 @@ EDGE_VALUES = [
     ("dataset", "n", 1e13, 2),  # above MAX_SYNTHETIC_VALUES, refused before a draw
     ("dataset", "feature_dim", 1e12, 2),
     (None, "epochs", JsonLiteral("1" * 5001), 2),  # Python's int parser refuses it
+    (None, "model", None, 0),  # a null section keeps its defaults, as a null key does
+    (None, "model", [], 2),
 ]
 
 

@@ -380,8 +380,11 @@ def test_forward_and_backward_bit_equal_to_reference(task, activation, hidden):
     # the whole split runs in blocks, so its reference is one pass per block
     blocks = [reference_forward(spec, params, split.subset(slice(s, s + B)))[2] for s in (0, B)]
     assert np.array_equal(forward(spec, params, split), np.concatenate(blocks))
-    # a full minibatch and a short last one, as slices of one gathered epoch
-    for batch in (split.subset(slice(0, 32)), split.subset(slice(n - 7, n))):
+    # a full minibatch, a short last one and a one-row last one (a split one
+    # row past a multiple of the batch size, where BLAS may route a product
+    # another way), as slices of one gathered epoch
+    for batch in (split.subset(slice(0, 32)), split.subset(slice(n - 7, n)),
+                  split.subset(slice(n - 1, n))):
         b = len(batch)
         cache = forward_cache(spec, params, batch)
         assert np.array_equal(cache.outputs, reference_forward(spec, params, batch)[2])

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import count_calls, directional_derivative_fd
+from helpers import count_calls, directional_derivative_fd, reference_weighted_gradient
 from vfair import nnet, update
 from vfair.baselines import DroConfig, dro_direction
 from vfair.errors import ConfigError
@@ -240,7 +240,8 @@ def test_reweighted_form_equals_two_gradient_form():
 
 def test_vfair_direction_is_one_reweighted_backward():
     # the direction that trains equals one weighted backward pass with
-    # weights lam + sw, sw rebuilt from the row's mu and sigma
+    # weights lam + sw, sw rebuilt from the row's mu and sigma; the row's
+    # lam1 products are bit-equal to `@` over the reference's g_mu and g_sec
     rng = np.random.default_rng(17)
     for objective in OBJECTIVES:
         for _ in range(30):
@@ -256,6 +257,10 @@ def test_vfair_direction_is_one_reweighted_backward():
                 sw = pairwise_coefficients(losses)
             single = weighted_gradient(spec, params, batch, row["lambda"] + sw)
             assert np.linalg.norm(direction - single) <= 1e-10 * np.linalg.norm(single)
+            g_mu, g_sec = reference_weighted_gradient(spec, params, batch,
+                                                      np.stack([np.ones(len(batch)), sw]))
+            assert row["grad_dot"] == g_mu @ g_sec
+            assert row["grad_mu_norm"] == math.sqrt(g_mu @ g_mu)
 
 
 def test_vfair_direction_one_forward_one_backward(monkeypatch):
