@@ -72,21 +72,29 @@ def _cmd_train(args) -> int:
     out = Path(args.out)
     (out / "runs").mkdir(parents=True, exist_ok=True)
     (out / "traces").mkdir(parents=True, exist_ok=True)
-    records = run_experiment(cfg)
-    # every record of one train holds the same test targets: encode them once
-    targets_json = encode_json(records[0].test_targets.tolist())
-    for rec in records:
-        stem = f"{rec.method}_seed{rec.seed}"
-        rec.save(out / "runs" / f"{stem}.json", targets_json)
-        if rec.trace:
-            write_trace(rec.trace, out / "traces" / f"{stem}.csv")
-        overall = rec.metrics["overall"]
-        print(
-            f"{rec.method} seed={rec.seed} epoch={rec.selected_epoch} "
-            f"{rec.utility_kind}={overall.utility:.6g} var={overall.var:.6g}"
-        )
-    table = aggregate(records)
-    table.to_csv(out / "aggregate.csv")
+    records, targets_json = [], None
+    # each run's files are written as it finishes, so a run that fails
+    # later leaves them in place; aggregate.csv only follows the last run
+    try:
+        for rec, trace in run_experiment(cfg):
+            # every record of one train holds the same test targets: encode them once
+            targets_json = targets_json or encode_json(rec.test_targets.tolist())
+            stem = f"{rec.method}_seed{rec.seed}"
+            rec.save(out / "runs" / f"{stem}.json", targets_json)
+            if trace:
+                write_trace(trace, out / "traces" / f"{stem}.csv")
+            overall = rec.metrics["overall"]
+            print(
+                f"{rec.method} seed={rec.seed} epoch={rec.selected_epoch} "
+                f"{rec.utility_kind}={overall.utility:.6g} var={overall.var:.6g}"
+            )
+            records.append(rec)
+    except NumericError as exc:
+        if exc.trace:  # a failed run's trace, named apart from a finished run's
+            method, seed = exc.run
+            write_trace(exc.trace, out / "traces" / f"{method}_seed{seed}.failed.csv")
+        raise
+    aggregate(records).to_csv(out / "aggregate.csv")
     print(f"wrote {len(records)} runs to {out}")
     return 0
 

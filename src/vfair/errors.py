@@ -15,4 +15,11 @@ class DataError(ValueError):
 
 
 class NumericError(ArithmeticError):
-    """A computation left the domain where its result is meaningful."""
+    """A computation left the domain where its result is meaningful.  One
+    that stops a training run carries the run, `run` ((method, seed)), and
+    its step trace up to the failing step, `trace` (column -> values; empty
+    for a method that traces nothing)."""
+
+    def __init__(self, message, run=None, trace=None):
+        super().__init__(message)
+        self.run, self.trace = run, trace

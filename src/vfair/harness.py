@@ -59,6 +59,9 @@ METHODS = ("erm", *_VFAIR_OBJECTIVE, "dro")
 OPTIMIZERS = ("sgd", "adagrad")
 EPOCH_SELECTION = ("final", "harmless")
 MAX_STEPS = 1 << 22  # steps per run, epochs x batches: hours of training; the README's takes 1,350
+# a run with an epoch training loss above this many times its loss at
+# initialisation has diverged; 370 trained README-grid runs peaked at 1.016
+DIVERGENCE_RATIO = 1e3
 _TARGETS, _KIND = ', "test_targets": ', ', "utility_kind": '  # how a saved record ends
 
 logger = logging.getLogger(__name__)
@@ -370,7 +373,6 @@ class RunRecord:
     utility_kind: str
     test_predictions: np.ndarray  # decoded per utility kind
     test_targets: np.ndarray
-    trace: dict = field(default_factory=dict)  # step-trace column -> values; not saved
     config: dict = field(default_factory=dict)
 
     def to_json_dict(self, targets: bool = True) -> dict:
@@ -540,12 +542,16 @@ def write_trace(trace, path) -> None:
 
 
 def _train_one(cfg: ExperimentConfig, spec: ModelSpec, train: Dataset, method: str, seed: int,
-               reference: float | None = None):
+               reference: float | None = None, init_loss: float | None = None):
     """Train one (method, seed); returns (selected params, selected epoch,
     per-epoch loss, trace).  The selected epoch is the last one, or with a
     `reference` loss the one whose training loss is nearest it (earliest
     wins ties).  The trace maps "step" and the columns the method fills
-    to one value per step.
+    to one value per step.  A NumericError names the run and epoch, and
+    carries the trace up to the failing step: a loss that is not finite
+    stops the run at its step, and a run that ends with an epoch loss
+    above DIVERGENCE_RATIO times `init_loss`, the full-train loss at
+    initialisation, is refused naming the first such epoch.
 
     The run's workspaces are built once: an ``nnet.Workspace`` over the
     parameters, which every update overwrites in place, and one
@@ -593,19 +599,47 @@ def _train_one(cfg: ExperimentConfig, spec: ModelSpec, train: Dataset, method: s
                 best[...] = params
                 best_epoch = epoch
     except NumericError as exc:
-        raise NumericError(f"{method} seed={seed} epoch={epoch} step={step}: {exc}") from exc
-    trace = {"step": np.arange(steps), **dict(zip(filled, values.T))} if filled else {}
+        raise NumericError(f"{method} seed={seed} epoch={epoch} step={step}: {exc}",
+                           (method, seed), _trace(filled, values[:step])) from exc
+    trace = _trace(filled, values)
+    # a finite divergence, checked once the run has trained, so that a loss
+    # that overflows on the way is reported at its step
+    for epoch, loss in enumerate(per_epoch_loss):
+        if init_loss and loss > DIVERGENCE_RATIO * init_loss:
+            raise NumericError(f"{method} seed={seed} epoch={epoch}: training loss {loss:.6g} is "
+                               f"{loss / init_loss:.3g} times its value at initialisation",
+                               (method, seed), trace)
     return best, best_epoch, per_epoch_loss, trace
 
 
-def evaluate(cfg, spec, test: Dataset, params, method: str, seed: int) -> RunRecord:
-    """Full test-split evaluation of fixed parameters into a RunRecord.  The
+def _trace(filled, values) -> dict:
+    """Column -> values of a [steps, len(filled)] array, with "step"; {} if `filled` is empty."""
+    return {"step": np.arange(len(values)), **dict(zip(filled, values.T))} if filled else {}
+
+
+def _initial_loss(spec: ModelSpec, train: Dataset, seed: int) -> float | None:
+    """The full-train mean loss at `init_params(spec, seed)`, where every run
+    of `seed` starts; None if a loss there is not finite, which the runs'
+    own loss checks then report, naming their step."""
+    try:
+        return float(per_example_losses(spec, forward(spec, init_params(spec, seed), train),
+                                        train.targets).mean())
+    except NumericError:
+        return None
+
+
+def evaluate(cfg, spec, test: Dataset, params, method: str, seed: int) -> dict:
+    """The test half of run (`method`, `seed`)'s record: its metric reports,
+    utility kind and test predictions, keyed by their RunRecord fields.  The
     outputs are decoded for the utility kind, as float64: mse scores point
     predictions (the regression output, or the probability of a logit),
     accuracy and f1 hard labels (the argmax class, or logit > 0)."""
     _check_targets(spec.task, test.targets, spec.output_dim)
     outputs = forward(spec, params, test)
-    losses = per_example_losses(spec, outputs, test.targets)
+    try:
+        losses = per_example_losses(spec, outputs, test.targets)
+    except NumericError as exc:
+        raise NumericError(f"{method} seed={seed}: test split: {exc}") from exc
     kind = resolve_utility(cfg.utility, spec.task)
     if kind == "mse":
         preds = outputs[:, 0] if spec.task == "regression_mse" else _expit(outputs[:, 0])
@@ -616,23 +650,14 @@ def evaluate(cfg, spec, test: Dataset, params, method: str, seed: int) -> RunRec
     parts = [GroupPartition.whole(test.n, label="overall"),
              *(GroupPartition.from_values(v, label=name) for name, v in test.sensitive.items())]
     reports = {p.label: build_report(preds, test.targets, losses, p, kind) for p in parts}
-
-    return RunRecord(
-        method=method,
-        seed=seed,
-        per_epoch_loss=[],
-        selected_epoch=0,
-        params=np.asarray(params, dtype=np.float64),
-        metrics=reports,
-        utility_kind=kind,
-        test_predictions=preds,
-        test_targets=test.targets,
-        config=cfg.raw,
-    )
+    return {"metrics": reports, "utility_kind": kind, "test_predictions": preds}
 
 
-def run_experiment(cfg: ExperimentConfig) -> list:
-    """Train and evaluate every (method, seed) pair of the config.
+def run_experiment(cfg: ExperimentConfig):
+    """Train and evaluate every (method, seed) pair of the config, yielding
+    each run's (RunRecord, trace) as soon as it is evaluated; the trace maps
+    step-trace columns to values, {} for erm.  A generator: the data are
+    built and checked at the first next().
 
     The mean-loss baseline trains first within each seed so the harmless
     epoch selection of the other methods can reference its final
@@ -656,28 +681,23 @@ def run_experiment(cfg: ExperimentConfig) -> list:
     ordered = sorted(cfg.methods, key=lambda m: m != "erm")  # erm first if present
 
     harmless = cfg.epoch_selection == "harmless"
-    records = []
-    # a run that breaks down numerically, in training or in test
-    # evaluation, reports itself once: as the NumericError of the next
-    # loss check or of RunRecord.save, not after a burst of overflow warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        for seed in cfg.seeds:
-            reference = cfg.erm_reference_loss
-            for method in ordered:
+    for seed in cfg.seeds:
+        reference = cfg.erm_reference_loss
+        with np.errstate(over="ignore", invalid="ignore"):
+            init_loss = _initial_loss(spec, train, seed)
+        for method in ordered:
+            # a run that breaks down numerically reports itself once, as the
+            # NumericError of a loss check or of RunRecord.save, not after a
+            # burst of overflow warnings; the errstate never spans a yield
+            with np.errstate(over="ignore", invalid="ignore"):
                 params, chosen, per_epoch_loss, trace = _train_one(
-                    cfg, spec, train, method, seed, reference if harmless else None
+                    cfg, spec, train, method, seed, reference if harmless else None, init_loss
                 )
-                if method == "erm" and reference is None:
-                    reference = per_epoch_loss[-1]
-                try:
-                    record = evaluate(cfg, spec, test, params, method, seed)
-                except NumericError as exc:
-                    raise NumericError(f"{method} seed={seed}: test split: {exc}") from exc
-                record.per_epoch_loss = per_epoch_loss
-                record.selected_epoch = chosen
-                record.trace = trace
-                records.append(record)
-    return records
+                tested = evaluate(cfg, spec, test, params, method, seed)
+            if method == "erm" and reference is None:
+                reference = per_epoch_loss[-1]
+            yield RunRecord(method, seed, per_epoch_loss, chosen, params, test_targets=test.targets,
+                            config=cfg.raw, **tested), trace
 
 
 # ---------------------------------------------------------------------------

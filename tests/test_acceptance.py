@@ -213,7 +213,7 @@ def test_worst_case_uniform_collapse():
             "seeds": [0],
         }
     )
-    rec = run_experiment(cfg)[0]
+    rec = next(run_experiment(cfg))[0]
     overall = rec.metrics["overall"]
     elapsed = time.perf_counter() - t0
     ok = 0.23 <= overall.utility <= 0.27 and overall.var <= 1e-3 and elapsed < 120.0
@@ -252,7 +252,7 @@ def biased_regression_runs():
         }
     )
     t0 = time.perf_counter()
-    records = run_experiment(cfg)
+    records = [rec for rec, _ in run_experiment(cfg)]
     return records, time.perf_counter() - t0
 
 
@@ -396,7 +396,7 @@ def test_training_ignores_the_sensitive_columns_on_the_readme_config(monkeypatch
     # params, losses and trace bit-equal and move only the group metrics
     t0 = time.perf_counter()
     cfg = config_from_dict(config_from_readme(epochs=30))
-    kept = run_experiment(cfg)
+    kept = list(run_experiment(cfg))
     build = harness.build_datasets
     rng = np.random.default_rng(45)
 
@@ -407,12 +407,12 @@ def test_training_ignores_the_sensitive_columns_on_the_readme_config(monkeypatch
 
     monkeypatch.setattr(harness, "build_datasets", permuted)
     moved = []
-    for a, b in zip(kept, run_experiment(cfg), strict=True):
+    for (a, a_trace), (b, b_trace) in zip(kept, run_experiment(cfg), strict=True):
         assert (a.method, a.seed) == (b.method, b.seed)
         assert a.params.tobytes() == b.params.tobytes(), a.method
         assert a.per_epoch_loss == b.per_epoch_loss and a.selected_epoch == b.selected_epoch
-        assert a.trace.keys() == b.trace.keys()
-        assert all(a.trace[c].tobytes() == b.trace[c].tobytes() for c in a.trace), a.method
+        assert a_trace.keys() == b_trace.keys()
+        assert all(a_trace[c].tobytes() == b_trace[c].tobytes() for c in a_trace), a.method
         assert a.test_predictions.tobytes() == b.test_predictions.tobytes()
         assert a.metrics.keys() == b.metrics.keys() == {"overall", "group"}
         assert a.metrics["overall"] == b.metrics["overall"]
@@ -469,7 +469,7 @@ def test_recidivism_directional():
             "epoch_selection": "harmless",
         }
     )
-    records = run_experiment(cfg)
+    records = [rec for rec, _ in run_experiment(cfg)]
     disparity = {"erm": [], "vfair_std": []}
     var = {"erm": [], "vfair_std": []}
     for rec in records:

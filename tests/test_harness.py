@@ -9,7 +9,7 @@ import pytest
 from scipy import stats
 from scipy.special import expit
 
-from helpers import count_calls, dictwriter_csv, reference_train
+from helpers import config_from_readme, count_calls, dictwriter_csv, reference_train
 from vfair import harness, nnet
 from vfair.cli import main as cli_main
 from vfair.errors import ConfigError, DataError, NumericError
@@ -261,11 +261,11 @@ def test_a_run_of_more_than_max_steps_is_refused_before_a_step(monkeypatch, max_
     count_calls(monkeypatch, counts, "step", harness.grad_mu, harness)
     cfg = config_from_dict(tiny_config(methods=["erm"]))
     if trains:
-        run_experiment(cfg)
+        list(run_experiment(cfg))
         assert counts == {"step": 12}
     else:
         with pytest.raises(ConfigError, match="batches per epoch is above MAX_STEPS = 11$"):
-            run_experiment(cfg)
+            next(run_experiment(cfg))
         assert counts == {"step": 0}
 
 
@@ -314,7 +314,7 @@ def test_selected_epoch_is_final_or_nearest_reference(selection):
         d = tiny_config(methods=["erm", "vfair_std", "dro"], epochs=5,
                         epoch_selection=selection, seeds=[0, 1], optimizer=optimizer)
         cfg = config_from_dict(d)
-        records = run_experiment(cfg)
+        records = [rec for rec, _ in run_experiment(cfg)]
         refs = {r.seed: r.per_epoch_loss[-1] for r in records if r.method == "erm"}
         for rec in records:
             if selection == "final" or rec.method == "erm":
@@ -326,7 +326,8 @@ def test_selected_epoch_is_final_or_nearest_reference(selection):
             # ends on the same bits
             short = tiny_config(methods=[rec.method], epochs=want + 1, seeds=[rec.seed],
                                 optimizer=optimizer)
-            assert np.array_equal(run_experiment(config_from_dict(short))[0].params, rec.params)
+            rerun = next(run_experiment(config_from_dict(short)))[0]
+            assert np.array_equal(rerun.params, rec.params)
 
 
 def test_harmless_never_beats_final_epoch_distance():
@@ -334,7 +335,7 @@ def test_harmless_never_beats_final_epoch_distance():
         tiny_config(methods=["erm", "vfair_std", "dro"], epochs=5,
                     epoch_selection="harmless", seeds=[0, 1])
     )
-    records = run_experiment(cfg)
+    records = [rec for rec, _ in run_experiment(cfg)]
     refs = {r.seed: r.per_epoch_loss[-1] for r in records if r.method == "erm"}
     for rec in records:
         ref = refs[rec.seed]
@@ -437,7 +438,7 @@ def test_harmless_without_reference_raises():
 def test_harmless_with_explicit_reference():
     d = tiny_config(methods=["vfair_std"], epoch_selection="harmless",
                     epochs=4, erm_reference_loss=1e9)
-    records = run_experiment(config_from_dict(d))
+    records = [rec for rec, _ in run_experiment(config_from_dict(d))]
     rec = records[0]
     # a huge reference makes the largest per-epoch loss the nearest one
     assert rec.selected_epoch == int(np.argmax(rec.per_epoch_loss))
@@ -448,7 +449,7 @@ def test_harmless_with_explicit_reference():
 
 def test_run_experiment_record_shape():
     cfg = config_from_dict(tiny_config(methods=["erm", "vfair_std", "dro"], seeds=[3]))
-    records = run_experiment(cfg)
+    records, traces = map(list, zip(*run_experiment(cfg)))
     assert [r.method for r in records] == ["erm", "vfair_std", "dro"]
     train, test = build_datasets(cfg)
     spec = build_model_spec(cfg, train)
@@ -462,24 +463,24 @@ def test_run_experiment_record_shape():
         assert rec.test_predictions.shape == (test.n,)
         assert rec.metrics["overall"].n_examples == test.n
         assert rec.metrics["overall"].mud == 0.0  # single group
-    assert records[0].trace == {}
+    assert traces[0] == {}
     # 120 train rows / batch 32: 4 steps per epoch
-    assert records[1].trace["step"].tolist() == list(range(cfg.epochs * 4))
-    assert {"mu", "sigma", "lambda"} <= set(records[1].trace)
-    assert all(len(v) == cfg.epochs * 4 for v in records[1].trace.values())
-    assert set(records[2].trace) == {"step", "eta"}
+    assert traces[1]["step"].tolist() == list(range(cfg.epochs * 4))
+    assert {"mu", "sigma", "lambda"} <= set(traces[1])
+    assert all(len(v) == cfg.epochs * 4 for v in traces[1].values())
+    assert set(traces[2]) == {"step", "eta"}
 
 
 def test_training_reduces_mean_loss():
     cfg = config_from_dict(tiny_config(methods=["erm"], epochs=8))
-    rec = run_experiment(cfg)[0]
+    rec = next(run_experiment(cfg))[0]
     assert rec.per_epoch_loss[-1] < 0.5 * rec.per_epoch_loss[0]
 
 
 def test_classification_run_uses_accuracy():
     d = tiny_config(methods=["erm"], epochs=4)
     d["dataset"]["task"] = "binary_bce"
-    rec = run_experiment(config_from_dict(d))[0]
+    rec = next(run_experiment(config_from_dict(d)))[0]
     assert rec.utility_kind == "accuracy"
     assert set(np.unique(rec.test_predictions)) <= {0.0, 1.0}
     assert 0.0 <= rec.metrics["overall"].utility <= 1.0
@@ -488,8 +489,8 @@ def test_classification_run_uses_accuracy():
 def test_run_experiment_is_deterministic():
     for optimizer in ("sgd", "adagrad"):
         cfg = config_from_dict(tiny_config(optimizer=optimizer, seeds=[2]))
-        a = run_experiment(cfg)
-        b = run_experiment(cfg)
+        a = [rec for rec, _ in run_experiment(cfg)]
+        b = [rec for rec, _ in run_experiment(cfg)]
         assert len(a) == len(b)
         for ra, rb in zip(a, b):
             assert json.dumps(ra.to_json_dict(), sort_keys=True) == json.dumps(
@@ -499,7 +500,7 @@ def test_run_experiment_is_deterministic():
 
 def test_run_record_round_trip(tmp_path):
     cfg = config_from_dict(tiny_config(methods=["vfair_std"], epochs=2))
-    rec = run_experiment(cfg)[0]
+    rec = next(run_experiment(cfg))[0]
     path = tmp_path / "run.json"
     rec.save(path)
     back = RunRecord.load(path)
@@ -515,12 +516,13 @@ def test_run_record_round_trip(tmp_path):
 
 
 def test_save_refuses_a_record_whose_fields_disagree(tmp_path):
-    # evaluate's record has no epoch losses until run_experiment fills them
-    # in; saved as it is it would not load back, so save writes nothing
+    # a record with no epoch losses would not load back, so save writes nothing
     cfg = config_from_dict(tiny_config(methods=["erm"], epochs=2))
     train, test = build_datasets(cfg)
     spec = build_model_spec(cfg, train)
-    rec = evaluate(cfg, spec, test, init_params(spec, 0), "erm", 0)
+    params = init_params(spec, 0)
+    rec = RunRecord("erm", 0, [], 0, params, test_targets=test.targets,
+                    **evaluate(cfg, spec, test, params, "erm", 0))
     path = tmp_path / "run.json"
     with pytest.raises(ValueError, match="selected_epoch 0 is not an index of per_epoch_loss"):
         rec.save(path)
@@ -544,7 +546,7 @@ def test_record_determines_its_test_predictions(tmp_path, task):
     d = tiny_config(methods=["erm"], epochs=2)
     d["dataset"]["task"] = task
     path = tmp_path / "run.json"
-    run_experiment(config_from_dict(d))[0].save(path)
+    next(run_experiment(config_from_dict(d)))[0].save(path)
     assert set(json.loads(path.read_text())) == RECORD_KEYS
     rec = RunRecord.load(path)
     cfg = config_from_dict(rec.config)
@@ -582,14 +584,15 @@ def test_evaluate_decodes_outputs_for_its_utility_kind():
         test = Dataset(features=x, targets=np.array([1.0, 0.0, 1.0]), sensitive={},
                        numeric_columns=())
         params = np.concatenate([np.eye(d_in).ravel(), np.zeros(d_in)])
-        rec = evaluate(cfg, spec, test, params, "erm", 0)
+        rec = RunRecord("erm", 0, [], 0, params, test_targets=test.targets,
+                        **evaluate(cfg, spec, test, params, "erm", 0))
         assert rec.utility_kind == kind
         assert rec.test_predictions.dtype == np.float64
         assert np.array_equal(rec.test_predictions, want), (task, kind)
 
 
 def test_run_record_save_writes_json_dumps_bytes_with_or_without_shared_targets(tmp_path):
-    records = run_experiment(config_from_dict(tiny_config(seeds=[0, 1])))
+    records = [rec for rec, _ in run_experiment(config_from_dict(tiny_config(seeds=[0, 1])))]
     targets_json = encode_json(records[0].test_targets.tolist())
     for rec in records:
         assert rec.test_targets is records[0].test_targets
@@ -611,8 +614,8 @@ def test_run_record_save_rejects_non_finite(tmp_path):
 
 def saved_record_text(tmp_path, d=None) -> str:
     """The bytes `vfair train` writes for the first run of a config."""
-    records = run_experiment(config_from_dict(d or tiny_config(methods=["vfair_std"])))
-    records[0].save(tmp_path / "saved.json", encode_json(records[0].test_targets.tolist()))
+    rec = next(run_experiment(config_from_dict(d or tiny_config(methods=["vfair_std"]))))[0]
+    rec.save(tmp_path / "saved.json", encode_json(rec.test_targets.tolist()))
     return (tmp_path / "saved.json").read_text()
 
 
@@ -950,7 +953,7 @@ def test_failed_write_raises_its_own_error(tmp_path):
 
 def test_emit_loss_curve_sorted_with_mean_row(tmp_path):
     cfg = config_from_dict(tiny_config(methods=["erm"], epochs=2))
-    rec = run_experiment(cfg)[0]
+    rec = next(run_experiment(cfg))[0]
     train, test = build_datasets(cfg)
     spec = build_model_spec(cfg, train)
     path = tmp_path / "curve.csv"
@@ -1444,7 +1447,12 @@ def split_csv_config(tmp_path, test_y):
     # training ends; the test losses themselves overflow
     (lambda tmp_path: split_csv_config(tmp_path, 1e200),
      r"erm seed=0: test split: " + DIVERGED),
-], ids=["erm", "dro_tiny", "dro_readme", "vfair_var", "erm_evaluation", "erm_test_loss"])
+    # every loss stays finite (mse 1.4e229 on the test split), but the
+    # epoch-0 training loss is 9e159 times the loss at initialisation
+    (readme_config(5, methods=["erm"], step_size=5.0, epochs=5),
+     r"erm seed=0 epoch=0: training loss \S+ is 9\.07e\+159 times its value at initialisation$"),
+], ids=["erm", "dro_tiny", "dro_readme", "vfair_var", "erm_evaluation", "erm_test_loss",
+        "erm_finite_divergence"])
 def test_cli_train_divergence_exits_3(tmp_path, capsys, recwarn, config, message):
     if callable(config):
         config = config(tmp_path)
@@ -1460,12 +1468,43 @@ def test_cli_train_divergence_exits_3(tmp_path, capsys, recwarn, config, message
         assert "Infinity" not in record.read_text() and "NaN" not in record.read_text()
 
 
+def test_a_failing_run_keeps_the_finished_runs_and_its_own_trace(tmp_path, capsys):
+    # the README config at dataset seed 3: vfair_var seed 0 breaks down at
+    # epoch 0, step 8, after erm and vfair_std seed 0 have finished
+    failing = config_from_readme(dataset={"seed": 3}, epoch_selection="final")
+    out = tmp_path / "o"
+    assert cli_main(train_argv(tmp_path, failing)) == 3
+    err = capsys.readouterr().err
+    assert err == "error: vfair_var seed=0 epoch=0 step=8: non-finite per-example loss\n"
+    assert sorted(p.name for p in (out / "runs").iterdir()) == ["erm_seed0.json",
+                                                               "vfair_std_seed0.json"]
+    assert not (out / "aggregate.csv").exists()
+    # the finished runs are those of a train that leaves the failing one out
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    passing = dict(failing, methods=["erm", "vfair_std"], seeds=[0])
+    assert cli_main(train_argv(kept, passing)) == 0
+    kept = kept / "o"
+    for name in ("erm_seed0.json", "vfair_std_seed0.json"):
+        got, want = (json.loads((d / "runs" / name).read_text()) for d in (out, kept))
+        assert got.pop("config") != want.pop("config")
+        assert got == want, name
+    trace = "traces/vfair_std_seed0.csv"
+    assert (out / trace).read_bytes() == (kept / trace).read_bytes()
+    assert sorted(p.name for p in (out / "traces").iterdir()) == ["vfair_std_seed0.csv",
+                                                                 "vfair_var_seed0.failed.csv"]
+    with open(out / "traces" / "vfair_var_seed0.failed.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["step"] for row in rows] == [str(t) for t in range(8)]
+    assert all(row["mu"] and row["eta"] == "" for row in rows)
+
+
 @pytest.mark.parametrize("batch_size, warned", [(32, True), (64, False)])
 def test_dro_degenerate_batch_is_logged(caplog, batch_size, warned):
     # C^2 = 2 (1/0.2 - 1)^2 + 1 = 33 at the default dro_alpha_min
     cfg = config_from_dict(tiny_config(methods=["dro"], batch_size=batch_size, epochs=1))
     with caplog.at_level("WARNING", logger="vfair"):
-        run_experiment(cfg)
+        list(run_experiment(cfg))
     hits = [r for r in caplog.records if r.name.startswith("vfair") and r.levelname == "WARNING"]
     if warned:
         assert len(hits) == 1
