@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, NumericError
 
 # utility kind -> the tasks it scores; accuracy and f1 score hard labels, mse point predictions
 UTILITY_KINDS = {
@@ -336,14 +336,18 @@ def _average_ranks(x: np.ndarray, axis: int) -> np.ndarray:
 
 
 def significance_test(a, b) -> float:
-    """Two-sided Welch's t-test p-value between two metric samples, computed
-    step for step as scipy's `ttest_ind(a, b, equal_var=False)` computes it;
-    `stdtr` is imported here, so only a p-value loads ``scipy.special``."""
-    from scipy.special import stdtr
+    """Two-sided Welch's t-test p-value between two metric samples: t and df
+    as scipy's `ttest_ind(a, b, equal_var=False)` computes them, and the
+    package's own Student-t tail, within 1e-12 relative of scipy's."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if len(a) < 2 or len(b) < 2:
         raise ConfigError("significance needs at least two values per side")
+    # t and df do not change when both samples are scaled by one factor; a
+    # power of two scales exactly, and the one that brings the largest |value|
+    # into [0.5, 1) keeps the moments in range at any scale of the samples
+    e = math.frexp(max(np.abs(a).max(), np.abs(b).max()))[1]
+    a, b = np.ldexp(a, -e), np.ldexp(b, -e)
     if np.ptp(a) == 0.0 and np.ptp(b) == 0.0:
         # degenerate: every repetition produced the identical value, so the
         # usual test statistic is undefined
@@ -355,4 +359,77 @@ def significance_test(a, b) -> float:
         # a variance that underflows to 0 leaves df undefined; any df then works
         df = (vn1 + vn2) ** 2 / (vn1 ** 2 / (n1 - 1) + vn2 ** 2 / (n2 - 1))
         t = (a.mean() - b.mean()) / np.sqrt(vn1 + vn2)
-    return float(2 * stdtr(1.0 if np.isnan(df) else df, -abs(t)))
+    return _student_t_two_sided(float(t), 1.0 if np.isnan(df) else float(df))
+
+
+# terms of `_beta_fraction` before it gives up: over df from 0.5 to 1e16 and
+# |t| from 1e-4 to 1e200, scanned densest near |t| = sqrt(3), where it is
+# slowest, it converged within 75
+MAX_BETA_TERMS = 200
+
+
+def _student_t_two_sided(t: float, df: float) -> float:
+    """P(|T| >= |t|) for Student's t with `df` degrees of freedom, the
+    regularized incomplete beta I_x(df/2, 1/2) at x = df / (df + t^2).  x and
+    y = 1 - x are taken through their logs, which neither overflow at a large
+    t nor cancel at a small one."""
+    if math.isnan(t):
+        return math.nan
+    if t == 0.0:  # math.log(s) below refuses s = 0
+        return 1.0
+    a = 0.5 * df
+    s = abs(t) / math.sqrt(df)  # x = 1 / (1 + s^2)
+    if s > 1.0:
+        log_y = -math.log1p(1.0 / (s * s))
+        log_x = log_y - 2.0 * math.log(s)
+    else:
+        log_x = -math.log1p(s * s)
+        log_y = log_x + 2.0 * math.log(s)
+    # x^a y^(1/2) / B(a, 1/2), where B(a, 1/2) = sqrt(pi) Gamma(a) / Gamma(a + 1/2)
+    front = math.exp(a * log_x + 0.5 * log_y + _log_gamma_half_ratio(a) - 0.5 * math.log(math.pi))
+    x, y = math.exp(log_x), math.exp(log_y)
+    # the fraction converges fast below (a + 1) / (a + b + 2); above, I_x(a, b) = 1 - I_y(b, a)
+    if x < (a + 1.0) / (a + 2.5):
+        return front / (a * _beta_fraction(a, 0.5, x, y))
+    return 1.0 - front / (0.5 * _beta_fraction(0.5, a, y, x))
+
+
+def _log_gamma_half_ratio(a: float) -> float:
+    """log(Gamma(a + 1/2) / Gamma(a)) for a > 0, to a few ulps of its size.
+    lgamma(a + 1/2) - lgamma(a) loses digits to cancellation as a grows
+    (3e-11 relative in a p-value at 3,000 values per side), so this sums
+    Stirling's series of the ratio at a >= 16, reached from a smaller a by
+    Gamma(a + 1) = a Gamma(a)."""
+    shift = 0.0
+    while a < 16.0:
+        shift += math.log1p(0.5 / a)
+        a += 1.0
+    r = 1.0 / (a * a)
+    series = 1 / 8 - r * (1 / 192 - r * (1 / 640 - r * (17 / 14336 - r * 31 / 18432)))
+    return 0.5 * math.log(a) - series / a - shift
+
+
+def _beta_fraction(a: float, b: float, x: float, y: float) -> float:
+    """The continued fraction F of I_x(a, b) = x^a y^b / (a B(a, b) F), with
+    y = 1 - x, which converges fast for x < (a + 1) / (a + b + 2).  It is the
+    odd part of the usual fraction 1 + d1/(1 + d2/(1 + ...)) (Numerical
+    Recipes' `betacf`): each denominator 1 + d(2k) + d(2k+1) is summed as
+    y + x c, with c a ratio of polynomials in a, b and k, where the usual
+    1 - c' x loses up to log10(a) digits as x nears 1.  Summed by Lentz's
+    method, in which a zero denominator becomes `tiny`; past MAX_BETA_TERMS
+    terms it raises `NumericError`."""
+    tiny = 1e-300
+    f = c = y + x * (1.0 - b) / (a + 1.0) or tiny
+    d = 0.0
+    for k in range(1, MAX_BETA_TERMS + 1):
+        u, v = a + 2 * k - 1, a + 2 * k
+        # -d(2k-1) d(2k) and 1 + d(2k) + d(2k+1) of the usual fraction
+        num = (a + k - 1) * (a + b + k - 1) * k * (b - k) * x * x / ((u - 1) * u * u * v)
+        den = y + x * (((2 * k + 1 - b) * a + k * (3 * k + 2 - b)) / (v * (v + 1)) + k * (b - k) / (u * v))
+        d = 1.0 / (den + num * d or tiny)
+        c = den + num / c or tiny
+        f *= c * d
+        if abs(c * d - 1.0) <= math.ulp(1.0):
+            return f
+    raise NumericError(f"the Student-t tail did not converge in {MAX_BETA_TERMS} terms "
+                       f"(a={a!r}, b={b!r}, x={x!r})")

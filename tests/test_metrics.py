@@ -18,7 +18,7 @@ from helpers import (
 )
 from vfair import metrics
 from vfair.cli import main as cli_main
-from vfair.errors import ConfigError, DataError
+from vfair.errors import ConfigError, DataError, NumericError
 from vfair.harness import RunRecord
 from vfair.metrics import (
     MAX_EXPECTED_DRAWS,
@@ -520,7 +520,8 @@ def test_significance_matches_scipy_welch():
     for _ in range(300):
         a = rng.normal(size=rng.integers(2, 13))
         b = rng.normal(rng.uniform(-1.0, 1.0), rng.uniform(0.1, 3.0), size=rng.integers(2, 13))
-        assert significance_test(a, b) == float(stats.ttest_ind(a, b, equal_var=False).pvalue)
+        expected = float(stats.ttest_ind(a, b, equal_var=False).pvalue)
+        assert significance_test(a, b) == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 def test_significance_one_constant_side_is_silent_and_matches_scipy():
@@ -532,7 +533,42 @@ def test_significance_one_constant_side_is_silent_and_matches_scipy():
         expected = float(stats.ttest_ind(a, b, equal_var=False).pvalue)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert significance_test(a, b) == expected
+        assert significance_test(a, b) == pytest.approx(expected, rel=1e-12, abs=0)
+
+
+def test_significance_tail_is_within_1e_12_of_scipy_at_large_samples_and_far_tails(monkeypatch):
+    # the Student-t tail is the package's own: at large df, where
+    # lgamma(a + 1/2) - lgamma(a) cancels, and in tails down to p ~ 1e-250
+    rng = np.random.default_rng(38)
+    for n, farthest in ((100, 36.0), (1_000, 1.76), (10_000, 0.49)):
+        a, b = rng.normal(size=n), rng.normal(size=n)
+        pvalues = []
+        for shift in np.linspace(0.0, farthest, 13):
+            expected = float(stats.ttest_ind(a, b + shift, equal_var=False).pvalue)
+            assert significance_test(a, b + shift) == pytest.approx(expected, rel=1e-12, abs=0)
+            pvalues.append(expected)
+        assert pvalues[0] > 0.01 and 1e-270 < pvalues[-1] < 1e-230
+    # equal means, unequal spreads: t == 0
+    assert significance_test([1.0, 2.0, 3.0], [0.0, 2.0, 4.0]) == 1.0
+    monkeypatch.setattr(metrics, "MAX_BETA_TERMS", 1)
+    with pytest.raises(NumericError, match="did not converge in 1 terms"):
+        significance_test([1.0, 2.0, 3.0], [0.0, 2.0, 5.0])
+
+
+def test_significance_does_not_depend_on_the_samples_scale():
+    # Welch's t is unchanged when both samples are scaled by one factor; the
+    # moments used to underflow or overflow at the ends of the float range
+    rng = np.random.default_rng(39)
+    a, b = rng.normal(size=5), rng.normal(0.5, 2.0, size=4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in (-900, 900):
+            assert significance_test(a * 2.0 ** k, b * 2.0 ** k) == significance_test(a, b)
+            assert significance_test(a * 2.0 ** k, a * 2.0 ** k) == 1.0
+        assert significance_test([0.0, 1e-170], [0.0, 1e-170]) == 1.0
+        assert significance_test([0.0, 1e-200], [0.0, 2e-200]) == pytest.approx(
+            significance_test([0.0, 1.0], [0.0, 2.0]), rel=1e-15, abs=0)
+        assert significance_test([1e308, -1e308], [0.0, 0.1]) == 1.0
 
 
 def test_significance_degenerate_and_separated():

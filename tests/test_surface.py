@@ -87,16 +87,20 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     assert _fresh_python(code) == "False False"
 
 
-# train, rank and curve in one interpreter; prints the scipy modules loaded after each
+# train, rank, curve and compare in one interpreter; prints the scipy modules
+# loaded after each
 COLD_COMMANDS = """
-import sys
+import json, sys
 from vfair.cli import main
 cfg, out = sys.argv[1:]
-runs = [f"{out}/runs/{m}_seed0.json" for m in ("erm", "vfair_std", "vfair_var", "vfair_pairwise", "dro")]
+methods = ("erm", "vfair_std", "vfair_var", "vfair_pairwise", "dro")
+runs = [f"{out}/runs/{m}_seed0.json" for m in methods]
+every_run = [f"{out}/runs/{m}_seed{s}.json" for m in methods for s in json.load(open(cfg))["seeds"]]
 commands = [
     ["train", "--config", cfg, "--out", out],
     ["rank", "--runs", *runs, "--k", "4", "--trials", "10", "--seed", "0", "--out", out + "/r.csv"],
     ["curve", "--run", runs[1], "--out", out + "/c.csv"],
+    ["compare", "--runs", *every_run],
 ]
 for argv in commands:
     assert main(argv) == 0, argv
@@ -104,17 +108,28 @@ for argv in commands:
 """
 
 
-def test_one_seed_regression_train_rank_and_curve_never_load_scipy(tmp_path):
+def _scipy_after_each_command(tmp_path, seeds) -> list:
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(config_from_readme(dataset={"n": 300}, epochs=2, seeds=[0])))
+    cfg.write_text(json.dumps(config_from_readme(dataset={"n": 300}, epochs=2, seeds=seeds)))
     lines = _fresh_python(COLD_COMMANDS, cfg, tmp_path / "o").splitlines()
-    loaded = [line for line in lines if line.startswith("scipy after")]
-    assert loaded == ["scipy after train []", "scipy after rank []", "scipy after curve []"]
+    return [line for line in lines if line.startswith("scipy after")]
+
+
+NO_SCIPY = [f"scipy after {command} []" for command in ("train", "rank", "curve", "compare")]
+
+
+def test_one_seed_regression_train_rank_and_curve_never_load_scipy(tmp_path):
+    assert _scipy_after_each_command(tmp_path, [0]) == NO_SCIPY
+
+
+def test_two_seed_regression_train_and_compare_never_load_scipy(tmp_path):
+    # two seeds give aggregate.csv and compare Welch p-values, the package's own
+    assert _scipy_after_each_command(tmp_path, [0, 1]) == NO_SCIPY
 
 
 def test_scipy_loaded_mid_run_writes_the_bits_of_scipy_loaded_first(tmp_path, capsys):
-    # a fresh interpreter loads scipy.special at its first sigmoid and at the
-    # first Welch p-value of aggregate; this process loaded it at import
+    # a fresh interpreter loads scipy.special at its first sigmoid; this
+    # process loaded it at import
     import scipy.special  # noqa: F401
 
     d = config_from_readme(dataset={"n": 300, "task": "binary_bce"}, epochs=2, seeds=[0, 1])
