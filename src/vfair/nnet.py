@@ -29,6 +29,8 @@ matrix then bias (``ModelSpec.layout``), so gradients, parameters and
 finite-difference probes are interchangeable.  Products call BLAS through
 ``np.dot``, the ``@`` gufunc's bits without its dispatch; the bias product
 stays ``np.matmul``, whose ``out`` is a strided view ``np.dot`` refuses.
+The logistic and the softmax are computed with numpy's ``exp``, whose
+float64 kernel numpy picks by CPU feature, so their bits may vary by CPU.
 """
 
 from __future__ import annotations
@@ -165,17 +167,11 @@ def init_params(spec: ModelSpec, seed: int) -> np.ndarray:
 
 
 def _expit(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """scipy's logistic ufunc, imported per call: only a sigmoid loads scipy."""
-    from scipy.special import expit
-    return expit(x, out=out)
-
-
-def _activate(name: str, h: np.ndarray) -> None:
-    """Apply the hidden activation to the pre-activations ``h`` in place."""
-    if name == "relu":
-        np.maximum(h, 0.0, out=h)
-    elif name == "sigmoid":
-        _expit(h, out=h)
+    """The logistic split on the sign of x, e^min(x, 0) / (1 + e^-|x|):
+    1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below, so ``exp`` never
+    overflows (±inf included) and the negative tail keeps its relative
+    precision.  ``out`` may be ``x``."""
+    return np.divide(np.exp(np.minimum(x, 0.0)), 1.0 + np.exp(-np.abs(x)), out=out)
 
 
 def _activate_grad(name: str, a: np.ndarray):
@@ -240,8 +236,10 @@ def forward_cache(spec: ModelSpec, params: np.ndarray | Workspace,
         inputs.append(h)
         h = np.dot(h, w)
         h += b
-        if idx < last:
-            _activate(spec.activation, h)
+        if idx < last and spec.activation == "relu":
+            np.maximum(h, 0.0, out=h)
+        elif idx < last and spec.activation == "sigmoid":
+            _expit(h, out=h)
     return ForwardCache(ws, inputs, h)
 
 

@@ -13,7 +13,6 @@ from pathlib import Path
 
 import numpy as np
 from scipy import stats
-from scipy.special import expit
 
 from vfair.baselines import DroConfig, dro_direction
 from vfair.errors import ConfigError, DataError, NumericError
@@ -26,7 +25,8 @@ from vfair.metrics import (
     higher_is_better,
 )
 from vfair.nnet import (
-    Batch, ModelSpec, _loss_output_grad, forward, init_params, per_example_losses, unpack,
+    Batch, ModelSpec, _expit, _loss_output_grad, forward, init_params, per_example_losses,
+    unpack,
 )
 from vfair.update import UpdateState, grad_mu, vfair_direction
 
@@ -225,7 +225,7 @@ def reference_forward(spec: ModelSpec, params: np.ndarray, batch: Batch):
         elif spec.activation == "relu":
             h = np.maximum(z, 0.0)
         else:
-            h = expit(z)
+            h = _expit(z)
     return inputs, preacts, h
 
 
@@ -251,7 +251,7 @@ def reference_weighted_gradient(spec: ModelSpec, params: np.ndarray, batch: Batc
             if spec.activation == "relu":
                 delta *= z > 0.0
             elif spec.activation == "sigmoid":
-                s = expit(z)
+                s = _expit(z)
                 delta *= s * (1.0 - s)
     return grad if weights.ndim == 2 else grad[0]
 

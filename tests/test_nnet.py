@@ -1,9 +1,11 @@
 """Tests for the dense-network core: losses, backprop, fd oracle."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from helpers import directional_derivative_fd, reference_forward, reference_weighted_gradient
 from vfair.baselines import DroConfig, dro_direction
@@ -17,6 +19,7 @@ from vfair.nnet import (
     ModelSpec,
     Workspace,
     _check_targets,
+    _expit,
     forward,
     forward_cache,
     init_params,
@@ -202,6 +205,30 @@ def test_bce_extreme_logits_stay_finite():
     assert losses[1] == pytest.approx(0.0, abs=1e-12)
     assert losses[2] == pytest.approx(500.0)
     assert losses[3] == pytest.approx(500.0)
+
+
+def test_logistic_is_within_an_ulp_or_so_of_scipy_expit_and_never_warns():
+    # relative error <= 5e-16 where the logistic is a normal float or
+    # nearly (|x| <= 709), absolute error <= 2.3e-16 at every finite x and
+    # at +-inf, no RuntimeWarning, and out=x writes the same bits in place
+    rng = np.random.default_rng(0)
+    body = np.concatenate([np.linspace(0.0, 709.0, 1_000_001),
+                           rng.uniform(0.0, 709.0, 500_000),
+                           10.0 ** rng.uniform(-320.0, math.log10(709.0), 500_000)])
+    tails = np.concatenate([rng.uniform(709.0, 800.0, 100_000),
+                            10.0 ** rng.uniform(2.8, 308.25, 100_000),
+                            [np.finfo(float).max, np.finfo(float).tiny, 5e-324, 0.0, np.inf]])
+    body, tails = np.concatenate([body, -body]), np.concatenate([tails, -tails])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x, rel in ((body, 5e-16), (tails, None)):
+            got, want = _expit(x), expit(x)
+            assert np.abs(got - want).max() <= 2.3e-16
+            if rel is not None:
+                assert (np.abs(got - want) / want).max() <= rel
+            in_place = x.copy()
+            assert _expit(in_place, out=in_place) is in_place
+            assert np.array_equal(in_place, got)
 
 
 def test_logistic_mse_uniform_prediction_quarter_loss():
