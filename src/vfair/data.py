@@ -213,7 +213,7 @@ def split(dataset: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, D
     sides = (perm[n_test:], perm[:n_test])
     # gathering the rows copies them, so each side is standardized in place;
     # a statistic that overflows is refused by the row check, as one error
-    train_x, test_x = (dataset.features[idx] for idx in sides)
+    train_x, test_x = (dataset.features.take(idx, axis=0) for idx in sides)
     with np.errstate(over="ignore", invalid="ignore"):
         for j in dataset.numeric_columns:
             vals = train_x[:, j]
@@ -223,8 +223,8 @@ def split(dataset: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, D
                 std = 1.0  # constant on the train side -> train values all zero
             train_x[:, j] = (vals - mean) / std
             test_x[:, j] = (test_x[:, j] - mean) / std
-    return tuple(replace(dataset, features=x, targets=dataset.targets[idx], rejected_rows=0,
-                         sensitive={k: v[idx] for k, v in dataset.sensitive.items()})
+    return tuple(replace(dataset, features=x, targets=dataset.targets.take(idx), rejected_rows=0,
+                         sensitive={k: v.take(idx) for k, v in dataset.sensitive.items()})
                  for x, idx in zip((train_x, test_x), sides))
 
 

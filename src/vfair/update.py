@@ -17,8 +17,8 @@ per-example weight vector and in the closed form of lam2:
 
     std_dev    weights (l_i - mu) / sigma            lam2 = mu / sigma (capped)
     variance   weights 2 * (l_i - mu)                lam2 = 2 * (mu - min_i l_i)
-    pairwise   signed coefficients of the sorted     lam2 = 2
-               consecutive-difference sum
+    pairwise   loss range max - min: weight +1 at    lam2 = 2
+               the largest loss, -1 at the smallest, 0 elsewhere
 
 The running mean mu is an exponential moving average across batches
 (bias left uncorrected, mu_0 = 0); sigma is computed per batch around
@@ -121,21 +121,16 @@ def lambda2(mu: float, sigma: float, cap: float) -> float:
 
 
 def pairwise_coefficients(losses: np.ndarray) -> np.ndarray:
-    """Signed coefficients of sum_i |l_(i) - l_(i+1)| over ascending order.
-
-    Sorting first makes the consecutive-difference sum collapse to
-    max - min, so interior coefficients are -1/0/+1 (ties contribute 0,
-    using sign(0) = 0).  Returned in original example order.  ``losses``
-    is the float64 1-d array that ``per_example_losses`` returns.
-    """
-    order = np.argsort(losses, kind="stable")
-    ranked = losses[order]
-    d = np.sign(ranked[1:] - ranked[:-1])
-    coef = np.zeros(len(losses))  # in ascending order, then scattered back
-    coef[:-1] -= d
-    coef[1:] += d
-    phi = np.empty(len(losses))
-    phi[order] = coef
+    """Gradient of the loss range max - min, which the sorted consecutive-
+    difference sum telescopes to: +1 at the first largest loss, -1 at the
+    last smallest (the tied ends a stable ascending sort picks), else 0, and
+    0 everywhere when all losses are equal.  ``losses`` is the float64 1-d
+    array that ``per_example_losses`` returns."""
+    phi = np.zeros(len(losses))
+    top = losses.argmax()
+    if losses[top] > losses.min():
+        phi[top] = 1.0
+        phi[len(losses) - 1 - losses[::-1].argmin()] = -1.0
     return phi
 
 

@@ -118,6 +118,23 @@ def dro_objective(losses, eta, cfg: DroConfig):
     return float(value) if value.ndim == 0 else value
 
 
+def reference_pairwise_coefficients(losses):
+    """Signed coefficients of sum_i |l_(i) - l_(i+1)| over a stable ascending
+    sort, scattered back to example order: the bit oracle of
+    `update.pairwise_coefficients` on losses whose ties, if any, are at the
+    minimum or the maximum.  A tie strictly inside the range gets +1 and -1
+    here, where the range's gradient is 0."""
+    order = np.argsort(losses, kind="stable")
+    ranked = losses[order]
+    d = np.sign(ranked[1:] - ranked[:-1])
+    coef = np.zeros(len(losses))
+    coef[:-1] -= d
+    coef[1:] += d
+    phi = np.empty(len(losses))
+    phi[order] = coef
+    return phi
+
+
 def dictwriter_csv(columns, rows) -> str:
     """CSV text of dict rows through `csv.DictWriter`, blanks for missing
     columns: the oracle of the column-wise step-trace writer and of

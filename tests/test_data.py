@@ -395,6 +395,20 @@ def test_take_batch():
     np.testing.assert_array_equal(batch.targets, ds.targets[[3, 5, 7]])
 
 
+def test_subset_gathers_the_bytes_of_fancy_indexing_into_a_copy():
+    # an index array's `take` gather is a plain row copy: the same bytes as
+    # fancy indexing, in memory apart from the source; a slice stays a view
+    ds = synthetic_for_split()
+    perm = np.random.default_rng(3).permutation(ds.n)
+    sub = ds.subset(perm)
+    for got, source in ((sub.features, ds.features), (sub.targets, ds.targets)):
+        assert got.tobytes() == source[perm].tobytes() and got.shape == source[perm].shape
+        assert not np.shares_memory(got, source)
+    rows = sub.subset(slice(5, 12))
+    assert np.shares_memory(rows.features, sub.features)
+    assert np.shares_memory(rows.targets, sub.targets)
+
+
 def test_load_csv_refuses_a_read_column_named_twice(tmp_path):
     # a row dict keeps the last of two equal headers, so the schema's "a"
     # would read the second column, [5, 6, 7, 8]; a column no key reads may repeat

@@ -6,7 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from helpers import count_calls, directional_derivative_fd, reference_weighted_gradient
+from helpers import (
+    count_calls, directional_derivative_fd, reference_pairwise_coefficients,
+    reference_weighted_gradient,
+)
 from vfair import nnet, update
 from vfair.baselines import DroConfig, dro_direction
 from vfair.errors import ConfigError
@@ -175,6 +178,33 @@ def test_pairwise_coefficients_unsorted_input():
 def test_pairwise_coefficients_ties_give_zero():
     phi = pairwise_coefficients(np.array([2.0, 2.0, 2.0]))
     np.testing.assert_allclose(phi, np.zeros(3))
+
+
+@pytest.mark.parametrize("losses, expected", [
+    ([1.0, 2.0, 2.0, 3.0], [-1.0, 0.0, 0.0, 1.0]),
+    ([3.0, 2.0, 1.0, 2.0], [1.0, 0.0, -1.0, 0.0]),
+])
+def test_pairwise_coefficients_middle_tie_gets_zero(losses, expected):
+    # the range max - min does not move with a loss strictly inside it
+    assert pairwise_coefficients(np.array(losses)).tolist() == expected
+
+
+def test_pairwise_coefficients_match_the_sorted_reference_bitwise():
+    # without ties inside the range the closed form is the sort-and-scatter
+    # reference to the bit; tied ends keep the stable sort's choice: +1 at the
+    # first largest loss, -1 at the last smallest
+    rng = np.random.default_rng(13)
+    for _ in range(500):
+        n = int(rng.integers(1, 40))
+        losses = rng.exponential(size=n)
+        if n > 2 and rng.random() < 0.5:  # tie some losses to the minimum or the maximum
+            lo, hi = losses.min(), losses.max()
+            ends = rng.choice(n, size=int(rng.integers(1, n)), replace=False)
+            losses[ends] = np.where(rng.random(len(ends)) < 0.5, lo, hi)
+        if rng.random() < 0.1:
+            losses[:] = losses[0]
+        got = pairwise_coefficients(losses)
+        assert got.tobytes() == reference_pairwise_coefficients(losses).tobytes()
 
 
 def test_pairwise_coefficients_properties():
