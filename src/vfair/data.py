@@ -8,8 +8,11 @@ with statistics of the training rows only, applied to both sides.
 
 A ``Dataset`` is an ``nnet.Batch``, so its rows are checked once, when
 ``load_csv``, ``synthesize`` or ``split`` makes it; a value that overflows
-on the way is refused there as one error, with no numpy warning.  The
-schema or synthetic spec it was made from holds its task.
+on the way is refused there as one error, with no numpy warning.  Its
+rows are held as the design matrix [x, 1]: ``load_csv`` and ``split``
+write theirs in place, with the ones column, and ``synthesize`` copies its
+draw into one.  The schema or synthetic spec it was made from holds its
+task.
 
 The synthetic generator plants a controlled majority/minority conflict:
 a shared linear ground truth that the minority deviates from.  For
@@ -37,7 +40,8 @@ logger = logging.getLogger(__name__)
 
 COLUMN_KINDS = ("numeric", "categorical")
 SYNTH_TASKS = ("regression_mse", "binary_bce", "logistic_regression_mse")
-MAX_SYNTHETIC_VALUES = 1 << 26  # n x feature_dim: 512 MiB; the README config draws 6,000
+# n x (feature_dim + 1), the design matrix's values: 512 MiB; the README config's are 7,500
+MAX_SYNTHETIC_VALUES = 1 << 26
 
 
 @dataclass(frozen=True)
@@ -181,12 +185,13 @@ def load_csv(path, schema: DatasetSchema) -> Dataset:
             blocks.append(hot)
         offset += blocks[-1].shape[1]
 
+    blocks.append(np.ones((len(kept_raw), 1)))  # the design matrix's ones column
     targets = _parse_label([r[schema.label_column] for r in kept_raw], kept_labels, schema.task)
     sensitive = {
         s: np.array([r[s] for r in kept_raw], dtype=object) for s in schema.sensitive_columns
     }
     return Dataset(
-        features=np.hstack(blocks),
+        features=np.hstack(blocks)[:, :-1],
         targets=targets,
         sensitive=sensitive,
         numeric_columns=tuple(numeric),
@@ -211,21 +216,22 @@ def split(dataset: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, D
         raise ConfigError(f"split of {n} rows at {test_fraction} leaves an empty side")
     perm = np.random.default_rng(seed).permutation(n)
     sides = (perm[n_test:], perm[:n_test])
-    # gathering the rows copies them, so each side is standardized in place;
-    # a statistic that overflows is refused by the row check, as one error
-    train_x, test_x = (dataset.features.take(idx, axis=0) for idx in sides)
+    # gathering the rows copies them, so each side is standardized in place,
+    # in its design matrix; a statistic that overflows is refused by the row
+    # check, as one error
+    train, test = (dataset.subset(idx) for idx in sides)
     with np.errstate(over="ignore", invalid="ignore"):
         for j in dataset.numeric_columns:
-            vals = train_x[:, j]
+            vals = train.features[:, j]
             mean = float(vals.mean())
             std = float(np.sqrt(np.mean((vals - mean) ** 2)))
             if std == 0.0:
                 std = 1.0  # constant on the train side -> train values all zero
-            train_x[:, j] = (vals - mean) / std
-            test_x[:, j] = (test_x[:, j] - mean) / std
-    return tuple(replace(dataset, features=x, targets=dataset.targets.take(idx), rejected_rows=0,
+            train.features[:, j] = (vals - mean) / std
+            test.features[:, j] = (test.features[:, j] - mean) / std
+    return tuple(replace(dataset, features=side.features, targets=side.targets, rejected_rows=0,
                          sensitive={k: v.take(idx) for k, v in dataset.sensitive.items()})
-                 for x, idx in zip((train_x, test_x), sides))
+                 for side, idx in zip((train, test), sides))
 
 
 # ---------------------------------------------------------------------------
@@ -249,9 +255,9 @@ class SyntheticSpec:
             raise ConfigError("group_ratio must be in (0, 1)")
         if self.feature_dim < 1:
             raise ConfigError("feature_dim must be >= 1")
-        if self.n * self.feature_dim > MAX_SYNTHETIC_VALUES:
-            raise ConfigError(
-                f"n x feature_dim is above MAX_SYNTHETIC_VALUES = {MAX_SYNTHETIC_VALUES}")
+        if self.n * (self.feature_dim + 1) > MAX_SYNTHETIC_VALUES:
+            raise ConfigError(f"n x (feature_dim + 1) is above MAX_SYNTHETIC_VALUES = "
+                              f"{MAX_SYNTHETIC_VALUES}")
         if self.noise_std < 0.0:
             raise ConfigError("noise_std cannot be negative")
         if self.task not in SYNTH_TASKS:

@@ -574,10 +574,12 @@ def _train_one(cfg: ExperimentConfig, spec: ModelSpec, train: Dataset, method: s
     best, best_epoch = np.empty_like(params), 0  # epoch 0 always fills it
     per_epoch_loss = []
     step = 0
+    shuffled = None
     try:
         for epoch in range(cfg.epochs):
-            # one gather per epoch; each minibatch is a view of its rows
-            shuffled = train.subset(rng.permutation(train.n))
+            # one gather per epoch, into the run's one copy of the rows; each
+            # minibatch is a view of them
+            shuffled = train.subset(rng.permutation(train.n), out=shuffled)
             for start in range(0, train.n, cfg.batch_size):
                 batch = shuffled.subset(slice(start, start + cfg.batch_size))
                 if method == "erm":

@@ -26,7 +26,18 @@ to within ulps and are deterministic.
 
 Parameters live in one flat float64 vector, laid out per layer as weight
 matrix then bias (``ModelSpec.layout``), so gradients, parameters and
-finite-difference probes are interchangeable.  Products call BLAS through
+finite-difference probes are interchangeable, and layer 0's W0 then b0 is
+one (d + 1) x h block.  A ``Batch`` holds its rows as the design matrix
+[x, 1], so the input layer is one product, design @ (W0; b0), with no bias
+pass.  Its backward writes the block from design^T @ delta, then every
+bias row, b0's included, through the bias product, so bias bits do not
+depend on the fold.  The fold keeps the bits of the unfolded x @ W0 + b0
+where both products are matrix-matrix (gemm) products, as at the README
+config's and the benchmark's shapes, which a test pins; where numpy routes
+one of them to a matrix-vector kernel (no hidden layer and one output at
+most feature counts, one-row batches, a single feature's W0 gradient), the
+last bits may differ.  The folded product is ``@``, twice as fast as
+``np.dot`` at [2048, 5] x [5, 64]; the other products call BLAS through
 ``np.dot``, the ``@`` gufunc's bits without its dispatch; the bias product
 stays ``np.matmul``, whose ``out`` is a strided view ``np.dot`` refuses.
 The logistic and the softmax are computed with numpy's ``exp``, whose
@@ -98,10 +109,15 @@ class ModelSpec:
 @dataclass(frozen=True)
 class Batch:
     """Rows of features [b, d] and targets [b], checked once, when made:
-    2-d, aligned, non-empty and finite.  A ``data.Dataset`` is one."""
+    2-d, aligned, non-empty and finite.  The rows are held as the design
+    matrix [b, d + 1] whose last column is 1.0, so the input layer's bias
+    rides in its product; ``features`` is the view of its first d columns.
+    A ``data.Dataset`` is one."""
 
     features: np.ndarray
     targets: np.ndarray
+    # derived, not passed: [features, 1], of which ``features`` is a view
+    design: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         f = np.asarray(self.features, dtype=np.float64)
@@ -116,22 +132,47 @@ class Batch:
             raise DataError("non-finite feature values")
         if not np.isfinite(t).all():
             raise DataError("non-finite target values")
-        object.__setattr__(self, "features", f)
+        design = _design(f)
+        object.__setattr__(self, "design", design)
+        object.__setattr__(self, "features", design[:, :-1])
         object.__setattr__(self, "targets", t)
 
     def __len__(self) -> int:
         return self.features.shape[0]
 
-    def subset(self, positions: np.ndarray | slice) -> "Batch":
+    def subset(self, positions: np.ndarray | slice, out: "Batch | None" = None) -> "Batch":
         """Rows at `positions`, not re-validated: rows of a validated batch
         are valid.  A slice returns views; an integer index array, a `take`
-        copy (fancy indexing's bytes, faster)."""
+        copy (fancy indexing's bytes, faster).  With ``out``, a batch of
+        len(positions) rows, an index array's rows are gathered into its
+        arrays and ``out`` is returned; its positions must be in range, as
+        they are not checked (``take``'s clip mode, which needs no buffer)."""
+        if out is not None:
+            self.design.take(positions, axis=0, out=out.design, mode="clip")
+            self.targets.take(positions, out=out.targets, mode="clip")
+            return out
         view = isinstance(positions, slice)
         sub = object.__new__(Batch)
-        for name in ("features", "targets"):
+        for name in ("design", "targets"):
             a = getattr(self, name)
             object.__setattr__(sub, name, a[positions] if view else a.take(positions, axis=0))
+        object.__setattr__(sub, "features", sub.design[:, :-1])
         return sub
+
+
+def _design(f: np.ndarray) -> np.ndarray:
+    """[f, 1] for float64 features ``f``: the array ``f`` is already the
+    leading columns of, if its last column is 1.0 (``load_csv`` and
+    ``split`` make their rows so), else a new C-contiguous one."""
+    d = f.base
+    if (isinstance(d, np.ndarray) and d.ndim == 2
+            and d[:, :-1].__array_interface__ == f.__array_interface__
+            and (d[:, -1] == 1.0).all()):
+        return d
+    d = np.empty((f.shape[0], f.shape[1] + 1))
+    d[:, :-1] = f
+    d[:, -1] = 1.0
+    return d
 
 
 # ---------------------------------------------------------------------------
@@ -188,27 +229,36 @@ def _activate_grad(name: str, a: np.ndarray):
 
 
 class Workspace:
-    """One parameter vector, its (W, b) views, which see every in-place
+    """One parameter vector, its (W, b) views and the (d + 1) x h view
+    ``Wb0`` of its contiguous (W0; b0) block, which all see every in-place
     update of it, and the buffers of each backward shape seen so far."""
 
     def __init__(self, spec: ModelSpec, params: np.ndarray):
         self.spec = spec
         self.layers = unpack(spec, params)
+        self.Wb0 = np.asarray(params)[_block0(spec)].reshape(spec.input_dim + 1, -1)
         self._buffers = {}  # (b, lead, k) -> what ``buffers`` returns
 
     def buffers(self, b: int, lead: int, k: int):
         """(flat gradient [lead + k, P], bias rows [lead + k, b] whose mean row
         is ones, and per layer (mean-row W view, weighted-row W view, bias
         view, weighted delta [b, d_out])) for ``weighted_gradient``: ``lead``
-        is 1 with a mean row first, ``k`` 1 with a weighted row last."""
+        is 1 with a mean row first, ``k`` 1 with a weighted row last.  Layer
+        0's W views are of its (W0; b0) block, the shape of ``Wb0``."""
         bufs = self._buffers.get((b, lead, k))
         if bufs is None:
             grad = np.empty((lead + k, parameter_count(self.spec)))
-            views = [(grad[0, ws].reshape(shape), grad[-1, ws].reshape(shape),
+            w_slices = [_block0(self.spec), *(ws for ws, _, _ in self.spec.layout[1:])]
+            views = [(grad[0, w].reshape(-1, shape[1]), grad[-1, w].reshape(-1, shape[1]),
                       grad[:, bs], np.empty((b, shape[1])))
-                     for ws, shape, bs in self.spec.layout]
+                     for w, (_, shape, bs) in zip(w_slices, self.spec.layout)]
             bufs = self._buffers[(b, lead, k)] = grad, np.ones((lead + k, b)), views
         return bufs
+
+
+def _block0(spec: ModelSpec) -> slice:
+    """The flat slice of layer 0's W0 then b0: (d + 1) x h, b0 its last row."""
+    return slice(spec.layout[0][0].start, spec.layout[0][2].stop)
 
 
 def _workspace(spec: ModelSpec, params: np.ndarray | Workspace) -> Workspace:
@@ -219,30 +269,31 @@ def _workspace(spec: ModelSpec, params: np.ndarray | Workspace) -> Workspace:
 class ForwardCache(NamedTuple):
     """One forward pass kept for backprop."""
     ws: Workspace         # the workspace the pass ran through
-    inputs: list          # a_{l-1}: input to layer l, the activated output of layer l - 1
+    inputs: list          # input to layer l: the design matrix, then each activated output
     outputs: np.ndarray   # [b, output_dim]
 
 
 def forward_cache(spec: ModelSpec, params: np.ndarray | Workspace,
                   batch: Batch) -> ForwardCache:
-    """Forward pass keeping each layer's input for backprop.  Each hidden
-    activation is applied in place to its layer's fresh ``np.dot`` output."""
+    """Forward pass keeping each layer's input for backprop.  Layer 0 is
+    the one product of the batch's design matrix and (W0; b0), so its bias
+    is added inside the product; each later layer adds its bias to its
+    fresh ``np.dot`` output.  Each hidden activation is applied in place."""
     if batch.features.shape[1] != spec.input_dim:
         raise DataError(
             f"batch has {batch.features.shape[1]} features, spec expects {spec.input_dim}"
         )
     ws = _workspace(spec, params)
-    inputs = []
-    h = batch.features
-    last = len(ws.layers) - 1
-    for idx, (w, b) in enumerate(ws.layers):
+    inputs = [batch.design]
+    h = batch.design @ ws.Wb0
+    for w, b in ws.layers[1:]:
+        if spec.activation == "relu":
+            np.maximum(h, 0.0, out=h)
+        elif spec.activation == "sigmoid":
+            _expit(h, out=h)
         inputs.append(h)
         h = np.dot(h, w)
         h += b
-        if idx < last and spec.activation == "relu":
-            np.maximum(h, 0.0, out=h)
-        elif idx < last and spec.activation == "sigmoid":
-            _expit(h, out=h)
     return ForwardCache(ws, inputs, h)
 
 
@@ -375,7 +426,8 @@ def weighted_gradient(spec: ModelSpec, params: np.ndarray | Workspace | ForwardC
             np.dot(a_t, delta, out=mean_w)
         if k:
             np.dot(a_t, np.multiply(per_example, delta, out=weighted), out=row_w)
-        # rows @ delta, the mean's ones row included; np.dot refuses this strided [rows, d] out
+        # rows @ delta, the mean's ones row included; np.dot refuses this strided [rows, d]
+        # out.  It overwrites the b0 rows that layer 0's design-matrix products wrote.
         np.matmul(bias_rows, delta, out=bias)
         if l > 0:
             delta = np.dot(delta, cache.ws.layers[l][0].T)

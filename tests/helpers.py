@@ -225,17 +225,23 @@ def directional_derivative_fd(
     return (value(params + h * direction) - value(params - h * direction)) / (2.0 * h)
 
 
-def reference_forward(spec: ModelSpec, params: np.ndarray, batch: Batch):
+def reference_forward(spec: ModelSpec, params: np.ndarray, batch: Batch, fold: bool = True):
     """(layer inputs, pre-activations, outputs) of one pass that keeps every
     pre-activation z and writes each activation to a new array: the bit
-    oracle of `nnet.forward_cache`, which activates in place."""
+    oracle of `nnet.forward_cache`, which activates in place.  Layer 0 is
+    the design matrix [x, 1] times a stacked copy of (W0; b0), as in the
+    package; with ``fold=False`` it is the unfolded x @ W0 + b0 on a
+    contiguous copy of the features."""
     layers = unpack(spec, params)
     inputs, preacts = [], []
-    h = batch.features
+    h = batch.design if fold else np.ascontiguousarray(batch.features)
     for idx, (w, b) in enumerate(layers):
         inputs.append(h)
-        z = h @ w
-        z += b
+        if idx == 0 and fold:
+            z = h @ np.vstack([w, b])
+        else:
+            z = h @ w
+            z += b
         preacts.append(z)
         if idx == len(layers) - 1 or spec.activation == "identity":
             h = z
@@ -247,20 +253,23 @@ def reference_forward(spec: ModelSpec, params: np.ndarray, batch: Batch):
 
 
 def reference_weighted_gradient(spec: ModelSpec, params: np.ndarray, batch: Batch,
-                                weights: np.ndarray) -> np.ndarray:
+                                weights: np.ndarray, fold: bool = True) -> np.ndarray:
     """`nnet.weighted_gradient` with every weight row multiplied into the
     delta, a row of ones included, and each activation's derivative taken
-    from its pre-activation z: the bit oracle of the backward pass."""
+    from its pre-activation z: the bit oracle of the backward pass.  Layer
+    0's weight rows come from its input's product, the design matrix's (its
+    ones column's row dropped) unless ``fold=False``; every bias row is
+    rows @ delta."""
     layers = unpack(spec, params)
-    inputs, preacts, outputs = reference_forward(spec, params, batch)
+    inputs, preacts, outputs = reference_forward(spec, params, batch, fold)
     rows = weights if weights.ndim == 2 else weights[None]
     k = len(rows)
     grad = np.empty((k, len(params)))
     delta = _loss_output_grad(spec, outputs, batch.targets)
     delta *= 1.0 / len(batch)
     for l in range(len(layers) - 1, -1, -1):
-        ws, _, bs = spec.layout[l]
-        grad[:, ws] = (inputs[l].T @ (rows[:, :, None] * delta)).reshape(k, -1)
+        ws, (d_in, _), bs = spec.layout[l]
+        grad[:, ws] = (inputs[l].T @ (rows[:, :, None] * delta))[:, :d_in].reshape(k, -1)
         grad[:, bs] = rows @ delta
         if l > 0:
             delta = delta @ layers[l][0].T

@@ -361,9 +361,10 @@ def test_synthesize_validation():
 
 
 def test_synthetic_size_is_bounded_before_a_draw():
-    # n x feature_dim at the maximum is a spec; one row more is refused
-    # when the spec is made, before anything is allocated
-    rows = data.MAX_SYNTHETIC_VALUES // 4
+    # n x (feature_dim + 1), the design matrix's values, at the maximum is a
+    # spec; one row more is refused when the spec is made, before anything
+    # is allocated
+    rows = data.MAX_SYNTHETIC_VALUES // 5
     SyntheticSpec(n=rows, group_ratio=0.5, feature_dim=4, minority_shift=0.0, noise_std=0.0)
     with pytest.raises(ConfigError, match="MAX_SYNTHETIC_VALUES"):
         SyntheticSpec(n=rows + 1, group_ratio=0.5, feature_dim=4, minority_shift=0.0,
@@ -407,6 +408,52 @@ def test_subset_gathers_the_bytes_of_fancy_indexing_into_a_copy():
     rows = sub.subset(slice(5, 12))
     assert np.shares_memory(rows.features, sub.features)
     assert np.shares_memory(rows.targets, sub.targets)
+
+
+def test_a_batch_holds_its_rows_as_a_design_matrix(tmp_path):
+    # the rows are [features, 1]: the last design column is exactly 1.0 and
+    # `features` is a view of the others, equal to the input, from an int or
+    # a non-contiguous array too
+    grid = np.arange(24).reshape(4, 6)
+    for x in (grid, grid[:, ::2], grid.T * 0.5, np.asfortranarray(grid * -1.5)):
+        batch = Batch(features=x, targets=np.zeros(len(x)))
+        assert batch.design.shape == (len(x), x.shape[1] + 1)
+        assert batch.design.flags.c_contiguous and np.all(batch.design[:, -1] == 1.0)
+        assert batch.features.base is batch.design and np.array_equal(batch.features, x)
+        assert batch.features.dtype == np.float64 and not np.shares_memory(batch.design, x)
+    # the leading columns of a design matrix are taken as it, not copied;
+    # any other last column is not a design matrix's
+    again = Batch(features=batch.features, targets=batch.targets)
+    assert again.design is batch.design and again.features.base is batch.design
+    twos = np.full((4, 3), 2.0)
+    assert np.all(Batch(features=twos[:, :-1], targets=np.zeros(4)).design[:, -1] == 1.0)
+    assert np.all(twos == 2.0)
+
+    # a slice is a view of both arrays, an index array a copy sharing no memory
+    ds = synthetic_for_split()
+    rows = ds.subset(slice(3, 9))
+    assert np.shares_memory(rows.design, ds.design) and np.shares_memory(rows.targets, ds.targets)
+    assert rows.features.base is ds.design and np.array_equal(rows.design, ds.design[3:9])
+    perm = np.random.default_rng(0).permutation(ds.n)
+    gathered = ds.subset(perm)
+    assert np.array_equal(gathered.design, ds.design[perm])
+    assert np.array_equal(gathered.targets, ds.targets[perm])
+    for got in (gathered.design, gathered.features, gathered.targets):
+        assert not np.shares_memory(got, ds.design) and not np.shares_memory(got, ds.targets)
+    # gathering into `out` writes its arrays and returns it
+    again = ds.subset(perm[::-1], out=gathered)
+    assert again is gathered and np.array_equal(gathered.design, ds.design[perm[::-1]])
+    assert np.array_equal(gathered.targets, ds.targets[perm[::-1]])
+
+    # every way a dataset is made carries its design matrix
+    p = write_csv(tmp_path, "a,c,y,g\n1,u,0,F\n2,v,1,M\n4,u,0,F\n8,v,1,M\n")
+    csv = load_csv(p, DatasetSchema((("a", "numeric"), ("c", "categorical")), "y", ("g",),
+                                    "binary_bce"))
+    for made in (ds, *split(ds, 0.25, seed=1), csv, *split(csv, 0.5, seed=0)):
+        assert made.design.flags.c_contiguous and np.all(made.design[:, -1] == 1.0)
+        assert made.features.base is made.design
+        assert made.design.shape == (made.n, made.feature_dim + 1)
+    assert csv.feature_dim == 3 and csv.features[:, 0].tolist() == [1.0, 2.0, 4.0, 8.0]
 
 
 def test_load_csv_refuses_a_read_column_named_twice(tmp_path):

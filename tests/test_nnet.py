@@ -428,6 +428,46 @@ def test_forward_and_backward_bit_equal_to_reference(task, activation, hidden):
     assert np.array_equal(split.features, frozen)
 
 
+# the benchmark's shapes, [4 -> hidden -> 1]: (hidden widths, minibatch rows,
+# whole-split rows).  The README config trains 1050 rows in 128-row batches
+# (the last has 26) and tests 450; large_batch trains 70,000 rows in 512-row
+# batches (the last has 368) and tests 30,000, each split evaluated in
+# 2048-row blocks, the last of which have 368 and 1328 rows
+BENCHMARK_SHAPES = [
+    ((16, 8), (128, 26), (1050, 450)),
+    ((64, 32), (512, 368), (FORWARD_BLOCK_ROWS + 368, FORWARD_BLOCK_ROWS + 1328)),
+]
+
+
+@pytest.mark.parametrize("hidden, batch_rows, split_rows", BENCHMARK_SHAPES)
+def test_folded_input_layer_keeps_the_unfolded_bits_at_benchmark_shapes(hidden, batch_rows,
+                                                                        split_rows):
+    # layer 0 is one product of the design matrix [x, 1] and (W0; b0); at
+    # the benchmark's shapes it gives the bits of the unfolded x @ W0 + b0,
+    # forward and backward, so those runs keep their records.  A numpy or
+    # BLAS change that routes one of these products to another kernel fails here
+    rng = np.random.default_rng(33)
+    spec = ModelSpec(input_dim=4, hidden_dims=hidden, output_dim=1, task="regression_mse")
+    params = init_params(spec, seed=0)
+    for n in split_rows:
+        split = Batch(features=rng.normal(size=(n, 4)), targets=rng.normal(size=n))
+        blocks = [reference_forward(spec, params, split.subset(slice(s, s + FORWARD_BLOCK_ROWS)),
+                                    fold=False)[2] for s in range(0, n, FORWARD_BLOCK_ROWS)]
+        assert np.array_equal(forward(spec, params, split), np.concatenate(blocks))
+    for b in batch_rows:
+        batch = Batch(features=rng.normal(size=(b, 4)), targets=rng.normal(size=b))
+        cache = forward_cache(spec, params, batch)
+        assert np.array_equal(cache.outputs, reference_forward(spec, params, batch, fold=False)[2])
+        w = rng.uniform(0.0, 2.0, size=b)
+        ones = np.ones(b)
+        for got, weights in [(weighted_gradient(spec, cache, batch, None), ones),
+                             (weighted_gradient(spec, cache, batch, w), w),
+                             (weighted_gradient(spec, cache, batch, w, mean=True),
+                              np.stack([ones, w]))]:
+            assert np.array_equal(
+                got, reference_weighted_gradient(spec, params, batch, weights, fold=False))
+
+
 def test_gradients_share_a_buffer_only_through_one_workspace_and_shape():
     # a call without a workspace returns fresh arrays; through one, each
     # same-shape call writes the same buffer, and a tail batch has its own
