@@ -554,8 +554,9 @@ def _train_one(cfg: ExperimentConfig, spec: ModelSpec, train: Dataset, method: s
     initialisation, is refused naming the first such epoch.
 
     The run's workspaces are built once: an ``nnet.Workspace`` over the
-    parameters, which every update overwrites in place, and one
-    [steps, columns] array of trace values.
+    parameters, which every update overwrites in place, one copy of the
+    training rows, which each epoch's shuffle gathers into, with its
+    minibatch views, and one [steps, columns] array of trace values.
     """
     params = init_params(spec, seed)
     ws = Workspace(spec, params)
@@ -574,14 +575,15 @@ def _train_one(cfg: ExperimentConfig, spec: ModelSpec, train: Dataset, method: s
     best, best_epoch = np.empty_like(params), 0  # epoch 0 always fills it
     per_epoch_loss = []
     step = 0
-    shuffled = None
+    # epoch 0's rows; each later epoch gathers into them, so the views made here see its rows
+    shuffled = train.subset(rng.permutation(train.n))
+    batches = [shuffled.subset(slice(start, start + cfg.batch_size))
+               for start in range(0, train.n, cfg.batch_size)]
     try:
         for epoch in range(cfg.epochs):
-            # one gather per epoch, into the run's one copy of the rows; each
-            # minibatch is a view of them
-            shuffled = train.subset(rng.permutation(train.n), out=shuffled)
-            for start in range(0, train.n, cfg.batch_size):
-                batch = shuffled.subset(slice(start, start + cfg.batch_size))
+            if epoch:
+                train.subset(rng.permutation(train.n), out=shuffled)
+            for batch in batches:
                 if method == "erm":
                     grad = grad_mu(spec, ws, batch)
                 elif method == "dro":
@@ -592,8 +594,7 @@ def _train_one(cfg: ExperimentConfig, spec: ModelSpec, train: Dataset, method: s
                     values[step] = tuple(row.values())
                 optimizer.step(params, grad)
                 step += 1
-            losses = per_example_losses(spec, forward(spec, ws, train), train.targets)
-            loss = float(losses.mean())
+            loss = _mean_loss(spec, ws, train)
             per_epoch_loss.append(loss)
             if reference is None or epoch == 0 or (
                 abs(loss - reference) < abs(per_epoch_loss[best_epoch] - reference)
@@ -624,10 +625,16 @@ def _initial_loss(spec: ModelSpec, train: Dataset, seed: int) -> float | None:
     of `seed` starts; None if a loss there is not finite, which the runs'
     own loss checks then report, naming their step."""
     try:
-        return float(per_example_losses(spec, forward(spec, init_params(spec, seed), train),
-                                        train.targets).mean())
+        return _mean_loss(spec, init_params(spec, seed), train)
     except NumericError:
         return None
+
+
+def _mean_loss(spec: ModelSpec, params, split: Dataset) -> float:
+    """The mean per-example loss over `split` at `params`, the vector or a
+    workspace over it: sum / n, the bits of ``np.mean``."""
+    losses = per_example_losses(spec, forward(spec, params, split), split.targets)
+    return float(losses.sum() / len(losses))
 
 
 def evaluate(cfg, spec, test: Dataset, params, method: str, seed: int) -> dict:

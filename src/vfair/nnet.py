@@ -9,13 +9,14 @@ derivatives are taken.  The forward pass keeps no pre-activations (each
 activation is applied in place), so the backward takes each activation's
 derivative from the layer's output.
 
-A ``Workspace`` stands for one parameter vector: it holds the vector's
-(W, b) views and, per backward shape, the flat gradient, its per-layer
-views and the backward's work arrays.  Every function taking ``params``
-takes the flat vector or a workspace over it; a training run builds one
-workspace for all its steps, and a call given the vector builds a fresh
-one; ``weighted_gradient`` also takes a ``ForwardCache``, which stands for
-the parameters its forward pass ran at.  A gradient returned through a
+A ``Workspace`` stands for one parameter vector: it holds what no step
+changes, the vector's (W, b) views, their transposes and the activation's
+rules, and, per backward shape, the flat gradient, its per-layer views and
+the backward's work arrays.  Every function taking ``params`` takes the
+flat vector or a workspace over it; a training run builds one workspace
+for all its steps, and a call given the vector builds a fresh one;
+``weighted_gradient`` also takes a ``ForwardCache``, which stands for the
+parameters its forward pass ran at.  A gradient returned through a
 workspace is a view of its buffer, valid until the next same-shape call
 through that workspace.
 
@@ -55,7 +56,14 @@ import numpy as np
 from .errors import ConfigError, DataError, NumericError
 
 TASKS = ("regression_mse", "binary_bce", "multiclass_ce", "logistic_regression_mse")
-ACTIVATIONS = ("relu", "sigmoid", "identity")
+# activation -> (apply in place to h, d activation / dz from the output a, for
+# `delta *=`: ReLU's is the bool mask a > 0, the mask z > 0, sigmoid's a(1 - a))
+_ACTIVATION_RULES = {
+    "relu": (lambda h: np.maximum(h, 0.0, out=h), lambda a: a > 0.0),
+    "sigmoid": (lambda h: _expit(h, out=h), lambda a: a * (1.0 - a)),
+    "identity": (lambda h: h, lambda a: 1.0),
+}
+ACTIVATIONS = tuple(_ACTIVATION_RULES)
 # the most parameters a ModelSpec takes (128 MiB per float64 vector; a run holds several)
 MAX_PARAMETERS = 1 << 24
 
@@ -218,25 +226,18 @@ def _expit(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.divide(np.exp(np.minimum(x, 0.0)), 1.0 + np.exp(-np.abs(x)), out=out)
 
 
-def _activate_grad(name: str, a: np.ndarray):
-    """d activation / dz from the activation's output ``a``, for `delta *=`:
-    ReLU's is the bool mask a > 0 (the mask z > 0), sigmoid's a * (1 - a)."""
-    if name == "relu":
-        return a > 0.0
-    if name == "sigmoid":
-        return a * (1.0 - a)
-    return 1.0
-
-
 class Workspace:
-    """One parameter vector, its (W, b) views and the (d + 1) x h view
-    ``Wb0`` of its contiguous (W0; b0) block, which all see every in-place
-    update of it, and the buffers of each backward shape seen so far."""
+    """One parameter vector, its (W, b) views, the (d + 1) x h view ``Wb0``
+    of its contiguous (W0; b0) block and the transposes ``weights_t``,
+    which all see every in-place update of it, the spec's activation rules
+    and the buffers of each backward shape seen so far."""
 
     def __init__(self, spec: ModelSpec, params: np.ndarray):
         self.spec = spec
         self.layers = unpack(spec, params)
         self.Wb0 = np.asarray(params)[_block0(spec)].reshape(spec.input_dim + 1, -1)
+        self.weights_t = [w.T for w, _ in self.layers]
+        self.activate, self.activate_grad = _ACTIVATION_RULES[spec.activation]
         self._buffers = {}  # (b, lead, k) -> what ``buffers`` returns
 
     def buffers(self, b: int, lead: int, k: int):
@@ -287,10 +288,7 @@ def forward_cache(spec: ModelSpec, params: np.ndarray | Workspace,
     inputs = [batch.design]
     h = batch.design @ ws.Wb0
     for w, b in ws.layers[1:]:
-        if spec.activation == "relu":
-            np.maximum(h, 0.0, out=h)
-        elif spec.activation == "sigmoid":
-            _expit(h, out=h)
+        ws.activate(h)
         inputs.append(h)
         h = np.dot(h, w)
         h += b
@@ -306,13 +304,16 @@ def forward(spec: ModelSpec, params: np.ndarray | Workspace, batch: Batch) -> np
 
     Runs ``forward_cache`` over consecutive FORWARD_BLOCK_ROWS-row views
     of the batch, so peak memory follows the block, not the split.  A
-    batch of at most one block is the one-pass forward bit for bit; on
-    longer ones, BLAS may pick another kernel for a block's shape, so
-    outputs can differ from one pass in the last ulps.  The block size
-    is fixed, so outputs are deterministic.
+    batch of at most one block is the one-pass forward, whose fresh
+    outputs are returned as they are; on longer ones, BLAS may pick
+    another kernel for a block's shape, so outputs can differ from one
+    pass in the last ulps.  The block size is fixed, so outputs are
+    deterministic.
     """
     ws = _workspace(spec, params)
     n = len(batch)
+    if n <= FORWARD_BLOCK_ROWS:
+        return forward_cache(spec, ws, batch).outputs
     outputs = np.empty((n, spec.output_dim))
     for start in range(0, n, FORWARD_BLOCK_ROWS):
         block = slice(start, start + FORWARD_BLOCK_ROWS)
@@ -430,6 +431,6 @@ def weighted_gradient(spec: ModelSpec, params: np.ndarray | Workspace | ForwardC
         # out.  It overwrites the b0 rows that layer 0's design-matrix products wrote.
         np.matmul(bias_rows, delta, out=bias)
         if l > 0:
-            delta = np.dot(delta, cache.ws.layers[l][0].T)
-            delta *= _activate_grad(spec.activation, cache.inputs[l])
+            delta = np.dot(delta, cache.ws.weights_t[l])
+            delta *= cache.ws.activate_grad(cache.inputs[l])
     return grad if len(grad) > 1 else grad[0]

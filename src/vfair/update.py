@@ -86,14 +86,15 @@ def ema_update(mu_prev: float, losses: np.ndarray, decay: float) -> float:
     return float(decay * mu_prev + (1.0 - decay) * (losses.sum() / len(losses)))
 
 
-def batch_sigma(losses: np.ndarray, mu: float) -> float:
-    """Root mean squared deviation of the batch losses around mu, floored.
+def batch_sigma(deviations: np.ndarray) -> float:
+    """Root mean square of the batch losses' deviations around mu, floored.
 
-    mu is the running mean, not necessarily the batch mean, so this is
-    not the batch standard deviation in general.  ``losses`` come from
-    ``per_example_losses`` (a non-empty, finite 1-d array).
+    ``deviations`` is losses - mu, for losses from ``per_example_losses``
+    (a non-empty, finite 1-d array).  mu is the running mean, not
+    necessarily the batch mean, so this is not the batch standard
+    deviation in general.
     """
-    return max(SIGMA_FLOOR, math.sqrt(((losses - mu) ** 2).sum() / len(losses)))
+    return max(SIGMA_FLOOR, math.sqrt((deviations**2).sum() / len(deviations)))
 
 
 def lambda1(norm_sq: float, dot: float) -> float:
@@ -150,18 +151,19 @@ def grad_mu(spec: ModelSpec, params: np.ndarray | Workspace, batch: Batch) -> np
 # ---------------------------------------------------------------------------
 
 
-def _secondary(objective, losses, mu, sigma, cap):
-    """Per-example weight vector of the secondary objective and its lam2.
+def _secondary(objective, losses, deviations, mu, sigma, cap):
+    """Per-example weight vector of the secondary objective and its lam2,
+    from the losses and their ``deviations`` losses - mu.
 
     A negative variance lam2 (the running mean below every loss) is right
     as it is: every weight 2 * (l - mu) is then positive, and lam = lam1.
     """
     if objective == "std_dev":
         # a floored sigma means the spread is (numerically) zero: nothing to suppress
-        sw = np.zeros_like(losses) if sigma <= SIGMA_FLOOR else (losses - mu) / sigma
+        sw = np.zeros_like(losses) if sigma <= SIGMA_FLOOR else deviations / sigma
         lam2 = lambda2(mu, sigma, cap)
     elif objective == "variance":
-        sw = 2.0 * (losses - mu)
+        sw = 2.0 * deviations
         lam2 = 2.0 * (mu - float(losses.min()))
     elif objective == "pairwise":
         sw = pairwise_coefficients(losses)
@@ -191,9 +193,10 @@ def vfair_direction(
     cache = forward_cache(spec, params, batch)
     losses = per_example_losses(spec, cache.outputs, batch.targets)
     mu = ema_update(state.ema_mean, losses, state.decay)
-    sigma = batch_sigma(losses, mu)
+    deviations = losses - mu
+    sigma = batch_sigma(deviations)
 
-    sw, lam2 = _secondary(objective, losses, mu, sigma, state.lambda2_cap)
+    sw, lam2 = _secondary(objective, losses, deviations, mu, sigma, state.lambda2_cap)
     g_mu, g_sec = weighted_gradient(spec, cache, batch, sw, mean=True)
 
     norm_sq = float(np.dot(g_mu, g_mu))

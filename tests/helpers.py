@@ -118,6 +118,27 @@ def dro_objective(losses, eta, cfg: DroConfig):
     return float(value) if value.ndim == 0 else value
 
 
+def reference_dro_eta(losses, cfg: DroConfig) -> float:
+    """`baselines.dro_eta`'s closed form with every vector built per call:
+    its bit oracle, NaN where an overflowed prefix sum makes it NaN."""
+    b = len(losses)
+    c2 = cfg.scale**2
+    top = float(losses.max())
+    if c2 >= b:
+        return top
+    d = np.sort(top - losses)
+    m = np.arange(1, b + 1)
+    bm = b / m
+    d1 = d.cumsum()
+    spread = np.maximum((d * d).cumsum() - d1 * d1 / m, 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        shift = (d1 + np.sqrt(b * spread / (c2 - bm))) / m
+    qualifies = (c2 > bm) & (shift <= np.concatenate((d[1:], [np.inf])))
+    qualifies[-1] = True
+    first = int(qualifies.argmax())
+    return top - float(shift[first])
+
+
 def reference_pairwise_coefficients(losses):
     """Signed coefficients of sum_i |l_(i) - l_(i+1)| over a stable ascending
     sort, scattered back to example order: the bit oracle of

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from helpers import count_calls, dro_objective
+from helpers import count_calls, dro_objective, reference_dro_eta
 from vfair import baselines, nnet
-from vfair.baselines import DroConfig, dro_direction, dro_eta
+from vfair.baselines import ETA_CONSTANTS_KEPT, DroConfig, dro_direction, dro_eta
 from vfair.errors import ConfigError
 from vfair.harness import Sgd, config_from_dict
 from vfair.nnet import (
@@ -156,6 +156,51 @@ def test_dro_eta_overflowed_sums_give_nan_not_an_error():
     with np.errstate(over="ignore", invalid="ignore"):
         eta = dro_eta(losses, DroConfig())
     assert math.isnan(eta)
+
+
+def _same_bits(got: float, want: float) -> bool:
+    return (math.isnan(got) and math.isnan(want)) or got.hex() == want.hex()
+
+
+def _eta_draw(rng, b: int, kind: str) -> np.ndarray:
+    """Non-negative losses of one kind: spread, tied, all equal, or so large
+    that dro_eta's squared prefix sums overflow."""
+    if kind == "spread":
+        return rng.exponential(float(rng.choice([1e-3, 1.0, 50.0])), size=b)
+    if kind == "tied":
+        return rng.integers(0, 4, size=b) * 0.25
+    if kind == "equal":
+        return np.full(b, float(rng.uniform(0.0, 3.0)))
+    return rng.uniform(0.0, 1e300, size=b)
+
+
+def test_dro_eta_keeps_the_bits_of_its_per_call_form():
+    # the constants each config keeps per batch size change no bit of eta*
+    # against the closed form that builds them every call, over batch
+    # sizes either side of C^2 = 33 and 3 and with each config's store
+    # serving every size in turn; run_experiment's errstate is reproduced
+    rng = np.random.default_rng(34)
+    sizes = [1, 26, 33, 34, 128, 368, 512]
+    kinds = ["spread", "tied", "equal", "overflow"]
+    configs = [DroConfig(alpha_min=a) for a in (0.2, 0.5, 0.79)]
+    nans = draws = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(100):
+            for cfg in configs:
+                for b in rng.permutation(sizes):
+                    losses = _eta_draw(rng, int(b), kinds[draws % len(kinds)])
+                    got, want = dro_eta(losses, cfg), reference_dro_eta(losses, cfg)
+                    assert _same_bits(got, want), (cfg.alpha_min, b, losses)
+                    nans += math.isnan(got)
+                    draws += 1
+    assert draws >= 2000 and nans > 0  # the overflow draws reached the NaN fallback
+    # a config's store keeps at most ETA_CONSTANTS_KEPT sizes however many it
+    # sees, and a size it dropped is made again to the same bits
+    cfg = configs[2]
+    for b in [*range(2, 200), *rng.integers(2, 200, size=200)]:
+        losses = _eta_draw(rng, int(b), "spread")
+        assert _same_bits(dro_eta(losses, cfg), reference_dro_eta(losses, cfg))
+        assert len(cfg._constants) <= ETA_CONSTANTS_KEPT
 
 
 # ---------------------------------------------------------------------------

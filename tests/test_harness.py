@@ -384,6 +384,21 @@ def test_a_run_unpacks_and_checks_targets_once(monkeypatch, method, epochs):
     assert counts == {"unpack": 1, "check": 1}
 
 
+@pytest.mark.parametrize("method", METHODS)
+def test_a_run_makes_its_minibatch_views_once(monkeypatch, method):
+    # each epoch gathers its shuffled rows into the run's one copy, whose
+    # views, made before the first step, see them: 3 epochs of 120 rows in
+    # batches of 32 take 3 gathers and 4 views, not one view per step
+    cfg = config_from_dict(tiny_config(methods=[method], epochs=3))
+    train, _ = build_datasets(cfg)
+    spec = build_model_spec(cfg, train)
+    assert (train.n, cfg.batch_size) == (120, 32)
+    counts = {}
+    count_calls(monkeypatch, counts, "subset", nnet.Batch.subset, nnet.Batch)
+    harness._train_one(cfg, spec, train, method, 0)
+    assert counts == {"subset": 3 + 4}
+
+
 @pytest.mark.parametrize("batch_size", [40, 48, 150], ids=["divides_n", "tail", "exceeds_n"])
 @pytest.mark.parametrize("optimizer", OPTIMIZERS)
 @pytest.mark.parametrize("method", METHODS)
@@ -496,6 +511,25 @@ def test_run_experiment_is_deterministic():
             assert json.dumps(ra.to_json_dict(), sort_keys=True) == json.dumps(
                 rb.to_json_dict(), sort_keys=True
             )
+
+
+def test_a_train_of_another_config_between_two_trains_changes_no_byte(tmp_path):
+    # a run's minibatch views and a DRO config's eta constants are kept per
+    # run and per batch size; a train at another batch size and adversary
+    # in the same process must leave nothing the next train reads
+    first = tiny_config(methods=list(METHODS), seeds=[0, 1], step_size=0.02, dro_alpha_min=0.3)
+    other = first | {"batch_size": 48, "dro_alpha_min": 0.5}
+    outs = []
+    for i, d in enumerate((first, other, first)):
+        outs.append(tmp_path / f"out{i}")
+        cfg_path = tmp_path / f"cfg{i}.json"
+        cfg_path.write_text(json.dumps(d))
+        assert cli_main(["train", "--config", str(cfg_path), "--out", str(outs[-1])]) == 0
+    files = [sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file()) for out in outs]
+    assert files[0] == files[2] and len(files[0]) == 1 + 2 * 5 + 2 * 4
+    for rel in files[0]:
+        assert (outs[0] / rel).read_bytes() == (outs[2] / rel).read_bytes(), rel
+    assert (outs[0] / "runs/dro_seed0.json").read_bytes() != (outs[1] / "runs/dro_seed0.json").read_bytes()
 
 
 def test_run_record_round_trip(tmp_path):

@@ -103,16 +103,16 @@ def test_ema_closed_form_constant_stream():
 
 def test_batch_sigma_hand_value():
     # losses [1,2,3] about mu=2: sqrt((1+0+1)/3)
-    assert batch_sigma(np.array([1.0, 2.0, 3.0]), 2.0) == pytest.approx(math.sqrt(2.0 / 3.0))
+    assert batch_sigma(np.array([1.0, 2.0, 3.0]) - 2.0) == pytest.approx(math.sqrt(2.0 / 3.0))
 
 
 def test_batch_sigma_running_mean_not_batch_mean():
     # equal losses but mu off the batch: sigma is the distance to mu
-    assert batch_sigma(np.array([1.0, 1.0]), 0.0) == pytest.approx(1.0)
+    assert batch_sigma(np.array([1.0, 1.0]) - 0.0) == pytest.approx(1.0)
 
 
 def test_batch_sigma_floor():
-    assert batch_sigma(np.array([2.0, 2.0]), 2.0) == SIGMA_FLOOR == 1e-12
+    assert batch_sigma(np.array([2.0, 2.0]) - 2.0) == SIGMA_FLOOR == 1e-12
 
 
 def test_lambda1_hand_values():
