@@ -14,7 +14,8 @@ mean a harder adversary (larger C).
 
 At the positive-part kink (l_i == eta*) the subgradient is taken as 0;
 in particular a batch whose losses are all <= eta* produces a zero
-step.  Note that with C >= sqrt(batch size) the dual optimum sits at
+step, and the weighted gradient backpropagates only the rows above
+eta*.  Note that with C >= sqrt(batch size) the dual optimum sits at
 eta* = max l and every step is exactly zero this way, so alpha_min and
 the batch size have to be chosen together.
 """

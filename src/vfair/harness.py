@@ -591,7 +591,7 @@ def _train_one(cfg: ExperimentConfig, spec: ModelSpec, train: Dataset, method: s
                     values[step, 0] = eta
                 else:
                     grad, state, row = vfair_direction(state, spec, ws, batch, objective)
-                    values[step] = tuple(row.values())
+                    values[step] = row
                 optimizer.step(params, grad)
                 step += 1
             loss = _mean_loss(spec, ws, train)

@@ -5,16 +5,19 @@ the parameter gradient of (1/b) * sum_i w_i * loss_i with the weight
 vector treated as constants.  ERM, the robust baseline and the spread
 update pass its three weight forms (none, one vector, one vector with the
 mean gradient first), so the backprop code below is the only place
-derivatives are taken.  The forward pass keeps no pre-activations (each
-activation is applied in place), so the backward takes each activation's
-derivative from the layer's output.
+derivatives are taken.  The one-vector form, the robust baseline's,
+backpropagates only the rows whose weight is not zero (the active set):
+that baseline's weights vanish at and below its threshold.  The forward
+pass keeps no pre-activations (each activation is applied in place), so
+the backward takes each activation's derivative from the layer's output.
 
 A ``Workspace`` stands for one parameter vector: it holds what no step
 changes, the vector's (W, b) views, their transposes and the activation's
 rules, and, per backward shape, the flat gradient, its per-layer views and
-the backward's work arrays.  Every function taking ``params`` takes the
-flat vector or a workspace over it; a training run builds one workspace
-for all its steps, and a call given the vector builds a fresh one;
+the backward's work arrays, whose leading n rows serve an active set of n
+rows.  Every function taking ``params`` takes the flat vector or a
+workspace over it; a training run builds one workspace for all its steps,
+and a call given the vector builds a fresh one;
 ``weighted_gradient`` also takes a ``ForwardCache``, which stands for the
 parameters its forward pass ran at.  A gradient returned through a
 workspace is a view of its buffer, valid until the next same-shape call
@@ -401,7 +404,12 @@ def weighted_gradient(spec: ModelSpec, params: np.ndarray | Workspace | ForwardC
     Backprop is linear in each example's output delta, so one unweighted
     delta [b, d] per layer serves both rows; the weights enter only the
     layer's products a^T (w * delta) and w . delta, and the mean row's
-    weight product is a^T delta, never multiplied by ones.
+    weight product is a^T delta, never multiplied by ones.  A row whose
+    weight is zero adds nothing, so the one-vector form runs the backward
+    over the other rows only, gathered, in the leading rows of the batch's
+    buffers.  Each of their deltas is the dense one (still scaled by 1/b);
+    only the order of the sums over rows differs, and with no zero weight
+    nothing is gathered.  Every weight zero gives exact zeros.
     ``params`` is the vector, a workspace over it, or a ``ForwardCache``
     of ``batch``, which stands for the parameters its pass ran at and saves
     the forward pass; the result is written into the workspace's buffers.
@@ -415,14 +423,23 @@ def weighted_gradient(spec: ModelSpec, params: np.ndarray | Workspace | ForwardC
     lead = int(mean or weights is None)  # 1 when row 0 is the mean gradient
     k = int(weights is not None)  # 1 when the last row is the weighted one
     grad, bias_rows, views = cache.ws.buffers(b, lead, k)
+    inputs, outputs, targets = cache.inputs, cache.outputs, batch.targets
+    if k and not lead:  # weights only: a zero weight's row adds nothing, so it is left out
+        active = np.flatnonzero(weights)
+        n = len(active)
+        if n < b:  # the active rows, served by the leading n rows of the b-row buffers
+            inputs = [a.take(active, axis=0) for a in inputs]
+            outputs, targets = outputs.take(active, axis=0), targets.take(active)
+            weights, bias_rows = weights.take(active), bias_rows[:, :n]
+            views = [(mean_w, row_w, bias, weighted[:n]) for mean_w, row_w, bias, weighted in views]
     if k:
         bias_rows[-1] = weights
         per_example = weights[:, None]
-    delta = _loss_output_grad(spec, cache.outputs, batch.targets)
+    delta = _loss_output_grad(spec, outputs, targets)
     delta *= 1.0 / b
     for l in range(len(views) - 1, -1, -1):
         mean_w, row_w, bias, weighted = views[l]
-        a_t = cache.inputs[l].T
+        a_t = inputs[l].T
         if lead:  # np.dot, as its outs mean_w and row_w are C-contiguous views
             np.dot(a_t, delta, out=mean_w)
         if k:
@@ -432,5 +449,5 @@ def weighted_gradient(spec: ModelSpec, params: np.ndarray | Workspace | ForwardC
         np.matmul(bias_rows, delta, out=bias)
         if l > 0:
             delta = np.dot(delta, cache.ws.weights_t[l])
-            delta *= cache.ws.activate_grad(cache.inputs[l])
+            delta *= cache.ws.activate_grad(inputs[l])
     return grad if len(grad) > 1 else grad[0]

@@ -23,7 +23,7 @@ per-example weight vector and in the closed form of lam2:
 The running mean mu is an exponential moving average across batches
 (bias left uncorrected, mu_0 = 0); sigma is computed per batch around
 that running mean.  Each step's mu, sigma, lambdas, gradient norms and
-smallest weight come back as a dict keyed by TRACE_ROW, in its order.
+smallest weight come back as a tuple in TRACE_ROW's order.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .errors import ConfigError
 from .nnet import Batch, ModelSpec, Workspace, forward_cache, per_example_losses, weighted_gradient
 
 OBJECTIVES = ("std_dev", "variance", "pairwise")
-# the keys of a vfair_direction trace row, in order: step-trace column names
+# the names of a vfair_direction trace row's values, in order: step-trace column names
 TRACE_ROW = (
     "mu", "sigma", "lambda1", "lambda2", "lambda", "grad_mu_norm", "grad_dot", "weights_min",
 )
@@ -69,6 +69,13 @@ class UpdateState:
             raise ConfigError("lambda2_cap must be >= 0")
         if self.ema_mean < 0.0:
             raise ConfigError("ema_mean cannot be negative for non-negative losses")
+
+    def _advanced(self, ema_mean: float) -> "UpdateState":
+        """This state with the running mean ``ema_mean``, not re-checked: a
+        mean refreshed by ``ema_update`` from non-negative losses stays >= 0."""
+        new = object.__new__(UpdateState)
+        new.__dict__.update(self.__dict__, ema_mean=ema_mean)
+        return new
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +186,7 @@ def vfair_direction(
     params: np.ndarray | Workspace,
     batch: Batch,
     objective: str = "std_dev",
-) -> tuple[np.ndarray, UpdateState, dict]:
+) -> tuple[np.ndarray, UpdateState, tuple]:
     """One update direction lam * g_mu + g_sec (not yet applied).
 
     Order of operations per batch: losses -> refresh running mean ->
@@ -188,7 +195,7 @@ def vfair_direction(
     backward pass over the spread weights sw, with the mean row first,
     which yields g_mu and g_sec together.  ``params`` is the vector or a
     workspace over it.  Returns (direction, advanced state, trace row),
-    the row keyed by TRACE_ROW.
+    the row's values in TRACE_ROW's order.
     """
     cache = forward_cache(spec, params, batch)
     losses = per_example_losses(spec, cache.outputs, batch.targets)
@@ -206,6 +213,5 @@ def vfair_direction(
     direction = lam * g_mu + g_sec
 
     # rounding is monotone, so weights_min = min(lam + sw) == lam + min(sw)
-    row = dict(zip(TRACE_ROW, (mu, sigma, lam1, lam2, lam, math.sqrt(norm_sq), dot,
-                               lam + float(sw.min()))))
-    return direction, UpdateState(mu, state.decay, state.step_size, state.lambda2_cap), row
+    row = (mu, sigma, lam1, lam2, lam, math.sqrt(norm_sq), dot, lam + float(sw.min()))
+    return direction, state._advanced(mu), row

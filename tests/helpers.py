@@ -28,7 +28,7 @@ from vfair.nnet import (
     Batch, ModelSpec, _expit, _loss_output_grad, forward, init_params, per_example_losses,
     unpack,
 )
-from vfair.update import UpdateState, grad_mu, vfair_direction
+from vfair.update import TRACE_ROW, UpdateState, grad_mu, vfair_direction
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -331,7 +331,7 @@ def reference_train(cfg, spec: ModelSpec, train, method: str, seed: int, referen
                     rows.append({"eta": eta})
                 else:
                     grad, state, row = vfair_direction(state, spec, params, batch, objective)
-                    rows.append(row)
+                    rows.append(dict(zip(TRACE_ROW, row)))
                 if cfg.optimizer == "sgd":
                     params = params - cfg.step_size * grad
                 else:

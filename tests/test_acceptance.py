@@ -39,7 +39,7 @@ from vfair.nnet import (
     per_example_losses,
     weighted_gradient,
 )
-from vfair.update import UpdateState, ema_update, grad_mu, vfair_direction
+from vfair.update import TRACE_ROW, UpdateState, ema_update, grad_mu, vfair_direction
 
 # running mean = batch mean, lam2 uncapped: the trained std_dev direction is
 # then the paper's lam * g_mu + g_sigma with batch statistics
@@ -92,6 +92,7 @@ def test_gradient_oracle_suite():
     for _ in range(n_instances):
         spec, params, batch = random_instance(rng)
         trained, _, row = vfair_direction(BATCH_STATISTICS, spec, params, batch)
+        row = dict(zip(TRACE_ROW, row))
         losses = per_example_losses(spec, forward(spec, params, batch), batch.targets)
         weights = row["lambda"] + (losses - row["mu"]) / row["sigma"]
         one_pass = weighted_gradient(spec, params, batch, weights)
@@ -124,6 +125,7 @@ def test_coefficient_logic_suite():
     for _ in range(n_batches):
         spec, params, batch = random_instance(rng)
         trained, _, row = vfair_direction(BATCH_STATISTICS, spec, params, batch)
+        row = dict(zip(TRACE_ROW, row))
         gmu = grad_mu(spec, params, batch)
         worst_margin = min(worst_margin, float(trained @ gmu - gmu @ gmu))
         worst_weight = min(worst_weight, row["weights_min"])

@@ -8,7 +8,7 @@ import pytest
 from scipy.special import expit
 
 from helpers import directional_derivative_fd, reference_forward, reference_weighted_gradient
-from vfair.baselines import DroConfig, dro_direction
+from vfair.baselines import DroConfig, dro_direction, dro_eta
 from vfair.errors import ConfigError, DataError
 from vfair.nnet import (
     ACTIVATIONS,
@@ -527,6 +527,67 @@ def test_gradients_share_a_buffer_only_through_one_workspace_and_shape():
         params -= 0.1 * grad_mu(spec, params, batch)  # in place, so ws sees it
     assert not dro_direction(spec, ws, batch, DroConfig())[0].any()
     assert dro_direction(spec, ws, batch, DroConfig(alpha_min=0.9))[0].any()
+
+
+@pytest.mark.parametrize("hidden, activation", [((16, 8), "relu"), ((16,), "sigmoid"),
+                                                ((), "identity")])
+@pytest.mark.parametrize("task", TASKS)
+def test_weights_only_gradient_runs_the_active_rows_to_the_dense_reference(task, hidden,
+                                                                          activation):
+    # the weights-only form backpropagates only the rows whose weight is not
+    # zero (-0.0 counts as zero).  Each kept row's delta is the dense one, so
+    # only the order of the sums over rows differs from the dense reference;
+    # with no zero weight nothing is gathered and the bits are the dense
+    # path's; with every weight zero the gradient is exact zeros
+    rng = np.random.default_rng(35)
+    b = 128
+    spec = ModelSpec(input_dim=4, hidden_dims=hidden, task=task, activation=activation,
+                     output_dim=3 if task == "multiclass_ce" else 1)
+    params = init_params(spec, seed=1)
+    batch = random_batch(rng, spec, b=b)
+    spread = rng.uniform(0.1, 2.0, size=b)
+    few = np.zeros(b)
+    picked = rng.choice(b, size=7, replace=False)  # about 5% of the rows
+    few[picked] = spread[picked]
+    few[np.flatnonzero(few == 0.0)[3]] = -0.0
+    one = np.zeros(b)
+    one[17] = spread[17]
+    ws = Workspace(spec, params)
+    # one workspace serves every active count, dense calls in between
+    for weights in (few, spread, one, spread, few):
+        ref = reference_weighted_gradient(spec, params, batch, weights)
+        for p in (params, ws):
+            got = weighted_gradient(spec, p, batch, weights)
+            if weights is spread:
+                assert np.array_equal(got, ref)
+            else:
+                assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+    for zeros in (np.zeros(b), -np.zeros(b)):
+        got = weighted_gradient(spec, ws, batch, zeros)
+        assert np.array_equal(got, np.zeros(parameter_count(spec)))
+
+
+def test_active_rows_share_the_buffers_of_their_batch_size():
+    # DRO's weights are zero at and below eta*, so the rows its backward runs
+    # vary from step to step; they are served by the leading rows of one
+    # buffer set per (batch rows, lead, k), never one per active count
+    rng = np.random.default_rng(60)
+    spec = ModelSpec(input_dim=4, hidden_dims=(64, 32), output_dim=1, task="regression_mse")
+    params = init_params(spec, seed=0)
+    ws = Workspace(spec, params)
+    cfg = DroConfig()
+    active = set()
+    for step in range(60):
+        b = 368 if step % 10 == 9 else 512  # large_batch's full and tail batch sizes
+        batch = Batch(features=rng.normal(size=(b, 4)), targets=rng.normal(size=b) ** 3)
+        losses = per_example_losses(spec, forward(spec, ws, batch), batch.targets)
+        active.add(int(np.count_nonzero(losses > dro_eta(losses, cfg))))
+        params -= 0.01 * dro_direction(spec, ws, batch, cfg)[0]
+    assert len(active) > 10 and min(active) < 100
+    assert sorted(ws._buffers) == [(368, 0, 1), (512, 0, 1)]
+    for (b, lead, k), (grad, bias_rows, views) in ws._buffers.items():
+        assert bias_rows.shape == (lead + k, b)
+        assert all(weighted.shape[0] == b for *_, weighted in views)
 
 
 def test_fd_objective_validation():

@@ -25,6 +25,7 @@ from vfair.nnet import (
 from vfair.update import (
     OBJECTIVES,
     SIGMA_FLOOR,
+    TRACE_ROW,
     UpdateState,
     batch_sigma,
     ema_update,
@@ -136,6 +137,7 @@ def test_combined_weights_hand_vector():
     # losses [1, 2, 3] at mu = 2: weights lam + (l - mu)/sigma = 1 -/+ 1/sigma
     spec, params, batch = regression_batch_with_losses([1.0, 2.0, 3.0])
     direction, _, row = vfair_direction(BATCH_STATISTICS, spec, params, batch)
+    row = dict(zip(TRACE_ROW, row))
     sigma = math.sqrt(2.0 / 3.0)
     assert row["mu"] == pytest.approx(2.0)
     assert row["sigma"] == pytest.approx(sigma)
@@ -154,6 +156,7 @@ def test_combined_weights_nonnegative_with_lambda2_uncapped():
         losses = rng.uniform(0.0, 5.0, size=int(rng.integers(2, 40)))
         spec, params, batch = regression_batch_with_losses(losses)
         _, _, row = vfair_direction(BATCH_STATISTICS, spec, params, batch)
+        row = dict(zip(TRACE_ROW, row))
         losses = per_example_losses(spec, forward(spec, params, batch), batch.targets)
         weights = row["lambda"] + (losses - row["mu"]) / row["sigma"]
         assert weights.min() >= -1e-12
@@ -243,6 +246,7 @@ def test_grad_sigma_matches_fd_with_batch_statistics():
     while checked < 40:
         spec, params, batch = random_setup(rng)
         direction, _, row = vfair_direction(BATCH_STATISTICS, spec, params, batch)
+        row = dict(zip(TRACE_ROW, row))
         if row["sigma"] < 1e-4:  # fd of a kink, skip degenerate draws
             continue
         d = rng.normal(size=params.shape)
@@ -262,6 +266,7 @@ def test_reweighted_form_equals_two_gradient_form():
     for _ in range(50):
         spec, params, batch = random_setup(rng)
         direction, _, row = vfair_direction(BATCH_STATISTICS, spec, params, batch)
+        row = dict(zip(TRACE_ROW, row))
         losses = per_example_losses(spec, forward(spec, params, batch), batch.targets)
         g_sigma = weighted_gradient(spec, params, batch, (losses - row["mu"]) / row["sigma"])
         double = row["lambda"] * grad_mu(spec, params, batch) + g_sigma
@@ -278,6 +283,7 @@ def test_vfair_direction_is_one_reweighted_backward():
             spec, params, batch = random_setup(rng)
             state = UpdateState(ema_mean=float(rng.uniform(0.0, 2.0)))
             direction, _, row = vfair_direction(state, spec, params, batch, objective)
+            row = dict(zip(TRACE_ROW, row))
             losses = per_example_losses(spec, forward(spec, params, batch), batch.targets)
             if objective == "std_dev":
                 sw = (losses - row["mu"]) / row["sigma"]
@@ -327,6 +333,7 @@ def test_step_report_on_hand_built_batch():
     spec, params, batch = regression_batch_with_losses([1.0, 2.0, 3.0])
     state = UpdateState(ema_mean=2.0)  # batch mean is also 2 -> mu stays 2
     direction, new_state, row = vfair_direction(state, spec, params, batch)
+    row = dict(zip(TRACE_ROW, row))
 
     sigma = math.sqrt(2.0 / 3.0)
     assert row["mu"] == pytest.approx(2.0)
@@ -352,6 +359,7 @@ def test_floored_sigma_with_unit_cap_degenerates_to_mean_step():
     params = np.zeros(2)
     state = UpdateState(ema_mean=4.0, lambda2_cap=1.0)
     direction, _, row = vfair_direction(state, spec, params, batch)
+    row = dict(zip(TRACE_ROW, row))
     assert row["sigma"] == SIGMA_FLOOR
     assert row["lambda"] == 1.0
     np.testing.assert_allclose(direction, grad_mu(spec, params, batch))
@@ -362,6 +370,7 @@ def test_variance_objective_hand_lambda2():
     spec, params, batch = regression_batch_with_losses([0.0, 1.0])
     state = UpdateState(ema_mean=0.5)
     _, _, row = vfair_direction(state, spec, params, batch, objective="variance")
+    row = dict(zip(TRACE_ROW, row))
     assert row["mu"] == pytest.approx(0.5)
     assert row["lambda2"] == pytest.approx(1.0)
 
@@ -372,6 +381,7 @@ def test_negative_variance_lambda2_leaves_lambda1_binding():
     # already positive, so lam = lam1 and the smallest weight stays positive
     spec, params, batch = regression_batch_with_losses([1.0, 2.0, 3.0])
     _, _, row = vfair_direction(UpdateState(), spec, params, batch, objective="variance")
+    row = dict(zip(TRACE_ROW, row))
     assert row["mu"] == pytest.approx(0.02)
     assert row["lambda2"] == pytest.approx(2.0 * (0.02 - 1.0))
     assert row["lambda"] == row["lambda1"]
@@ -382,6 +392,7 @@ def test_pairwise_objective_constant_lambda2():
     spec, params, batch = regression_batch_with_losses([0.2, 0.9, 1.7])
     state = UpdateState(ema_mean=1.0)
     _, _, row = vfair_direction(state, spec, params, batch, objective="pairwise")
+    row = dict(zip(TRACE_ROW, row))
     assert row["lambda2"] == 2.0
 
 
@@ -400,6 +411,7 @@ def test_descent_safety_all_objectives():
         for _ in range(40):
             spec, params, batch = random_setup(rng)
             direction, state2, row = vfair_direction(state, spec, params, batch, objective)
+            row = dict(zip(TRACE_ROW, row))
             g = grad_mu(spec, params, batch)
             lhs = float(direction @ g)
             assert lhs >= float(g @ g) - 1e-12
@@ -420,13 +432,13 @@ def test_update_state_validation():
 
 
 def test_step_report_row_columns():
-    # the row a step returns is the trace's coefficient columns, in order
+    # the row a step returns is one float per trace coefficient column, in order
+    assert TRACE_ROW == (
+        "mu", "sigma", "lambda1", "lambda2", "lambda", "grad_mu_norm", "grad_dot", "weights_min",
+    )
+    assert set(TRACE_ROW) < set(TRACE_COLUMNS)
     spec, params, batch = regression_batch_with_losses([1.0, 2.0, 3.0])
     for objective in OBJECTIVES:
         _, _, row = vfair_direction(UpdateState(), spec, params, batch, objective)
-        assert list(row) == [
-            "mu", "sigma", "lambda1", "lambda2", "lambda",
-            "grad_mu_norm", "grad_dot", "weights_min",
-        ]
-        assert set(row) < set(TRACE_COLUMNS)
-        assert all(type(v) is float for v in row.values())
+        assert type(row) is tuple and len(row) == len(TRACE_ROW)
+        assert all(type(v) is float for v in row)
