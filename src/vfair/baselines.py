@@ -22,6 +22,7 @@ the batch size have to be chosen together.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -32,7 +33,7 @@ from .nnet import (Batch, ModelSpec, Workspace, forward_cache, parameter_count,
                    per_example_losses, weighted_gradient)
 
 
-ETA_CONSTANTS_KEPT = 8  # the most batch sizes a DroConfig keeps; a run uses two
+ETA_CONSTANTS_KEPT = 8  # the most (batch size, C^2) pairs dro_eta keeps; a run uses two
 
 
 @dataclass(frozen=True)
@@ -40,8 +41,6 @@ class DroConfig:
     alpha_min: float = 0.2
     # derived, not passed: C = sqrt(2 * (1/alpha_min - 1)^2 + 1)
     scale: float = field(init=False, repr=False, compare=False)
-    # batch size b -> dro_eta's constants at b, the oldest size dropped first
-    _constants: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         if not 0.0 < self.alpha_min < 1.0:
@@ -70,21 +69,14 @@ def dro_eta(losses: np.ndarray, cfg: DroConfig) -> float:
     onward and eta* = max l.  ``losses`` come from ``per_example_losses``
     (finite, non-negative, non-empty); if their prefix sums overflow, m = b
     is taken and eta* is NaN, for the next loss check to report.
-    What depends on b and C alone, m, C^2 > b / m and C^2 - b / m, is made
-    once per batch size and kept in ``cfg``, for ETA_CONSTANTS_KEPT sizes.
+    What depends on b and C alone is made by ``_eta_constants``.
     """
     b = len(losses)
     c2 = cfg.scale**2
     top = float(losses.max())
     if c2 >= b:
         return top
-    kept = cfg._constants
-    if b not in kept:
-        if len(kept) == ETA_CONSTANTS_KEPT:
-            del kept[next(iter(kept))]
-        m = np.arange(1, b + 1)
-        kept[b] = m, c2 > b / m, c2 - b / m
-    m, smooth, gap = kept[b]
+    m, smooth, gap = _eta_constants(b, c2)
     d = np.sort(top - losses)
     d1 = d.cumsum()
     spread = np.maximum((d * d).cumsum() - d1 * d1 / m, 0.0)
@@ -94,6 +86,17 @@ def dro_eta(losses: np.ndarray, cfg: DroConfig) -> float:
     qualifies[-1] = True  # fails only when an overflowed sum made shift NaN
     first = int(qualifies.argmax())
     return top - float(shift[first])
+
+
+@functools.lru_cache(maxsize=ETA_CONSTANTS_KEPT)
+def _eta_constants(b: int, c2: float) -> tuple:
+    """m = 1..b, C^2 > b / m and C^2 - b / m: made once per (b, C^2) and
+    shared by every caller, so read-only."""
+    m = np.arange(1, b + 1)
+    constants = m, c2 > b / m, c2 - b / m
+    for a in constants:
+        a.flags.writeable = False
+    return constants
 
 
 def dro_direction(

@@ -157,11 +157,9 @@ def _cmd_compare(args) -> int:
     table = aggregate(_load_runs(args))
     if args.out:
         table.to_csv(args.out)
-    for row in table.rows:
-        print(
-            f"{row['partition']}/{row['method']}: n={row['n_runs']} utility="
-            f"{row['utility_mean']:.6g} mud={row['mud_mean']:.6g} var={row['var_mean']:.6g}"
-        )
+    for row in table.rows:  # each row's means: the facts its partition adds
+        means = "".join(f" {c[:-5]}={v:.6g}" for c, v in row.items() if c.endswith("_mean"))
+        print(f"{row['partition']}/{row['method']}: n={row['n_runs']}{means}")
     return 0
 
 

@@ -723,7 +723,7 @@ def _improvement(kind: str, metric: str, method_mean: float, erm_mean: float) ->
 
 @dataclass
 class AggregateTable:
-    rows: list
+    rows: list  # dicts of the cells each row fills; a cell it lacks is blank
 
     COLUMNS = ["partition", "method", "n_runs"] + [
         f"{m}_{s}"
@@ -732,47 +732,44 @@ class AggregateTable:
     ]
 
     def to_csv(self, path) -> None:
-        _write_csv(path, self.COLUMNS, ([row[c] for c in self.COLUMNS] for row in self.rows))
+        _write_csv(path, self.COLUMNS, ([row.get(c) for c in self.COLUMNS] for row in self.rows))
 
 
 def aggregate(records) -> AggregateTable:
     """Per (partition, method) mean/std over seeds, Welch p and signed
-    improvement against the mean-loss baseline where available."""
+    improvement against the mean-loss baseline where available, of only
+    the facts the partition adds: with one group (k = 1, by the row's first
+    report) its utility and VAR, else its wu and mud, and tud if k > 2."""
     if not records:
         raise ConfigError("no records to aggregate")
-    groups = {}  # (partition, method) -> its records, in record order
+    methods = dict.fromkeys(r.method for r in records)
+    reports = {}  # partition -> method -> its reports, in record order
     for r in records:
-        for partition in r.metrics:
-            groups.setdefault((partition, r.method), []).append(r)
-    partitions = list(dict.fromkeys(p for p, _ in groups))
-    methods = list(dict.fromkeys(r.method for r in records))
+        for partition, report in r.metrics.items():
+            reports.setdefault(partition, {m: [] for m in methods})[r.method].append(report)
 
-    def values(group, partition, metric):
-        reports = (r.metrics[partition] for r in group)
-        return np.asarray([getattr(rep, metric) for rep in reports], dtype=np.float64)
+    def values(group, metric):
+        return np.asarray([getattr(rep, metric) for rep in group], dtype=np.float64)
 
     rows = []
-    for partition in partitions:
-        erm = groups.get((partition, "erm"))  # a partition no erm run has gets no deltas
-        for method in methods:
-            group = groups.get((partition, method))
-            if group is None:
+    for partition, by_method in reports.items():
+        erm = by_method.get("erm")  # a partition no erm run has gets no deltas
+        for method, group in by_method.items():
+            if not group:
                 continue
-            kind = group[0].utility_kind
+            k = len(group[0].per_group_utility)  # with two groups tud is mud
             row = {"partition": partition, "method": method, "n_runs": len(group)}
-            for metric in MetricsReport.SCALARS:
-                vals = values(group, partition, metric)
+            for metric in ("utility", "var") if k == 1 else ("wu", "mud", "tud")[:2 + (k > 2)]:
+                vals = values(group, metric)
                 row[f"{metric}_mean"] = float(vals.mean())
-                row[f"{metric}_std"] = float(vals.std(ddof=1)) if len(vals) > 1 else None
-                p = None
-                impr = None
+                if len(vals) > 1:
+                    row[f"{metric}_std"] = float(vals.std(ddof=1))
                 if method != "erm" and erm:
-                    erm_vals = values(erm, partition, metric)
-                    impr = _improvement(kind, metric, float(vals.mean()), float(erm_vals.mean()))
+                    erm_vals = values(erm, metric)
+                    row[f"{metric}_impr_vs_erm"] = _improvement(
+                        group[0].utility_kind, metric, float(vals.mean()), float(erm_vals.mean()))
                     if len(vals) > 1 and len(erm_vals) > 1:
-                        p = significance_test(erm_vals, vals)
-                row[f"{metric}_p_vs_erm"] = p
-                row[f"{metric}_impr_vs_erm"] = impr
+                        row[f"{metric}_p_vs_erm"] = significance_test(erm_vals, vals)
             rows.append(row)
     return AggregateTable(rows=rows)
 

@@ -175,10 +175,10 @@ def _eta_draw(rng, b: int, kind: str) -> np.ndarray:
 
 
 def test_dro_eta_keeps_the_bits_of_its_per_call_form():
-    # the constants each config keeps per batch size change no bit of eta*
+    # the constants kept per (batch size, C^2) change no bit of eta*
     # against the closed form that builds them every call, over batch
-    # sizes either side of C^2 = 33 and 3 and with each config's store
-    # serving every size in turn; run_experiment's errstate is reproduced
+    # sizes either side of C^2 = 33 and 3 and with the cache serving more
+    # pairs than it keeps; run_experiment's errstate is reproduced
     rng = np.random.default_rng(34)
     sizes = [1, 26, 33, 34, 128, 368, 512]
     kinds = ["spread", "tied", "equal", "overflow"]
@@ -194,13 +194,13 @@ def test_dro_eta_keeps_the_bits_of_its_per_call_form():
                     nans += math.isnan(got)
                     draws += 1
     assert draws >= 2000 and nans > 0  # the overflow draws reached the NaN fallback
-    # a config's store keeps at most ETA_CONSTANTS_KEPT sizes however many it
-    # sees, and a size it dropped is made again to the same bits
+    # the constants cache keeps at most ETA_CONSTANTS_KEPT sizes however many
+    # it sees, and a size it dropped is made again to the same bits
     cfg = configs[2]
     for b in [*range(2, 200), *rng.integers(2, 200, size=200)]:
         losses = _eta_draw(rng, int(b), "spread")
         assert _same_bits(dro_eta(losses, cfg), reference_dro_eta(losses, cfg))
-        assert len(cfg._constants) <= ETA_CONSTANTS_KEPT
+        assert baselines._eta_constants.cache_info().currsize <= ETA_CONSTANTS_KEPT
 
 
 # ---------------------------------------------------------------------------

@@ -451,12 +451,16 @@ def test_harmless_without_reference_raises():
 
 
 def test_harmless_with_explicit_reference():
-    d = tiny_config(methods=["vfair_std"], epoch_selection="harmless",
-                    epochs=4, erm_reference_loss=1e9)
-    records = [rec for rec, _ in run_experiment(config_from_dict(d))]
-    rec = records[0]
-    # a huge reference makes the largest per-epoch loss the nearest one
-    assert rec.selected_epoch == int(np.argmax(rec.per_epoch_loss))
+    # an explicit reference wins over an in-run erm's final loss, and erm
+    # itself is selected against it
+    for methods in (["vfair_std"], ["erm", "vfair_std"]):
+        d = tiny_config(methods=methods, epoch_selection="harmless",
+                        epochs=4, erm_reference_loss=1e9)
+        records = [rec for rec, _ in run_experiment(config_from_dict(d))]
+        assert [rec.method for rec in records] == methods
+        for rec in records:
+            # a huge reference makes the largest per-epoch loss the nearest one
+            assert rec.selected_epoch == int(np.argmax(rec.per_epoch_loss)) != 3, rec.method
 
 
 # -- end-to-end training ----------------------------------------------------
@@ -739,28 +743,42 @@ def test_load_with_shared_targets_refuses_what_a_full_decode_refuses(tmp_path, o
 
 
 def fake_record(method, seed, kind, scalars):
-    report = MetricsReport(
-        utility_kind=kind,
-        utility=scalars["utility"],
-        per_group_utility=(scalars["utility"],),
-        wu=scalars["wu"],
-        mud=scalars["mud"],
-        tud=scalars["tud"],
-        var=scalars["var"],
-        n_examples=10,
-        partition_label="overall",
-    )
+    """A record whose "overall" report has one group and whose "group"
+    report has two, each holding `scalars`."""
+    def report(label, k):
+        return MetricsReport(
+            utility_kind=kind,
+            utility=scalars["utility"],
+            per_group_utility=(scalars["utility"],) * k,
+            wu=scalars["wu"],
+            mud=scalars["mud"],
+            tud=scalars["tud"],
+            var=scalars["var"],
+            n_examples=10,
+            partition_label=label,
+        )
+
     return RunRecord(
         method=method,
         seed=seed,
         per_epoch_loss=[1.0],
         selected_epoch=0,
         params=np.zeros(1),
-        metrics={"overall": report},
+        metrics={"overall": report("overall", 1), "group": report("group", 2)},
         utility_kind=kind,
         test_predictions=np.zeros(10),
         test_targets=np.zeros(10),
     )
+
+
+def aggregate_rows(records) -> dict:
+    return {(r["partition"], r["method"]): r for r in aggregate(records).rows}
+
+
+def blank_cells(row, metrics) -> bool:
+    """Whether `row` fills no cell of any of `metrics`."""
+    return row.keys().isdisjoint(f"{m}_{s}" for m in metrics
+                                 for s in ("mean", "std", "p_vs_erm", "impr_vs_erm"))
 
 
 def test_aggregate_matches_hand_recomputation():
@@ -773,20 +791,23 @@ def test_aggregate_matches_hand_recomputation():
                     {"utility": u, "wu": u, "mud": 0.1, "tud": 0.1, "var": 0.05})
         for s, u in enumerate([1.1, 1.0, 0.9])
     ]
-    table = aggregate(erm + fair)
-    rows = {r["method"]: r for r in table.rows}
-    assert rows["erm"]["n_runs"] == 3
-    assert rows["erm"]["utility_mean"] == pytest.approx(1.0)
-    assert rows["erm"]["utility_std"] == pytest.approx(np.std([1.0, 1.2, 0.8], ddof=1))
-    assert rows["erm"]["utility_p_vs_erm"] is None
+    rows = aggregate_rows(erm + fair)
+    assert rows["overall", "erm"]["n_runs"] == 3
+    assert rows["overall", "erm"]["utility_mean"] == pytest.approx(1.0)
+    assert rows["overall", "erm"]["utility_std"] == pytest.approx(np.std([1.0, 1.2, 0.8], ddof=1))
+    assert "utility_p_vs_erm" not in rows["overall", "erm"]
     # mse is a cost, so improvement is baseline minus method
-    assert rows["vfair_std"]["utility_impr_vs_erm"] == pytest.approx(0.0)
-    assert rows["vfair_std"]["mud_impr_vs_erm"] == pytest.approx(0.3)
-    assert rows["vfair_std"]["var_impr_vs_erm"] == pytest.approx(0.15)
+    assert rows["overall", "vfair_std"]["utility_impr_vs_erm"] == pytest.approx(0.0)
+    assert rows["group", "vfair_std"]["mud_impr_vs_erm"] == pytest.approx(0.3)
+    assert rows["overall", "vfair_std"]["var_impr_vs_erm"] == pytest.approx(0.15)
     # mud is constant within each method, so the degenerate-variance rule applies
-    assert rows["vfair_std"]["mud_p_vs_erm"] == 0.0
+    assert rows["group", "vfair_std"]["mud_p_vs_erm"] == 0.0
     p_util = stats.ttest_ind([1.0, 1.2, 0.8], [1.1, 1.0, 0.9], equal_var=False).pvalue
-    assert rows["vfair_std"]["utility_p_vs_erm"] == pytest.approx(p_util)
+    assert rows["overall", "vfair_std"]["utility_p_vs_erm"] == pytest.approx(p_util)
+    # one group reports utility and var; two report wu and mud, their tud being mud
+    for method in ("erm", "vfair_std"):
+        assert blank_cells(rows["overall", method], ["wu", "mud", "tud"])
+        assert blank_cells(rows["group", method], ["utility", "var", "tud"])
 
 
 def test_aggregate_orientation_flips_for_accuracy():
@@ -796,10 +817,12 @@ def test_aggregate_orientation_flips_for_accuracy():
     fair = [fake_record("dro", s, "accuracy",
                         {"utility": 0.75, "wu": 0.7, "mud": 0.15, "tud": 0.15, "var": 0.1})
             for s in range(2)]
-    rows = {r["method"]: r for r in aggregate(erm + fair).rows}
-    assert rows["dro"]["utility_impr_vs_erm"] == pytest.approx(0.05)
-    assert rows["dro"]["wu_impr_vs_erm"] == pytest.approx(0.1)
-    assert rows["dro"]["mud_impr_vs_erm"] == pytest.approx(0.05)
+    rows = aggregate_rows(erm + fair)
+    assert rows["overall", "dro"]["utility_impr_vs_erm"] == pytest.approx(0.05)
+    assert rows["group", "dro"]["wu_impr_vs_erm"] == pytest.approx(0.1)
+    assert rows["group", "dro"]["mud_impr_vs_erm"] == pytest.approx(0.05)
+    assert blank_cells(rows["overall", "dro"], ["wu", "mud", "tud"])
+    assert blank_cells(rows["group", "dro"], ["utility", "var", "tud"])
 
 
 def test_aggregate_single_seed_leaves_p_blank(tmp_path):
@@ -808,17 +831,20 @@ def test_aggregate_single_seed_leaves_p_blank(tmp_path):
         fake_record("dro", 0, "mse", {"utility": 0.9, "wu": 0.9, "mud": 0.2, "tud": 0.2, "var": 0.1}),
     ]
     table = aggregate(recs)
-    rows = {r["method"]: r for r in table.rows}
-    assert rows["dro"]["utility_std"] is None
-    assert rows["dro"]["utility_p_vs_erm"] is None
-    assert rows["dro"]["utility_impr_vs_erm"] == pytest.approx(0.1)
+    rows = {(r["partition"], r["method"]): r for r in table.rows}
+    assert "utility_std" not in rows["overall", "dro"]
+    assert "utility_p_vs_erm" not in rows["overall", "dro"]
+    assert rows["overall", "dro"]["utility_impr_vs_erm"] == pytest.approx(0.1)
     out = tmp_path / "agg.csv"
     table.to_csv(out)
     with open(out, newline="") as fh:
         read = list(csv.DictReader(fh))
-    assert [r["method"] for r in read] == ["erm", "dro"]
+    assert [(r["partition"], r["method"]) for r in read] == [
+        ("overall", "erm"), ("overall", "dro"), ("group", "erm"), ("group", "dro")]
     assert read[1]["utility_p_vs_erm"] == ""
-    assert float(read[1]["mud_impr_vs_erm"]) == pytest.approx(0.1)
+    assert read[1]["mud_impr_vs_erm"] == "" and read[1]["mud_mean"] == ""
+    assert float(read[3]["mud_impr_vs_erm"]) == pytest.approx(0.1)
+    assert read[3]["mud_p_vs_erm"] == read[3]["utility_impr_vs_erm"] == ""
     with pytest.raises(ConfigError):
         aggregate([])
 
@@ -847,7 +873,52 @@ def test_aggregate_keeps_row_order_when_partition_sets_differ():
         ("race", "erm", 1, 3.0), ("race", "dro", 1, 2.0),
         ("site", "vfair_std", 1, 4.0),
     ]
-    assert [r["utility_impr_vs_erm"] for r in rows] == [None, -1.5, None, -3.0, None, 1.0, None]
+    assert [r.get("utility_impr_vs_erm") for r in rows] == [None, -1.5, None, -3.0, None, 1.0, None]
+    # the facts follow a partition's group count, not its label: every
+    # report here has one group
+    assert all(blank_cells(r, ["wu", "mud", "tud"]) for r in rows)
+
+
+# the facts a row of a k-group partition reports
+FACTS = {1: ["utility", "var"], 2: ["wu", "mud"], 3: ["wu", "mud", "tud"]}
+
+
+@pytest.mark.parametrize("dataset", ["synthetic", "csv"])
+def test_aggregate_rows_fill_only_their_partitions_facts(tmp_path, capsys, dataset):
+    if dataset == "synthetic":
+        d, groups = tiny_config(seeds=[0, 1]), {"overall": 1, "group": 2}
+    else:  # "color" is a feature, and as a sensitive column it has three groups
+        d = multiclass_csv_config(tmp_path, np.array(["low", "mid", "high"] * 20))
+        d["dataset"]["schema"]["sensitive"] = ["group", "color"]
+        groups = {"overall": 1, "group": 2, "color": 3}
+    out = tmp_path / "o"
+    assert cli_main(train_argv(tmp_path, d)) == 0
+    runs = sorted(map(str, (out / "runs").glob("*.json")))
+    rec = RunRecord.load(runs[0])
+    assert {p: len(r.per_group_utility) for p, r in rec.metrics.items()} == groups
+    capsys.readouterr()
+    assert cli_main(["compare", "--runs", *runs, "--out", str(tmp_path / "compare.csv")]) == 0
+    printed = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+    with open(out / "aggregate.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["partition"], r["method"]) for r in rows] == [
+        (p, m) for p in groups for m in d["methods"]]
+    for row in rows:
+        facts = FACTS[groups[row["partition"]]]
+        for metric in MetricsReport.SCALARS:
+            cells = [row[f"{metric}_{s}"] for s in ("mean", "std", "p_vs_erm", "impr_vs_erm")]
+            if metric not in facts:
+                assert cells == [""] * 4, (row["partition"], row["method"], metric)
+            elif row["method"] == "erm":
+                assert all(cells[:2]) and cells[2:] == ["", ""]
+            else:
+                assert all(cells)
+        # compare prints the row's reported means, in report order
+        line = printed[f"{row['partition']}/{row['method']}"]
+        assert re.findall(r" (\w+)=", line) == facts
+    # compare over a train's own records reproduces its aggregate.csv, rows reordered
+    assert sorted((tmp_path / "compare.csv").read_text().splitlines()) == sorted(
+        (out / "aggregate.csv").read_text().splitlines())
 
 
 def test_write_csv_matches_dictwriter(tmp_path):
@@ -1500,6 +1571,25 @@ def test_cli_train_divergence_exits_3(tmp_path, capsys, recwarn, config, message
     assert re.match("error: " + message, err.strip()), err
     for record in (out / "runs").glob("*.json"):
         assert "Infinity" not in record.read_text() and "NaN" not in record.read_text()
+
+
+def test_divergence_ratio_is_the_refusal_boundary(tmp_path, monkeypatch, capsys):
+    # r is a run's largest epoch loss over its loss at initialisation: a
+    # DIVERGENCE_RATIO just below r refuses the run at that epoch, exit 3,
+    # and one just above lets it train
+    d = tiny_config(methods=["erm"])
+    cfg = config_from_dict(d)
+    train, _ = build_datasets(cfg)
+    init_loss = harness._initial_loss(build_model_spec(cfg, train), train, 0)
+    losses = next(run_experiment(cfg))[0].per_epoch_loss
+    r = max(losses) / init_loss
+    monkeypatch.setattr(harness, "DIVERGENCE_RATIO", r * (1 - 1e-9))
+    assert cli_main(train_argv(tmp_path, d)) == 3
+    assert capsys.readouterr().err.startswith(
+        f"error: erm seed=0 epoch={int(np.argmax(losses))}: training loss {max(losses):.6g} "
+        f"is {r:.3g} times its value at initialisation")
+    monkeypatch.setattr(harness, "DIVERGENCE_RATIO", r * (1 + 1e-9))
+    assert cli_main(train_argv(tmp_path, d)) == 0
 
 
 def test_a_failing_run_keeps_the_finished_runs_and_its_own_trace(tmp_path, capsys):
