@@ -20,7 +20,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -66,7 +66,6 @@ _TARGETS, _KIND = ', "test_targets": ', ', "utility_kind": '  # how a saved reco
 
 logger = logging.getLogger(__name__)
 
-TRACE_COLUMNS = ("step", *TRACE_ROW, "eta")
 # the step-trace columns each method fills besides "step", in trace order; erm fills none
 _TRACE_FILLED = {"dro": ("eta",), **dict.fromkeys(_VFAIR_OBJECTIVE, TRACE_ROW)}
 
@@ -376,17 +375,10 @@ class RunRecord:
     config: dict = field(default_factory=dict)
 
     def to_json_dict(self, targets: bool = True) -> dict:
-        return {
-            "method": self.method,
-            "seed": self.seed,
-            "per_epoch_loss": [float(x) for x in self.per_epoch_loss],
-            "selected_epoch": int(self.selected_epoch),
-            "params": [float(x) for x in self.params],
-            "metrics": {k: asdict(v) for k, v in self.metrics.items()},
-            "utility_kind": self.utility_kind,
-            "test_predictions": np.asarray(self.test_predictions).tolist(),
-            "config": self.config,
-        } | ({"test_targets": np.asarray(self.test_targets).tolist()} if targets else {})
+        """Every field as a JSON value (see `_json_value`); `test_targets`
+        only if `targets`.  Not ``asdict(self)``, which would copy the arrays."""
+        return {f.name: _json_value(getattr(self, f.name)) for f in fields(self)
+                if targets or f.name != "test_targets"}
 
     def save(self, path, targets_json: str | None = None) -> None:
         """Strict JSON; fields that disagree (see `_checked`) or a non-finite
@@ -431,6 +423,16 @@ class RunRecord:
             if report.n_examples != len(self.test_targets):
                 raise ValueError("a metrics report's n_examples is not the length of test_targets")
         return self
+
+
+def _json_value(value):
+    """A record field's JSON value: an array as a list, each report of a dict
+    as a dict; any other value as it is."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, dict):
+        return {k: asdict(v) if is_dataclass(v) else v for k, v in value.items()}
+    return value
 
 
 def _fields(value, table: dict, where: str = "") -> dict:
@@ -521,19 +523,13 @@ def _write_csv(path, header, rows) -> None:
 
 
 def write_trace(trace, path) -> None:
-    """Step-trace CSV of every TRACE_COLUMNS column, written column by column
-    with the bytes ``_write_csv`` writes for one row per step.
-    `trace` maps the columns a run fills to equal-length arrays ("step"
-    holds integers); the others are blank.  An unknown column raises
-    ValueError before `path` is touched."""
-    unknown = [c for c in trace if c not in TRACE_COLUMNS]
-    if unknown:
-        raise ValueError(f"unknown step-trace columns {unknown}")
-    blank = [""] * len(trace["step"])
+    """Step-trace CSV of `trace`'s columns, in its order ("step" first, as
+    `_trace` builds it), written column by column with the bytes
+    ``_write_csv`` writes for one row per step.  `trace` maps each column
+    to an equal-length array ("step" holds integers)."""
     # str of a Python int or float is what csv.writer writes for it
-    cells = [map(str, trace[c].tolist()) if c in trace else blank for c in TRACE_COLUMNS]
-    lines = [",".join(TRACE_COLUMNS), *map(",".join, zip(*cells)), ""]
-    _write_atomically(path, "\r\n".join(lines))
+    cells = [map(str, values.tolist()) for values in trace.values()]
+    _write_atomically(path, "\r\n".join([",".join(trace), *map(",".join, zip(*cells)), ""]))
 
 
 # ---------------------------------------------------------------------------
@@ -743,10 +739,12 @@ def aggregate(records) -> AggregateTable:
     if not records:
         raise ConfigError("no records to aggregate")
     methods = dict.fromkeys(r.method for r in records)
-    reports = {}  # partition -> method -> its reports, in record order
-    for r in records:
+    # partition -> method -> its reports: rows in record order, each group's
+    # reports in seed order, so any listing of a train's records sums alike
+    reports = {p: {m: [] for m in methods} for r in records for p in r.metrics}
+    for r in sorted(records, key=lambda r: r.seed):
         for partition, report in r.metrics.items():
-            reports.setdefault(partition, {m: [] for m in methods})[r.method].append(report)
+            reports[partition][r.method].append(report)
 
     def values(group, metric):
         return np.asarray([getattr(rep, metric) for rep in group], dtype=np.float64)

@@ -21,7 +21,6 @@ from vfair.harness import (
     ExperimentConfig,
     RunRecord,
     Sgd,
-    TRACE_COLUMNS,
     aggregate,
     build_datasets,
     build_model_spec,
@@ -37,6 +36,7 @@ from vfair.harness import (
 from vfair.data import Dataset, take_batch
 from vfair.metrics import MAX_TRIALS, MetricsReport
 from vfair.nnet import ModelSpec, forward, init_params, parameter_count
+from vfair.update import TRACE_ROW
 
 
 def tiny_config(**overrides):
@@ -879,6 +879,28 @@ def test_aggregate_keeps_row_order_when_partition_sets_differ():
     assert all(blank_cells(r, ["wu", "mud", "tud"]) for r in rows)
 
 
+def test_aggregate_sums_each_group_in_seed_order():
+    # seeds 1, 2 and 10 listed in config order and in text order (1, 10, 2,
+    # as a shell glob lists their files), with values whose float sum
+    # depends on the order: 1e16 + 1 rounds to 1e16, so (1e16 + 1) - 1e16
+    # is 0 and (1e16 - 1e16) + 1 is 1.  Both listings give the same rows
+    values = {1: 1e16, 2: 1.0, 10: -1e16}
+
+    def record(method, seed):
+        v = values[seed] * (2.0 if method == "vfair_std" else 1.0)
+        return fake_record(method, seed, "mse", {"utility": v, "wu": v, "mud": v, "tud": v,
+                                                 "var": v})
+
+    in_config = [record(m, s) for s in (1, 2, 10) for m in ("erm", "vfair_std")]
+    as_text = [record(m, s) for m in ("erm", "vfair_std") for s in (1, 10, 2)]
+    rows = aggregate(in_config).rows
+    assert aggregate(as_text).rows == rows
+    assert [(r["partition"], r["method"]) for r in rows] == [
+        ("overall", "erm"), ("overall", "vfair_std"), ("group", "erm"), ("group", "vfair_std"),
+    ]
+    assert rows[0]["utility_mean"] == 0.0
+
+
 # the facts a row of a k-group partition reports
 FACTS = {1: ["utility", "var"], 2: ["wu", "mud"], 3: ["wu", "mud", "tud"]}
 
@@ -974,46 +996,56 @@ def test_cli_malformed_record_exits_2(tmp_path, capsys, breakage):
 # -- traces and curves ------------------------------------------------------
 
 
-def test_write_trace_union_schema(tmp_path):
-    # every trace has all the columns; those its method does not fill are blank
-    path = tmp_path / "trace.csv"
-    for filled, blank in ((TRACE_COLUMNS[1:-1], "eta"), (("eta",), "sigma")):
-        write_trace({"step": np.arange(2), **{c: np.array([0.5, 0.7]) for c in filled}}, path)
+def test_each_methods_trace_holds_its_own_columns(tmp_path):
+    # a trace has "step" and the columns its method fills, no blank one:
+    # eta for dro, the coefficient row for each vfair method; erm has none
+    methods = ["erm", "vfair_std", "vfair_var", "vfair_pairwise", "dro"]
+    cfg_path = write_config(tmp_path, tiny_config(methods=methods, epochs=1))
+    out = tmp_path / "out"
+    assert cli_main(["train", "--config", str(cfg_path), "--out", str(out)]) == 0
+    headers = {}
+    for path in (out / "traces").iterdir():
         with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            assert reader.fieldnames == list(TRACE_COLUMNS)
-            got = list(reader)
-        assert [row["step"] for row in got] == ["0", "1"]
-        assert [row[filled[0]] for row in got] == ["0.5", "0.7"]
-        assert [row[blank] for row in got] == ["", ""]
+            rows = list(csv.reader(fh))
+        headers[path.name] = rows[0]
+        assert [row[0] for row in rows[1:]] == [str(t) for t in range(4)]  # 120 rows, batch 32
+        assert all(len(row) == len(rows[0]) and all(row) for row in rows[1:])
+    assert headers == {"dro_seed0.csv": ["step", "eta"],
+                       **{f"{m}_seed0.csv": ["step", *TRACE_ROW] for m in methods[1:4]}}
 
 
 # the dro, vfair and blank (step only) column sets of a step trace
-TRACE_SETS = {"dro": ("eta",), "vfair": TRACE_COLUMNS[1:-1], "blank": ()}
+TRACE_SETS = {"dro": ("eta",), "vfair": TRACE_ROW, "blank": ()}
 
 
 @pytest.mark.parametrize("filled", TRACE_SETS.values(), ids=TRACE_SETS.keys())
 def test_write_trace_matches_dictwriter(tmp_path, filled):
-    # the column-wise writer gives the bytes of csv.DictWriter on one dict
-    # row per step, on values whose shortest round-trip form is awkward
+    # the column-wise writer gives the bytes of csv.DictWriter over the
+    # trace's own columns on one dict row per step, on values whose
+    # shortest round-trip form is awkward
     awkward = [1e-05, 1e+16, 0.1 + 0.2, -0.0, 5e-324]
     steps = 12
     values = np.resize(awkward, (steps, len(filled)))  # cycled through the cells
     rows = [{"step": i, **dict(zip(filled, row))} for i, row in enumerate(values.tolist())]
     path = tmp_path / "trace.csv"
     write_trace({"step": np.arange(steps), **dict(zip(filled, values.T))}, path)
-    assert path.read_bytes() == dictwriter_csv(TRACE_COLUMNS, rows).encode("utf-8")
+    assert path.read_bytes() == dictwriter_csv(("step", *filled), rows).encode("utf-8")
 
 
-def test_failed_write_keeps_the_old_file(tmp_path):
-    # a trace with an unknown column raises ValueError; the trace written
-    # before it stays byte-identical and no temp file is left behind
+def test_failed_write_keeps_the_old_file(tmp_path, monkeypatch):
+    # a trace write whose move onto the path fails raises; the trace
+    # written before it stays byte-identical and no temp file is left behind
     path = tmp_path / "trace.csv"
     write_trace({"step": np.arange(2), "eta": np.array([0.5, 0.25])}, path)
     before = path.read_bytes()
-    with pytest.raises(ValueError):
-        write_trace({"step": np.arange(2), "eta": np.array([0.5, 0.25]),
-                     "bogus": np.ones(2)}, path)
+
+    def refuse(src, dst):
+        raise OSError("disk full")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(harness.os, "replace", refuse)
+        with pytest.raises(OSError, match="disk full"):
+            write_trace({"step": np.arange(2), "eta": np.array([0.75, 0.125])}, path)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["trace.csv"]
     # a write that fails once the temp file exists removes it again
@@ -1556,8 +1588,11 @@ def split_csv_config(tmp_path, test_y):
     # epoch-0 training loss is 9e159 times the loss at initialisation
     (readme_config(5, methods=["erm"], step_size=5.0, epochs=5),
      r"erm seed=0 epoch=0: training loss \S+ is 9\.07e\+159 times its value at initialisation$"),
+    # the same for the std-dev fair update at a tenth of that step size
+    (readme_config(9, methods=["vfair_std"], step_size=0.5, epochs=5),
+     r"vfair_std seed=0 epoch=0: training loss \S+ is 5\.22e\+12 times its value at initialisation$"),
 ], ids=["erm", "dro_tiny", "dro_readme", "vfair_var", "erm_evaluation", "erm_test_loss",
-        "erm_finite_divergence"])
+        "erm_finite_divergence", "vfair_std_finite_divergence"])
 def test_cli_train_divergence_exits_3(tmp_path, capsys, recwarn, config, message):
     if callable(config):
         config = config(tmp_path)
@@ -1618,9 +1653,11 @@ def test_a_failing_run_keeps_the_finished_runs_and_its_own_trace(tmp_path, capsy
     assert sorted(p.name for p in (out / "traces").iterdir()) == ["vfair_std_seed0.csv",
                                                                  "vfair_var_seed0.failed.csv"]
     with open(out / "traces" / "vfair_var_seed0.failed.csv", newline="") as fh:
-        rows = list(csv.DictReader(fh))
+        reader = csv.DictReader(fh)
+        rows = list(reader)
+    assert reader.fieldnames == ["step", *TRACE_ROW]
     assert [row["step"] for row in rows] == [str(t) for t in range(8)]
-    assert all(row["mu"] and row["eta"] == "" for row in rows)
+    assert all(row["mu"] for row in rows)
 
 
 @pytest.mark.parametrize("batch_size, warned", [(32, True), (64, False)])

@@ -13,7 +13,6 @@ from helpers import (
 from vfair import nnet, update
 from vfair.baselines import DroConfig, dro_direction
 from vfair.errors import ConfigError
-from vfair.harness import TRACE_COLUMNS
 from vfair.nnet import (
     Batch,
     ModelSpec,
@@ -349,20 +348,25 @@ def test_step_report_on_hand_built_batch():
 
 
 def test_floored_sigma_with_unit_cap_degenerates_to_mean_step():
-    # every loss equals the running mean -> secondary gradient zeroed;
-    # with the positivity cap at 1 the fair direction is exactly the
-    # gradient erm trains on
+    # a floored sigma zeroes the secondary gradient; with the positivity
+    # cap at 1 the fair direction is exactly the gradient erm trains on.
+    # Every loss equals the running mean (4), or the losses 1 and about
+    # 1 + 2e-13 deviate about +-1e-13 from their mean, the running mean at
+    # decay 0: below the floor, where deviations / sigma would be +-0.1
     spec = ModelSpec(input_dim=1, hidden_dims=(), output_dim=1, task="regression_mse")
-    x = np.ones((4, 1))
-    y = np.full(4, 2.0)  # prediction 0 -> every loss is 4
-    batch = Batch(features=x, targets=y)
-    params = np.zeros(2)
-    state = UpdateState(ema_mean=4.0, lambda2_cap=1.0)
-    direction, _, row = vfair_direction(state, spec, params, batch)
-    row = dict(zip(TRACE_ROW, row))
-    assert row["sigma"] == SIGMA_FLOOR
-    assert row["lambda"] == 1.0
-    np.testing.assert_allclose(direction, grad_mu(spec, params, batch))
+    cases = [
+        (Batch(features=np.ones((4, 1)), targets=np.full(4, 2.0)), np.zeros(2),
+         UpdateState(ema_mean=4.0, lambda2_cap=1.0)),
+        (Batch(features=np.array([[0.0], [1e-13]]), targets=np.zeros(2)), np.ones(2),
+         UpdateState(decay=0.0, lambda2_cap=1.0)),
+    ]
+    for batch, params, state in cases:
+        direction, _, row = vfair_direction(state, spec, params, batch)
+        row = dict(zip(TRACE_ROW, row))
+        assert row["sigma"] == SIGMA_FLOOR
+        assert row["lambda"] == 1.0
+        assert row["weights_min"] == row["lambda"]
+        assert direction.tobytes() == grad_mu(spec, params, batch).tobytes()
 
 
 def test_variance_objective_hand_lambda2():
@@ -436,7 +440,6 @@ def test_step_report_row_columns():
     assert TRACE_ROW == (
         "mu", "sigma", "lambda1", "lambda2", "lambda", "grad_mu_norm", "grad_dot", "weights_min",
     )
-    assert set(TRACE_ROW) < set(TRACE_COLUMNS)
     spec, params, batch = regression_batch_with_losses([1.0, 2.0, 3.0])
     for objective in OBJECTIVES:
         _, _, row = vfair_direction(UpdateState(), spec, params, batch, objective)
